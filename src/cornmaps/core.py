@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InvalidMapError
+from .errors import InvalidMapError, UnknownCell
 
 Perm = tuple[int, ...]
 
@@ -372,10 +372,10 @@ def face_length(m: FlagMap, f: int) -> int:
 
 
 def _cell_by_id(m: FlagMap, kind: str, cid: int) -> Cell:
-    for cell in cells(m, kind):
-        if cell.id == cid:
-            return cell
-    raise KeyError(f"no {kind} cell with id {cid}")
+    table = m._memo(("cell_by_id", kind), lambda: {c.id: c for c in cells(m, kind)})
+    if cid not in table:
+        raise UnknownCell(f"no {kind} cell with id {cid}")
+    return table[cid]
 
 
 def uniform_valence(m: FlagMap) -> Optional[int]:
@@ -511,7 +511,7 @@ def rotation_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
     """
     table = _rotation_table(m)
     if v not in table:
-        raise KeyError(f"no vertex cell with id {v}")
+        raise UnknownCell(f"no vertex cell with id {v}")
     return table[v][1]
 
 
@@ -522,7 +522,7 @@ def wedges_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
     """
     table = _rotation_table(m)
     if v not in table:
-        raise KeyError(f"no vertex cell with id {v}")
+        raise UnknownCell(f"no vertex cell with id {v}")
     return table[v][2]
 
 

@@ -45,6 +45,7 @@ from .symmetry import (
     is_face_reflexible,
     orbits_on,
     subgroups_up_to_index,
+    _span_images,
 )
 
 CONVEX = "Convex"
@@ -143,24 +144,28 @@ def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
     """Every corner of width exactly ``j``, in canonical order."""
     if j < 1:
         raise WidthOutOfRange(f"corner width must be at least 1, got {j}")
-    out = []
-    seen = set()
-    for vcell in cells(m, VERTEX):
-        v = vcell.id
-        q = valence(m, v)
-        if j > q // 2:
-            raise WidthOutOfRange(
-                f"width {j} exceeds half the valence {q} at vertex {v}"
-            )
-        rotation = rotation_at_vertex(m, v)
-        for i in range(q):
-            pair = tuple(sorted((rotation[i], rotation[(i + j) % q])))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            out.append(corner_from_darts(m, pair))
-    out.sort(key=Corner.key)
-    return out
+
+    def build():
+        out = []
+        seen = set()
+        for vcell in cells(m, VERTEX):
+            v = vcell.id
+            q = valence(m, v)
+            if j > q // 2:
+                raise WidthOutOfRange(
+                    f"width {j} exceeds half the valence {q} at vertex {v}"
+                )
+            rotation = rotation_at_vertex(m, v)
+            for i in range(q):
+                pair = tuple(sorted((rotation[i], rotation[(i + j) % q])))
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                out.append(corner_from_darts(m, pair))
+        out.sort(key=Corner.key)
+        return tuple(out)
+
+    return list(m._memo(("j_corners", j), build))
 
 
 def _interior_flag_on_dart(m: FlagMap, c: Corner, dart: int) -> int:
@@ -565,9 +570,7 @@ def face_patterns(L: Corneration) -> FacePatternReport:
 def _require_symmetry_group(m: FlagMap, H: SymGroup) -> None:
     if H.map is not m and H.map != m:
         raise GroupNotSubgroup("the group belongs to a different map")
-    if "is_sym" not in H._cache:
-        H._cache["is_sym"] = H.is_map_symmetry_group()
-    if not H._cache["is_sym"]:
+    if not H.is_map_symmetry_group():
         raise GroupNotSubgroup("elements do not commute with the involutions")
 
 
@@ -717,14 +720,41 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
 
 
 def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
-    """The setwise stabilizer of ``L`` inside the group ``A``."""
+    """The setwise stabilizer of ``L`` inside the group ``A``.
+
+    Orbit and stabilizer: the orbit of L's corner set under the generators
+    of ``A`` is walked with a transversal, and the stabilizer is spanned by
+    the Schreier generators.  The cost follows the orbit length and the
+    stabilizer order, not the order of ``A``; ``L`` need not be invariant
+    under any part of ``A``.
+    """
     m = L.map
-    target = {c.key() for c in L.corners}
-    keep = []
-    for g in A.elements:
-        if all(corner_image_key(m, g, c) in target for c in L.corners):
-            keep.append(g)
-    return SymGroup(m, tuple(keep))
+    vertex_of = m.cell_index(VERTEX)
+    dart_of = m.cell_index(DART)
+    by = A._by_image()
+    gens = [by[s] for s in A.generator_images()]
+
+    def image(g, keys) -> frozenset:
+        return frozenset(
+            (vertex_of[g[v]], tuple(sorted((dart_of[g[d1]], dart_of[g[d2]]))))
+            for v, (d1, d2) in keys
+        )
+
+    start = frozenset(c.key() for c in L.corners)
+    transversal = {start: 0}  # corner set -> image of an element sending L to it
+    orbit = [start]
+    schreier = set()
+    for keys in orbit:
+        t = transversal[keys]
+        for g in gens:
+            moved = image(g, keys)
+            st = g[t]  # t then g sends L to moved; undoing moved's t fixes L
+            if moved in transversal:
+                schreier.add(A.mul_images(st, A.inv_image(transversal[moved])))
+            else:
+                transversal[moved] = st
+                orbit.append(moved)
+    return A.subgroup_from_images(_span_images(A, schreier))
 
 
 def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:

@@ -16,6 +16,16 @@ class InvalidMapError(CornMapsError):
         self.report = report
 
 
+class UnknownCell(CornMapsError, KeyError):
+    """No cell of the requested kind has the given id.
+
+    Also a ``KeyError``, so lookups behave like a mapping's.
+    """
+
+    # KeyError's own str() would wrap the message in quotes
+    __str__ = Exception.__str__
+
+
 class DegenerateParameters(CornMapsError):
     """Builder parameters would produce a degenerate map (loops etc.)."""
 

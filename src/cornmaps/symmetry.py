@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import (
     CELL_KINDS,
@@ -26,7 +26,7 @@ from .core import (
     orbits,
     _rotation_table,
 )
-from .errors import GroupTooLarge
+from .errors import GroupNotSubgroup, GroupTooLarge, UnknownCell
 from .operators import _propagate
 
 
@@ -35,9 +35,15 @@ class SymGroup:
     """A group of map symmetries, materialized as an element list.
 
     Elements are sorted lexicographically, which for a semiregular action
-    coincides with sorting by the image of flag 0.  Desk-scale maps keep
-    groups at or below the flag count, so no stabilizer-chain machinery is
-    used anywhere.
+    coincides with sorting by the image of flag 0.  Group arithmetic works
+    from generators and cosets on those images: subgroups are spanned from
+    generator images, and stabilizers come from orbits and Schreier
+    generators rather than from a scan of every element.
+
+    Whether the elements are map symmetries is checked once per group and
+    memoized.  Groups returned by :func:`automorphism_group` are symmetries
+    by construction, and :meth:`subgroup_from_images` passes that on, so
+    only groups built directly from permutations pay for the full check.
     """
 
     map: FlagMap
@@ -47,7 +53,7 @@ class SymGroup:
     def __post_init__(self):
         elems = tuple(sorted(set(tuple(p) for p in self.elements)))
         if not elems:
-            raise ValueError("a group needs at least the identity")
+            raise GroupNotSubgroup("a group needs at least the identity")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -84,7 +90,10 @@ class SymGroup:
 
     def subgroup_from_images(self, images: Iterable[int]) -> "SymGroup":
         by = self._by_image()
-        return SymGroup(self.map, tuple(by[f] for f in sorted(set(images))))
+        sub = SymGroup(self.map, tuple(by[f] for f in sorted(set(images))))
+        if self._cache.get("is_sym"):
+            sub._cache["is_sym"] = True
+        return sub
 
     def generator_images(self) -> tuple[int, ...]:
         """A small generating set, found by greedy orbit growth."""
@@ -100,48 +109,36 @@ class SymGroup:
         return gens if gens else (self.elements[0],)
 
     def is_map_symmetry_group(self) -> bool:
-        """Whether every element commutes with r0, r1 and r2."""
-        rs = self.map.involutions()
-        for p in self.elements:
-            for r in rs:
-                if any(p[r[f]] != r[p[f]] for f in self.map.flags()):
-                    return False
-        return True
+        """Whether every element commutes with r0, r1 and r2 (memoized)."""
+        cache = self._cache
+        if "is_sym" not in cache:
+            cache["is_sym"] = _commutes_with_involutions(self.map, self.elements)
+        return cache["is_sym"]
 
     def __str__(self):
         return f"SymGroup(order={self.order})"
 
 
-def _closure_images(G: SymGroup, seed: Iterable[int]) -> frozenset:
-    """Subgroup closure of a set of element images inside ``G``."""
-    by = G._by_image()
-    closure = {0} | set(seed)
-    frontier = list(closure)
-    while frontier:
-        new = []
-        for f in frontier:
-            for h in list(closure):
-                for prod in (by[h][f], by[f][h]):
-                    if prod not in closure:
-                        closure.add(prod)
-                        new.append(prod)
-        frontier = new
-    return frozenset(closure)
+def _commutes_with_involutions(m: FlagMap, elements: Iterable[Perm]) -> bool:
+    rs = m.involutions()
+    for p in elements:
+        for r in rs:
+            if any(p[r[f]] != r[p[f]] for f in m.flags()):
+                return False
+    return True
 
 
-def _orbit_of_zero(G: SymGroup, gen_images: Sequence[int]) -> set:
-    """Orbit of flag 0 under the subgroup generated by the given images."""
+def _span_images(G: SymGroup, gen_images: Iterable[int], start=(0,)) -> set:
+    """Images of the subgroup generated by ``gen_images``.
+
+    The orbit of flag 0 under right multiplication by the generators; in a
+    finite group that is the whole generated subgroup.  ``start`` may hold
+    the images of a subgroup already known to lie inside the result.
+    """
     by = G._by_image()
-    perms = []
-    for f in gen_images:
-        p = by[f]
-        perms.append(p)
-        inv = [0] * len(p)
-        for i, j in enumerate(p):
-            inv[j] = i
-        perms.append(tuple(inv))
-    reached = {0}
-    frontier = [0]
+    perms = [by[f] for f in set(gen_images)]
+    reached = set(start)
+    frontier = list(reached)
     while frontier:
         x = frontier.pop()
         for p in perms:
@@ -153,23 +150,38 @@ def _orbit_of_zero(G: SymGroup, gen_images: Sequence[int]) -> set:
 
 
 def _greedy_generator_images(G: SymGroup) -> tuple[int, ...]:
-    images = G.images()
-    target = len(images)
+    """Generators chosen one at a time by the key (-growth, involution, image).
+
+    The growth of <R, f> over the reached subgroup R is the same for every
+    f in the double coset R f R, so it is computed once per double coset.
+    """
+    by = G._by_image()
+    inv = G.inv_image
     gens: list[int] = []
     reached = {0}
-    while len(reached) < target:
-        best = None
+    while len(reached) < G.order:
+        seen = set(reached)
         best_key = None
-        for f in images:
-            if f in reached:
+        for f in G.images():
+            if f in seen:
                 continue
-            grown = _orbit_of_zero(G, gens + [f])
-            is_involution = G.inv_image(f) == f
+            # R f R: close {f} under multiplication by R's generators on
+            # either side
+            coset = [f]
+            seen.add(f)
+            for x in coset:
+                px = by[x]
+                for g in gens:
+                    for y in (by[g][x], px[g]):
+                        if y not in seen:
+                            seen.add(y)
+                            coset.append(y)
+            grown = _span_images(G, gens + [f], reached)
             # larger growth first, involutions preferred, then smallest image
-            key = (-len(grown), 0 if is_involution else 1, f)
+            key = min((-len(grown), 0 if inv(h) == h else 1, h) for h in coset)
             if best_key is None or key < best_key:
-                best, best_key, best_grown = f, key, grown
-        gens.append(best)
+                best_key, best_grown = key, grown
+        gens.append(best_key[2])
         reached = best_grown
     return tuple(gens)
 
@@ -178,8 +190,11 @@ def automorphism_group(m: FlagMap) -> SymGroup:
     """All flag permutations commuting with the three involutions.
 
     Each flag is tried as the image of flag 0 and propagated along the
-    involutions; the successful propagations are exactly the symmetries.
+    involutions; the successful propagations are exactly the symmetries,
+    so the group is marked as checked.  Raises :class:`InvalidMapError`
+    when ``m`` violates the map axioms.
     """
+    m.require_valid()
 
     def build():
         elems = []
@@ -187,7 +202,9 @@ def automorphism_group(m: FlagMap) -> SymGroup:
             phi = _propagate(m, m, target)
             if phi is not None:
                 elems.append(phi)
-        return SymGroup(m, tuple(elems))
+        G = SymGroup(m, tuple(elems))
+        G._cache["is_sym"] = True
+        return G
 
     return m._memo(("aut",), build)
 
@@ -291,14 +308,21 @@ def _index_two_image_sets(G: SymGroup) -> list[frozenset]:
     images = G.images()
     mul = G.mul_images
     inv = G.inv_image
-    seed = set()
-    for f in images:
-        seed.add(mul(f, f))
-    for f in images:
-        inv_f = inv(f)
-        for h in images:
-            seed.add(mul(mul(inv_f, inv(h)), mul(f, h)))
-    N = _closure_images(G, seed)
+    # G^2, the kernel of the largest elementary abelian 2-quotient, is the
+    # normal closure of the generators' squares and commutators
+    gens = G.generator_images()
+    normal_gens = [mul(a, a) for a in gens]
+    normal_gens += [mul(mul(inv(a), inv(b)), mul(a, b)) for a in gens for b in gens]
+    N = _span_images(G, normal_gens)
+    pending = list(normal_gens)
+    while pending:
+        x = pending.pop()
+        for a in gens:
+            y = mul(mul(inv(a), x), a)
+            if y not in N:
+                normal_gens.append(y)
+                pending.append(y)
+                N = _span_images(G, normal_gens, N)
     if len(N) == len(images):
         return []
     # cosets of N form an elementary abelian 2-group
@@ -486,8 +510,8 @@ def is_face_reflexible(m: FlagMap) -> Optional[SymGroup]:
             return None
         face_of = m.cell_index(FACE)
         f0 = cells(m, FACE)[0].id
-        keep = [g for g in A.elements if coloring[face_of[g[f0]]] == coloring[f0]]
-        G = SymGroup(m, tuple(keep))
+        keep = [g[0] for g in A.elements if coloring[face_of[g[f0]]] == coloring[f0]]
+        G = A.subgroup_from_images(keep)
         if is_half_reflexible(m, G):
             return G
         return None
@@ -530,7 +554,7 @@ def local_action_group(G: SymGroup, v: int) -> LocalAction:
     m = G.map
     table = _rotation_table(m)
     if v not in table:
-        raise KeyError(f"no vertex cell with id {v}")
+        raise UnknownCell(f"no vertex cell with id {v}")
     flags, darts, _ = table[v]
     q = len(darts)
     pos = {d: i for i, d in enumerate(darts)}

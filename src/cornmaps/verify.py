@@ -290,11 +290,6 @@ def claim_operator_identities(ctx: SuiteContext):
     return instances, failures, note
 
 
-def _classify_letter(m, G, L):
-    res = st.classify(m, G, L)
-    return res
-
-
 def claim_stg_classification(ctx: SuiteContext):
     failures = []
     instances = 0

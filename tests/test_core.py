@@ -6,6 +6,7 @@ from cornmaps.core import (
     cells,
     euler_and_genus,
     face_bipartition,
+    face_boundary_edges,
     face_boundary_wedges,
     face_length,
     order_mod,
@@ -17,6 +18,7 @@ from cornmaps.core import (
     vertex_bipartition,
     wedges_at_vertex,
 )
+from cornmaps.errors import CornMapsError, UnknownCell
 
 
 def test_cube_is_valid(cube):
@@ -195,3 +197,24 @@ def test_face_boundary_wedges(cube):
         walk = face_boundary_wedges(cube, fcell.id)
         assert len(walk) == face_length(cube, fcell.id)
         assert len(set(walk)) == len(walk)
+
+
+def test_unknown_cell_ids_raise_unknown_cell(cube):
+    vertex_ids = {c.id for c in cells(cube, "vertex")}
+    face_ids = {c.id for c in cells(cube, "face")}
+    bad_vertex = min(set(cube.flags()) - vertex_ids)
+    bad_face = min(set(cube.flags()) - face_ids)
+    for lookup, cid in (
+        (valence, bad_vertex),
+        (rotation_at_vertex, bad_vertex),
+        (wedges_at_vertex, bad_vertex),
+        (face_length, bad_face),
+        (face_boundary_wedges, bad_face),
+        (face_boundary_edges, bad_face),
+    ):
+        with pytest.raises(UnknownCell) as info:
+            lookup(cube, cid)
+        assert isinstance(info.value, CornMapsError)
+        assert isinstance(info.value, KeyError)
+        assert str(info.value) == f"no {'vertex' if cid == bad_vertex else 'face'} cell with id {cid}"
+    assert valence(cube, min(vertex_ids)) == 3

@@ -34,6 +34,13 @@ def straight_corneration(m):
 # -- corners ----------------------------------------------------------------
 
 
+def test_all_j_corners_returns_a_fresh_list(torus44):
+    first = corn.all_j_corners(torus44, 1)
+    assert len(first) == 16 * 4
+    first.clear()
+    assert len(corn.all_j_corners(torus44, 1)) == 16 * 4
+
+
 def test_all_j_corners_counts(cube, torus44, opp44):
     assert len(corn.all_j_corners(cube, 1)) == 24  # all corners at valence 3
     assert len(corn.all_j_corners(torus44, 2)) == 16 * 2  # straight pairs

@@ -1,0 +1,255 @@
+"""Generator- and coset-based group bookkeeping against element-wise oracles.
+
+The oracles below are the straightforward algorithms that walk every
+element of a group: greedy generator selection by recomputing an orbit for
+each candidate, index-2 kernels from all pairwise commutators, and the
+stabilizer of a corneration as a filter over all elements.  The library's
+versions must reproduce them exactly, generator tuples included.
+"""
+
+import random
+
+import pytest
+
+from cornmaps import symmetry
+from cornmaps.builders import build_antiprism, build_torus_grid
+from cornmaps.core import FlagMap, uniform_valence
+from cornmaps.cornerations import (
+    Corneration,
+    corner_image_key,
+    corneration_stabilizer,
+    enumerate_invariant_cornerations,
+    enumerate_transitive_cornerations,
+)
+from cornmaps.errors import GroupNotSubgroup
+from cornmaps.operators import opposite
+from cornmaps.symmetry import (
+    SymGroup,
+    _index_two_image_sets,
+    automorphism_group,
+    subgroups_up_to_index,
+)
+from cornmaps.verify import SuiteContext
+
+
+# -- oracles -----------------------------------------------------------------
+
+
+def oracle_orbit_of_zero(G, gen_images):
+    by = G._by_image()
+    perms = []
+    for f in gen_images:
+        p = by[f]
+        perms.append(p)
+        inv = [0] * len(p)
+        for i, j in enumerate(p):
+            inv[j] = i
+        perms.append(tuple(inv))
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = p[x]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def oracle_generator_images(G):
+    images = G.images()
+    gens = []
+    reached = {0}
+    while len(reached) < len(images):
+        best_key = None
+        for f in images:
+            if f in reached:
+                continue
+            grown = oracle_orbit_of_zero(G, gens + [f])
+            key = (-len(grown), 0 if G.inv_image(f) == f else 1, f)
+            if best_key is None or key < best_key:
+                best, best_key, best_grown = f, key, grown
+        gens.append(best)
+        reached = best_grown
+    return tuple(gens)
+
+
+def oracle_closure(G, seed):
+    by = G._by_image()
+    closure = {0} | set(seed)
+    frontier = list(closure)
+    while frontier:
+        new = []
+        for f in frontier:
+            for h in list(closure):
+                for prod in (by[h][f], by[f][h]):
+                    if prod not in closure:
+                        closure.add(prod)
+                        new.append(prod)
+        frontier = new
+    return frozenset(closure)
+
+
+def oracle_index_two(G):
+    """Index-2 kernels, with G^2 closed from every square and commutator."""
+    images = G.images()
+    mul, inv = G.mul_images, G.inv_image
+    seed = {mul(f, f) for f in images}
+    for f in images:
+        for h in images:
+            seed.add(mul(mul(inv(f), inv(h)), mul(f, h)))
+    N = oracle_closure(G, seed)
+    if len(N) == len(images):
+        return []
+    coset_of = {}
+    reps = []
+    for f in images:
+        if f in coset_of:
+            continue
+        rep = len(reps)
+        reps.append(f)
+        for n in N:
+            coset_of[mul(n, f)] = rep
+    r = 0
+    coords = {0: 0}
+    for rep in range(len(reps)):
+        if rep in coords:
+            continue
+        bit = 1 << r
+        r += 1
+        for known, vec in list(coords.items()):
+            coords[coset_of[mul(reps[known], reps[rep])]] = vec | bit
+    return [
+        frozenset(f for f in images if bin(coords[coset_of[f]] & chi).count("1") % 2 == 0)
+        for chi in range(1, 1 << r)
+    ]
+
+
+def oracle_stabilizer(A, L):
+    m = L.map
+    target = {c.key() for c in L.corners}
+    return tuple(
+        g[0]
+        for g in A.elements
+        if all(corner_image_key(m, g, c) in target for c in L.corners)
+    )
+
+
+# -- maps --------------------------------------------------------------------
+
+
+def relabel(m, seed):
+    new = list(m.flags())
+    random.Random(seed).shuffle(new)
+    images = []
+    for r in m.involutions():
+        image = [0] * m.n_flags
+        for f in m.flags():
+            image[new[f]] = new[r[f]]
+        images.append(image)
+    return FlagMap(m.n_flags, *images, name=f"{m.name}~{seed}")
+
+
+@pytest.fixture(scope="module")
+def maps():
+    out = dict(SuiteContext().maps)
+    out["torus8x8"] = build_torus_grid(8, 8)
+    out["opp4x4~7"] = relabel(opposite(build_torus_grid(4, 4)), 7)
+    return out
+
+
+def test_generator_images_match_greedy_oracle(maps):
+    for name, m in maps.items():
+        A = automorphism_group(m)
+        for H in [A] + subgroups_up_to_index(A, 4):
+            assert H.generator_images() == oracle_generator_images(H), (name, H.order)
+
+
+def test_index_two_subgroups_match_commutator_oracle(maps):
+    for name, m in maps.items():
+        A = automorphism_group(m)
+        assert _index_two_image_sets(A) == oracle_index_two(A), name
+
+
+def test_stabilizers_match_element_filter_on_sweeps(maps):
+    checked = 0
+    for name, m in maps.items():
+        q = uniform_valence(m)
+        if q is None or q % 2:
+            continue
+        A = automorphism_group(m)
+        # every width on the suite maps; the 512-flag torus at j=1 only, for time
+        widths = range(1, q // 2 + 1) if m.n_flags <= 288 else (1,)
+        for j in widths:
+            for r in enumerate_transitive_cornerations(m, j):
+                assert r.aut.images() == oracle_stabilizer(A, r.corneration), name
+                checked += 1
+    assert checked > 100
+
+
+def test_stabilizers_of_trivially_invariant_cornerations():
+    """Small stabilizers with long orbits: every antiprism(4) corneration."""
+    m = build_antiprism(4)
+    A = automorphism_group(m)
+    trivial = SymGroup(m, (tuple(m.flags()),))
+    found = enumerate_invariant_cornerations(m, trivial, 1)
+    assert len(found) == 256
+    orders = set()
+    for L in found:
+        S = corneration_stabilizer(A, L)
+        assert S.images() == oracle_stabilizer(A, L)
+        orders.add(S.order)
+    assert 1 in orders and len(orders) > 1
+
+
+def test_stabilizer_of_a_partial_corner_set():
+    m = build_antiprism(4)
+    A = automorphism_group(m)
+    L = enumerate_invariant_cornerations(m, A, 1)[0]
+    part = Corneration.from_corners(m, L.sorted_corners()[:3])
+    assert corneration_stabilizer(A, part).images() == oracle_stabilizer(A, part)
+
+
+# -- trust by provenance -----------------------------------------------------
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    calls = []
+    real = symmetry._commutes_with_involutions
+
+    def counting(m, elements):
+        calls.append(m)
+        return real(m, elements)
+
+    monkeypatch.setattr(symmetry, "_commutes_with_involutions", counting)
+    return calls
+
+
+def test_user_groups_still_get_the_full_check(check_calls):
+    m = build_torus_grid(4, 4)
+    n = m.n_flags
+    swap = list(range(n))
+    swap[0], swap[1] = swap[1], swap[0]
+    bogus = SymGroup(m, (tuple(range(n)), tuple(swap)))
+    with pytest.raises(GroupNotSubgroup):
+        enumerate_invariant_cornerations(m, bogus, 1)
+    cut = bogus.subgroup_from_images(bogus.images())
+    with pytest.raises(GroupNotSubgroup):
+        enumerate_invariant_cornerations(m, cut, 1)
+    assert len(check_calls) == 2
+    # the answer is memoized on the group
+    assert not bogus.is_map_symmetry_group()
+    assert len(check_calls) == 2
+
+
+def test_sweep_trusts_subgroups_of_the_automorphism_group(check_calls):
+    m = build_torus_grid(4, 4)
+    records = enumerate_transitive_cornerations(m, 1)
+    assert records
+    assert check_calls == []
+    A = automorphism_group(m)
+    assert all(H.is_map_symmetry_group() for H in subgroups_up_to_index(A, 4))
+    assert all(r.aut.is_map_symmetry_group() for r in records)
+    assert check_calls == []

@@ -1,7 +1,7 @@
 import pytest
 
-from cornmaps.core import cells, compose
-from cornmaps.errors import GroupTooLarge
+from cornmaps.core import FlagMap, cells, compose
+from cornmaps.errors import GroupNotSubgroup, GroupTooLarge, InvalidMapError, UnknownCell
 from cornmaps.symmetry import (
     HC,
     HD,
@@ -190,3 +190,27 @@ def test_local_action_hc_on_grid_corneration():
     G = corn.corneration_stabilizer(automorphism_group(m), L)
     for vcell in cells(m, "vertex"):
         assert local_action_group(G, vcell.id).tag == HC
+
+
+def test_local_action_unknown_vertex(torus44):
+    A = automorphism_group(torus44)
+    vertex_ids = {c.id for c in cells(torus44, "vertex")}
+    bad = min(set(torus44.flags()) - vertex_ids)
+    with pytest.raises(UnknownCell):
+        local_action_group(A, bad)
+
+
+def test_automorphism_group_rejects_invalid_flag_system():
+    m = FlagMap(
+        8,
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 0, 1, 6, 7, 4, 5),
+        (3, 2, 1, 0, 7, 6, 5, 4),
+    )
+    with pytest.raises(InvalidMapError):
+        automorphism_group(m)
+
+
+def test_empty_group_rejected(cube):
+    with pytest.raises(GroupNotSubgroup):
+        SymGroup(cube, ())
