@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InvalidMapError, UnknownCell
+from .errors import InvalidMapError, UnknownCell, UnknownCellKind
 
 Perm = tuple[int, ...]
 
@@ -250,7 +250,7 @@ class FlagMap:
 def _normalize_kind(kind: str) -> str:
     k = str(kind).lower()
     if k not in CELL_KINDS:
-        raise ValueError(f"unknown cell kind {kind!r}")
+        raise UnknownCellKind(f"unknown cell kind {kind!r}")
     return k
 
 

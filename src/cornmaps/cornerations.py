@@ -20,6 +20,7 @@ from .core import (
     FlagMap,
     cells,
     face_boundary_wedges,
+    orbits,
     other_dart,
     uniform_valence,
     valence,
@@ -28,6 +29,7 @@ from .core import (
 )
 from .errors import (
     CircuitTooShort,
+    GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
     NoHalfReflexiveGroup,
     NonUniformValence,
@@ -615,8 +617,8 @@ def enumerate_invariant_cornerations(
         )
         gen_dart_perms.append(tuple(dart_pos[dart_of[g[d]]] for d in darts))
 
-    corner_orbits = _int_orbits(len(corners), gen_corner_perms)
-    dart_orbits = _int_orbits(len(darts), gen_dart_perms)
+    corner_orbits = orbits(len(corners), gen_corner_perms)
+    dart_orbits = orbits(len(darts), gen_dart_perms)
     dart_orbit_of = [0] * len(darts)
     for oi, orbit in enumerate(dart_orbits):
         for d in orbit:
@@ -658,14 +660,6 @@ def enumerate_invariant_cornerations(
     return out
 
 
-def _int_orbits(n: int, perms) -> list[list[int]]:
-    from .core import orbits as _orbits
-
-    if not perms:
-        return [[i] for i in range(n)]
-    return _orbits(n, perms)
-
-
 def _exact_cover(rows, n_cols, solutions, partial=None, covered=None, available=None):
     """All exact covers; rows are (payload, frozenset of columns)."""
     if partial is None:
@@ -696,7 +690,11 @@ def _exact_cover(rows, n_cols, solutions, partial=None, covered=None, available=
 
 
 def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
-    """Orbit partition of a corner set under the induced action of ``G``."""
+    """Orbit partition of a corner set under the induced action of ``G``.
+
+    Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves a
+    corner out of the set.
+    """
     pool = {c.key(): c for c in corners}
     m = G.map
     remaining = set(pool)
@@ -710,7 +708,9 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
             for g in G.generators:
                 img = corner_image_key(m, g, pool[k])
                 if img not in pool:
-                    raise ValueError("the corner set is not invariant under the group")
+                    raise GroupDoesNotPreserveCorneration(
+                        "the corner set is not invariant under the group"
+                    )
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
@@ -758,22 +758,11 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
 
 
 def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
-    m = L.map
-    keys = sorted(c.key() for c in L.corners)
-    if not keys:
-        return False
-    reached = {keys[0]}
-    frontier = [keys[0]]
-    by_key = {c.key(): c for c in L.corners}
-    while frontier:
-        k = frontier.pop()
-        c = by_key[k]
-        for g in G.generators:
-            img = corner_image_key(m, g, c)
-            if img not in reached:
-                reached.add(img)
-                frontier.append(img)
-    return len(reached) == len(keys)
+    """Whether ``G`` has one orbit on the corners of ``L``.
+
+    Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves ``L``.
+    """
+    return len(corner_orbits(G, L.corners)) == 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,10 @@ class InvalidMapError(CornMapsError):
         self.report = report
 
 
+class UnknownCellKind(CornMapsError, ValueError):
+    """A cell kind is not one of vertex, edge, face, dart or wedge."""
+
+
 class UnknownCell(CornMapsError, KeyError):
     """No cell of the requested kind has the given id.
 
@@ -73,7 +77,8 @@ class CircuitTooShort(CornMapsError):
 class GroupTooLarge(CornMapsError):
     """A group exceeds the configured bound for exhaustive search.
 
-    Supply a smaller group or explicit generators to proceed.
+    Raise ``element_bound`` to proceed; on the command line that is
+    ``--element-bound`` of ``corn enumerate`` and ``verify``.
     """
 
 
@@ -81,8 +86,11 @@ class GroupNotSubgroup(CornMapsError):
     """The supplied permutations are not map symmetries."""
 
 
-class GroupDoesNotPreserveCorneration(CornMapsError):
-    """A quotient was requested for a group that moves the corneration."""
+class GroupDoesNotPreserveCorneration(CornMapsError, ValueError):
+    """A group moves the corneration or corner set it was asked to act on.
+
+    Also a ``ValueError``: the group argument has the wrong value.
+    """
 
 
 class NotTransitive(CornMapsError):

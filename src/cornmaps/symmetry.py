@@ -8,12 +8,10 @@ and all group arithmetic here happens on those integer images.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import (
-    CELL_KINDS,
     DART,
     EDGE,
     FACE,
@@ -24,6 +22,7 @@ from .core import (
     cells,
     face_bipartition,
     orbits,
+    _normalize_kind,
     _rotation_table,
 )
 from .errors import GroupNotSubgroup, GroupTooLarge, UnknownCell
@@ -242,12 +241,11 @@ def orbits_on(G: SymGroup, what: str) -> tuple[tuple[int, ...], ...]:
         "darts": DART,
         "wedges": WEDGE,
     }
-    what = aliases.get(str(what).lower(), str(what).lower())
+    what = aliases.get(str(what).lower(), what)
     if what == "flags":
         parts = orbits(G.map.n_flags, G.generators)
         return tuple(tuple(p) for p in parts)
-    if what not in CELL_KINDS:
-        raise ValueError(f"unknown orbit domain {what!r}")
+    what = _normalize_kind(what)
     index = G.map.cell_index(what)
     ids = sorted(c.id for c in cells(G.map, what))
     id_pos = {c: i for i, c in enumerate(ids)}
@@ -272,16 +270,23 @@ def subgroups_up_to_index(
 ) -> list[SymGroup]:
     """All subgroups of index at most ``k``, up to equality.
 
-    Index 2 subgroups are kernels of homomorphisms onto a group of order
-    two and are read off the quotient modulo squares and commutators.
-    Larger indices come from enumerating the coset actions: every index-d
-    subgroup is the point stabilizer of a transitive homomorphism into the
-    symmetric group on d points.
+    A low-index coset-table search (Sims, *Computation with Finitely
+    Presented Groups*, ch. 5).  Every element gets a coset label in
+    ``0..k-1``, the identity ``0``, and the table ``coset x generator ->
+    coset`` is filled while the Cayley-graph edges ``(x, g, x g)`` are
+    scanned in breadth-first order; the group is concrete, so its Cayley
+    graph stands in for the relators.  An open table entry branches over
+    the cosets its generator does not hit yet, plus one new coset while
+    fewer than ``k`` exist; a defined entry labels ``x g``, or prunes the
+    branch when ``x g`` already carries another label.  Each completed
+    scan gives the subgroup ``{x : label(x) = 0}``, whose index is the
+    number of cosets used.  New cosets are numbered in order of first
+    appearance, so every subgroup comes out exactly once.
     """
     if G.order > element_bound:
         raise GroupTooLarge(
             f"group of order {G.order} exceeds the bound {element_bound}; "
-            "supply generators or raise the bound"
+            "raise element_bound (--element-bound of corn enumerate and verify)"
         )
     if k < 1:
         return []
@@ -289,189 +294,52 @@ def subgroups_up_to_index(
     if cache_key in G._cache:
         return G._cache[cache_key]
 
-    found = {frozenset(G.images())}
-    if k >= 2:
-        for sub in _index_two_image_sets(G):
-            found.add(sub)
-    for d in range(3, k + 1):
-        if G.order % d != 0:
-            continue
-        for sub in _stabilizers_of_degree(G, d):
-            found.add(sub)
-    out = [G.subgroup_from_images(s) for s in sorted(found, key=sorted)]
+    by = G._by_image()
+    gens = [by[f] for f in G.generator_images()]
+    # (x, generator, x g, whether this edge reaches x g first), in BFS order;
+    # which elements are labelled before an edge does not depend on the
+    # branch, so backtracking only has to undo table entries
+    edges = []
+    reached = {0}
+    queue = [0]
+    for x in queue:
+        for gi, p in enumerate(gens):
+            y = p[x]
+            edges.append((x, gi, y, y not in reached))
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    label = [0] * G.map.n_flags
+    table = [[None] * len(gens) for _ in range(k)]
+    found = []
+
+    def scan(e: int, n_cosets: int) -> None:
+        while e < len(edges):
+            x, gi, y, first = edges[e]
+            t = table[label[x]][gi]
+            if t is None:
+                break
+            if first:
+                label[y] = t
+            elif label[y] != t:
+                return
+            e += 1
+        else:
+            found.append([f for f in queue if label[f] == 0])
+            return
+        row = table[label[x]]
+        hit = {r[gi] for r in table[:n_cosets]}
+        for t in range(min(n_cosets + 1, k)):
+            if t not in hit:
+                row[gi] = t
+                scan(e, max(n_cosets, t + 1))
+        row[gi] = None
+
+    scan(0, 1)
+    out = [G.subgroup_from_images(images) for images in found]
     out.sort(key=lambda H: (-H.order, H.images()))
     G._cache[cache_key] = out
     return out
-
-
-def _index_two_image_sets(G: SymGroup) -> list[frozenset]:
-    images = G.images()
-    mul = G.mul_images
-    inv = G.inv_image
-    # G^2, the kernel of the largest elementary abelian 2-quotient, is the
-    # normal closure of the generators' squares and commutators
-    gens = G.generator_images()
-    normal_gens = [mul(a, a) for a in gens]
-    normal_gens += [mul(mul(inv(a), inv(b)), mul(a, b)) for a in gens for b in gens]
-    N = _span_images(G, normal_gens)
-    pending = list(normal_gens)
-    while pending:
-        x = pending.pop()
-        for a in gens:
-            y = mul(mul(inv(a), x), a)
-            if y not in N:
-                normal_gens.append(y)
-                pending.append(y)
-                N = _span_images(G, normal_gens, N)
-    if len(N) == len(images):
-        return []
-    # cosets of N form an elementary abelian 2-group
-    coset_of = {}
-    reps = []
-    for f in images:
-        if f in coset_of:
-            continue
-        rep = len(reps)
-        reps.append(f)
-        for nimg in N:
-            coset_of[mul(nimg, f)] = rep
-    r = 0
-    basis = []
-    coords = {0: 0}  # coset rep index -> bitvector
-    for rep in range(len(reps)):
-        if rep in coords:
-            continue
-        basis.append(rep)
-        bit = 1 << r
-        r += 1
-        for known, vec in list(coords.items()):
-            combined = coset_of[mul(reps[known], reps[rep])]
-            coords[combined] = vec | bit
-    subs = []
-    for chi in range(1, 1 << r):
-        keep = {
-            f
-            for f in images
-            if bin(coords[coset_of[f]] & chi).count("1") % 2 == 0
-        }
-        subs.append(frozenset(keep))
-    return subs
-
-
-def _perm_order_image(G: SymGroup, f: int) -> int:
-    o = 1
-    x = f
-    while x != 0:
-        x = G.mul_images(x, f)
-        o += 1
-    return o
-
-
-_SYM_CACHE: dict = {}
-
-
-def _symmetric_group(d: int):
-    if d not in _SYM_CACHE:
-        elems = [tuple(p) for p in itertools.permutations(range(d))]
-        index = {p: i for i, p in enumerate(elems)}
-        table = [
-            [index[tuple(q[p[i]] for i in range(d))] for q in elems] for p in elems
-        ]
-        orders = []
-        for p in elems:
-            o = 1
-            x = p
-            ident = tuple(range(d))
-            while x != ident:
-                x = tuple(p[x[i]] for i in range(d))
-                o += 1
-            orders.append(o)
-        _SYM_CACHE[d] = (elems, index, table, orders)
-    return _SYM_CACHE[d]
-
-
-def _stabilizers_of_degree(G: SymGroup, d: int) -> list[frozenset]:
-    """Point stabilizers of all transitive homomorphisms G -> Sym(d)."""
-    images = G.images()
-    n = len(images)
-    pos = {f: i for i, f in enumerate(images)}
-    gen_images = G.generator_images()
-    m = len(gen_images)
-    if m == 0:
-        return []
-    if m > 4:
-        raise GroupTooLarge(
-            f"generating set of size {m} makes degree-{d} coset search too wide"
-        )
-    by = G._by_image()
-    gen_perms = [by[f] for f in gen_images]
-
-    # BFS factorization of every element as (parent element, generator)
-    parent = [-1] * n
-    via = [-1] * n
-    order_of_visit = []
-    seen = [False] * n
-    seen[pos[0]] = True
-    order_of_visit.append(pos[0])
-    queue = [0]
-    while queue:
-        f = queue.pop(0)
-        for gi, gp in enumerate(gen_perms):
-            h = gp[f]  # right-multiply by generator gi
-            hp = pos[h]
-            if not seen[hp]:
-                seen[hp] = True
-                parent[hp] = pos[f]
-                via[hp] = gi
-                order_of_visit.append(hp)
-                queue.append(h)
-
-    sd_elems, sd_index, sd_table, sd_orders = _symmetric_group(d)
-    identity_idx = sd_index[tuple(range(d))]
-    candidates = []
-    for f in gen_images:
-        o = _perm_order_image(G, f)
-        candidates.append([i for i, po in enumerate(sd_orders) if o % po == 0])
-
-    # image of right-multiplication by each generator, in element positions
-    mulgen = [[pos[gp[f]] for f in images] for gp in gen_perms]
-
-    stabs = []
-    phi = [-1] * n
-    for assignment in itertools.product(*candidates):
-        for i in range(n):
-            phi[i] = -1
-        phi[pos[0]] = identity_idx
-        ok = True
-        for ep in order_of_visit[1:]:
-            phi[ep] = sd_table[phi[parent[ep]]][assignment[via[ep]]]
-        for ep in order_of_visit:
-            row = sd_table[phi[ep]]
-            for gi in range(m):
-                if phi[mulgen[gi][ep]] != row[assignment[gi]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # transitivity of the image on the d points
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for gi in range(m):
-                y = sd_elems[assignment[gi]][x]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        if len(reached) != d:
-            continue
-        stab = frozenset(
-            images[i] for i in range(n) if sd_elems[phi[i]][0] == 0
-        )
-        stabs.append(stab)
-    return stabs
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cornmaps.core import (
     vertex_bipartition,
     wedges_at_vertex,
 )
-from cornmaps.errors import CornMapsError, UnknownCell
+from cornmaps.errors import CornMapsError, UnknownCell, UnknownCellKind
 
 
 def test_cube_is_valid(cube):
@@ -218,3 +218,10 @@ def test_unknown_cell_ids_raise_unknown_cell(cube):
         assert isinstance(info.value, KeyError)
         assert str(info.value) == f"no {'vertex' if cid == bad_vertex else 'face'} cell with id {cid}"
     assert valence(cube, min(vertex_ids)) == 3
+
+
+def test_unknown_cell_kind_raises_unknown_cell_kind(cube):
+    with pytest.raises(UnknownCellKind) as info:
+        cube.cell_index("bogus")
+    assert isinstance(info.value, ValueError)
+    assert "bogus" in str(info.value)

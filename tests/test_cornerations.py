@@ -8,6 +8,7 @@ from cornmaps.builders import (
 from cornmaps.core import cells, face_boundary_edges, order_mod, rotation_at_vertex
 from cornmaps.errors import (
     CircuitTooShort,
+    GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
     NoHalfReflexiveGroup,
     NotWedgeCorneration,
@@ -355,6 +356,14 @@ def test_corner_orbits(opp44):
     assert len(singletons) == len(L)
     with pytest.raises(ValueError):
         corn.corner_orbits(A, list(L.corners)[:3])
+
+
+def test_transitivity_needs_a_group_preserving_the_corneration():
+    m, L = build_torus_grid_corneration(4, 5)
+    A = automorphism_group(m)
+    with pytest.raises(GroupDoesNotPreserveCorneration):
+        corn.is_transitive_on_corners(A, L)
+    assert corn.is_transitive_on_corners(corn.corneration_stabilizer(A, L), L)
 
 
 def test_transitive_records(torus44):

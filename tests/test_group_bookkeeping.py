@@ -2,9 +2,10 @@
 
 The oracles below are the straightforward algorithms that walk every
 element of a group: greedy generator selection by recomputing an orbit for
-each candidate, index-2 kernels from all pairwise commutators, and the
-stabilizer of a corneration as a filter over all elements.  The library's
-versions must reproduce them exactly, generator tuples included.
+each candidate, index-2 kernels from all pairwise commutators, the whole
+subgroup lattice closed one element at a time, and the stabilizer of a
+corneration as a filter over all elements.  The library's versions must
+reproduce them exactly, generator tuples included.
 """
 
 import random
@@ -23,12 +24,7 @@ from cornmaps.cornerations import (
 )
 from cornmaps.errors import GroupNotSubgroup
 from cornmaps.operators import opposite
-from cornmaps.symmetry import (
-    SymGroup,
-    _index_two_image_sets,
-    automorphism_group,
-    subgroups_up_to_index,
-)
+from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
 from cornmaps.verify import SuiteContext
 
 
@@ -126,6 +122,28 @@ def oracle_index_two(G):
     ]
 
 
+def oracle_subgroup_lattice(G):
+    """Every subgroup: close {identity} under "span H with one more element".
+
+    Complete, because every subgroup is reached along a chain that adds
+    one of its elements at a time.
+    """
+    gens = {frozenset({0}): []}
+    frontier = list(gens)
+    while frontier:
+        grown = []
+        for H in frontier:
+            for f in G.images():
+                if f in H:
+                    continue
+                S = frozenset(oracle_orbit_of_zero(G, gens[H] + [f]))
+                if S not in gens:
+                    gens[S] = gens[H] + [f]
+                    grown.append(S)
+        frontier = grown
+    return set(gens)
+
+
 def oracle_stabilizer(A, L):
     m = L.map
     target = {c.key() for c in L.corners}
@@ -169,7 +187,45 @@ def test_generator_images_match_greedy_oracle(maps):
 def test_index_two_subgroups_match_commutator_oracle(maps):
     for name, m in maps.items():
         A = automorphism_group(m)
-        assert _index_two_image_sets(A) == oracle_index_two(A), name
+        index_two = {
+            frozenset(H.images())
+            for H in subgroups_up_to_index(A, 2)
+            if 2 * H.order == A.order
+        }
+        assert index_two == set(oracle_index_two(A)), name
+
+
+def test_subgroups_match_lattice_closure_oracle(maps):
+    checked = 0
+    for name, m in maps.items():
+        A = automorphism_group(m)
+        # one group per order up to 64, for time
+        by_order = {}
+        for H in [A] + subgroups_up_to_index(A, 4):
+            if H.order <= 64:
+                by_order.setdefault(H.order, H)
+        for H in by_order.values():
+            lattice = oracle_subgroup_lattice(H)
+            for k in (2, 3, 4):
+                want = {S for S in lattice if len(S) * k >= H.order}
+                got = [frozenset(S.images()) for S in subgroups_up_to_index(H, k)]
+                assert len(got) == len(set(got)), (name, H.order, k)
+                assert set(got) == want, (name, H.order, k)
+            checked += 1
+    assert checked > 30
+
+
+def test_subgroup_search_takes_any_number_of_generators():
+    A = automorphism_group(build_torus_grid(4, 4))
+    B = A.subgroup_from_images(A.images())
+    gens = A.generator_images()
+    assert len(gens) < 5
+    redundant = [f for f in A.images() if f not in gens][: 5 - len(gens)]
+    B._cache["gen_images"] = gens + tuple(redundant)
+    assert len(B.generators) == 5
+    assert [H.images() for H in subgroups_up_to_index(B, 4)] == [
+        H.images() for H in subgroups_up_to_index(A, 4)
+    ]
 
 
 def test_stabilizers_match_element_filter_on_sweeps(maps):

@@ -1,7 +1,13 @@
 import pytest
 
 from cornmaps.core import FlagMap, cells, compose
-from cornmaps.errors import GroupNotSubgroup, GroupTooLarge, InvalidMapError, UnknownCell
+from cornmaps.errors import (
+    GroupNotSubgroup,
+    GroupTooLarge,
+    InvalidMapError,
+    UnknownCell,
+    UnknownCellKind,
+)
 from cornmaps.symmetry import (
     HC,
     HD,
@@ -72,6 +78,13 @@ def test_orbits_on_faces(cube):
     A = automorphism_group(cube)
     assert len(orbits_on(A, "face")) == 1
     assert len(orbits_on(A, "faces")) == 1
+
+
+def test_orbits_on_unknown_domain(cube):
+    A = automorphism_group(cube)
+    with pytest.raises(UnknownCellKind):
+        orbits_on(A, "bogus")
+    assert orbits_on(A, "Vertices") == orbits_on(A, "VERTEX")
 
 
 def test_trivial_group_orbits(cube):
