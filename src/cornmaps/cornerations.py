@@ -31,11 +31,13 @@ from .errors import (
     CircuitTooShort,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
+    InvalidCorner,
     NoHalfReflexiveGroup,
     NonUniformValence,
     NotWedgeCorneration,
     StraightCornerHasNoSide,
     StraightHasNoComplement,
+    UnknownCell,
     WidthMismatch,
     WidthOutOfRange,
 )
@@ -91,17 +93,25 @@ class Corner:
 
 
 def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
-    """The corner of ``m`` spanned by two darts at a common vertex."""
+    """The corner of ``m`` spanned by two darts at a common vertex.
+
+    Raises :class:`UnknownCell` for an id that is not a dart of ``m`` and
+    :class:`InvalidCorner` for darts that span no corner.
+    """
     d1, d2 = darts
+    dart_of = m.cell_index(DART)
+    for d in (d1, d2):
+        if not (0 <= d < m.n_flags and dart_of[d] == d):
+            raise UnknownCell(f"no dart cell with id {d}")
     if d1 == d2:
-        raise ValueError("a corner needs two distinct darts")
+        raise InvalidCorner("a corner needs two distinct darts")
     vertex_of = m.cell_index(VERTEX)
     edge_of = m.cell_index(EDGE)
     v = vertex_of[d1]
     if vertex_of[d2] != v:
-        raise ValueError(f"darts {d1} and {d2} do not share a vertex")
+        raise InvalidCorner(f"darts {d1} and {d2} do not share a vertex")
     if edge_of[d1] == edge_of[d2]:
-        raise ValueError(f"darts {d1} and {d2} lie on the same edge")
+        raise InvalidCorner(f"darts {d1} and {d2} lie on the same edge")
     rotation = rotation_at_vertex(m, v)
     wedges = wedges_at_vertex(m, v)
     q = len(rotation)
@@ -223,6 +233,8 @@ def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
     count = {c.id: 0 for c in cells(m, DART)}
     for corner in corners:
         for d in corner.darts:
+            if d not in count:
+                return CoverReport(False, d, "not a dart of the map")
             count[d] += 1
     for d in sorted(count):
         if count[d] == 0:
@@ -576,18 +588,21 @@ def _require_symmetry_group(m: FlagMap, H: SymGroup) -> None:
         raise GroupNotSubgroup("elements do not commute with the involutions")
 
 
+def _corner_image(vertex_of, dart_of, g, c: Corner) -> tuple:
+    d1, d2 = c.darts
+    a, b = dart_of[g[d1]], dart_of[g[d2]]
+    return (vertex_of[g[c.vertex]], (a, b) if a < b else (b, a))
+
+
 def corner_image_key(m: FlagMap, g, c: Corner) -> tuple:
-    vertex_of = m.cell_index(VERTEX)
-    dart_of = m.cell_index(DART)
-    v = vertex_of[g[c.vertex]]
-    d1, d2 = (dart_of[g[d]] for d in c.darts)
-    return (v, tuple(sorted((d1, d2))))
+    """The key of the image of ``c`` under the flag permutation ``g``."""
+    return _corner_image(m.cell_index(VERTEX), m.cell_index(DART), g, c)
 
 
 def enumerate_invariant_cornerations(
     m: FlagMap, H: SymGroup, j: int
 ) -> list[Corneration]:
-    """All j-uniform cornerations invariant under ``H``.
+    """All j-uniform cornerations invariant under ``H``, in key order.
 
     Exact cover on orbits: rows are H-orbits of j-corners, columns are
     H-orbits of darts; a row covers each column a constant number of
@@ -610,10 +625,13 @@ def enumerate_invariant_cornerations(
 
     gen_corner_perms = []
     gen_dart_perms = []
+    vertex_of = m.cell_index(VERTEX)
     dart_of = m.cell_index(DART)
     for g in H.generators:
         gen_corner_perms.append(
-            tuple(key_to_index[corner_image_key(m, g, c)] for c in corners)
+            tuple(
+                key_to_index[_corner_image(vertex_of, dart_of, g, c)] for c in corners
+            )
         )
         gen_dart_perms.append(tuple(dart_pos[dart_of[g[d]]] for d in darts))
 
@@ -624,7 +642,7 @@ def enumerate_invariant_cornerations(
         for d in orbit:
             dart_orbit_of[d] = oi
 
-    rows = []
+    row_orbits, row_cols = [], []
     for orbit in corner_orbits:
         cover = {}
         ok = True
@@ -636,7 +654,7 @@ def enumerate_invariant_cornerations(
                     ok = False
         if not ok:
             continue
-        cols = set()
+        cols = 0
         for col, total in cover.items():
             multiplicity, rem = divmod(total, len(dart_orbits[col]))
             if rem != 0:
@@ -644,49 +662,90 @@ def enumerate_invariant_cornerations(
             if multiplicity > 1:
                 ok = False
                 break
-            cols.add(col)
+            cols |= 1 << col
         if ok:
-            rows.append((tuple(orbit), frozenset(cols)))
+            row_orbits.append(orbit)
+            row_cols.append(cols)
 
-    solutions: list[tuple[int, ...]] = []
-    _exact_cover(rows, len(dart_orbits), solutions)
+    solutions = _exact_cover(row_cols, len(dart_orbits))
+    # corners are sorted by their distinct keys, so sorted corner-index
+    # lists sort the cornerations by Corneration.key
+    solutions.sort(key=lambda s: sorted(ci for ri in s for ci in row_orbits[ri]))
+    row_sets = [frozenset(corners[ci] for ci in orbit) for orbit in row_orbits]
     out = []
     for selection in solutions:
-        chosen = []
-        for ri in selection:
-            chosen.extend(corners[ci] for ci in rows[ri][0])
-        out.append(Corneration.from_corners(m, chosen))
-    out.sort(key=Corneration.key)
+        # a union reuses the corners' stored hashes; a lone row's set is
+        # kept as it is, as a union would copy it into a larger table
+        if len(selection) == 1:
+            chosen = row_sets[selection[0]]
+        else:
+            chosen = frozenset().union(*(row_sets[ri] for ri in selection))
+        out.append(Corneration(m, chosen))
     return out
 
 
-def _exact_cover(rows, n_cols, solutions, partial=None, covered=None, available=None):
-    """All exact covers; rows are (payload, frozenset of columns)."""
-    if partial is None:
-        partial = []
-        covered = set()
-        available = list(range(len(rows)))
-    if len(covered) == n_cols:
-        solutions.append(tuple(sorted(partial)))
-        return
-    candidates_per_col = {}
-    for col in range(n_cols):
-        if col in covered:
-            continue
-        candidates_per_col[col] = [ri for ri in available if col in rows[ri][1]]
-        if not candidates_per_col[col]:
-            return
-    col = min(candidates_per_col, key=lambda c: (len(candidates_per_col[c]), c))
-    for ri in candidates_per_col[col]:
-        cols = rows[ri][1]
-        _exact_cover(
-            rows,
-            n_cols,
-            solutions,
-            partial + [ri],
-            covered | cols,
-            [rj for rj in available if not (rows[rj][1] & cols)],
-        )
+def _exact_cover(row_cols: Sequence[int], n_cols: int) -> list[tuple[int, ...]]:
+    """Every selection of rows covering each column exactly once.
+
+    Algorithm X (Knuth, *Dancing Links*) on bitmasks: a row is the int
+    whose bits are its columns, a column keeps the int whose bits are its
+    rows, and a search node is the mask of covered columns and the mask of
+    rows disjoint from them.  It branches on the uncovered column with the
+    fewest such rows, the lowest column first; a column with a single such
+    row forces that row without branching.
+    """
+    full = (1 << n_cols) - 1
+    rows_of = [0] * n_cols
+    for ri, cols in enumerate(row_cols):
+        for col in range(n_cols):
+            if cols >> col & 1:
+                rows_of[col] |= 1 << ri
+    clashes = []  # the rows sharing a column with each row
+    for cols in row_cols:
+        clash = 0
+        for col in range(n_cols):
+            if cols >> col & 1:
+                clash |= rows_of[col]
+        clashes.append(clash)
+    solutions = []
+    partial = []
+
+    def search(covered: int, free_rows: int) -> None:
+        depth = len(partial)
+        while True:
+            open_cols = full ^ covered
+            if not open_cols:
+                solutions.append(tuple(partial))
+                break
+            fewest = len(row_cols) + 1
+            while open_cols:
+                bit = open_cols & -open_cols
+                open_cols ^= bit
+                candidates = rows_of[bit.bit_length() - 1] & free_rows
+                count = candidates.bit_count()
+                if count < fewest:
+                    best, fewest = candidates, count
+                    if count <= 1:
+                        break
+            if fewest != 1:
+                while best:
+                    bit = best & -best
+                    best ^= bit
+                    ri = bit.bit_length() - 1
+                    partial.append(ri)
+                    search(covered | row_cols[ri], free_rows & ~clashes[ri])
+                    partial.pop()
+                break
+            # taking a forced row in this frame keeps the recursion depth at
+            # the number of branch points, not of selected rows
+            ri = best.bit_length() - 1
+            partial.append(ri)
+            covered |= row_cols[ri]
+            free_rows &= ~clashes[ri]
+        del partial[depth:]
+
+    search(0, (1 << len(row_cols)) - 1)
+    return solutions
 
 
 def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
@@ -696,7 +755,8 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     corner out of the set.
     """
     pool = {c.key(): c for c in corners}
-    m = G.map
+    vertex_of = G.map.cell_index(VERTEX)
+    dart_of = G.map.cell_index(DART)
     remaining = set(pool)
     out = []
     while remaining:
@@ -706,7 +766,7 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
         while frontier:
             k = frontier.pop()
             for g in G.generators:
-                img = corner_image_key(m, g, pool[k])
+                img = _corner_image(vertex_of, dart_of, g, pool[k])
                 if img not in pool:
                     raise GroupDoesNotPreserveCorneration(
                         "the corner set is not invariant under the group"

@@ -58,6 +58,13 @@ class WidthOutOfRange(CornMapsError):
     """A corner width lies outside the admissible range for the map."""
 
 
+class InvalidCorner(CornMapsError, ValueError):
+    """Two darts span no corner: they are equal, at two vertices or on one edge.
+
+    Also a ``ValueError``: the dart pair has the wrong value.
+    """
+
+
 class StraightCornerHasNoSide(CornMapsError):
     """A side-dependent query was made on a straight corner."""
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DART, EDGE, FlagMap, cells, uniform_valence
+from .core import DART, EDGE, VERTEX, FlagMap, cells, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
+    _corner_image,
     all_j_corners,
-    corner_image_key,
     corner_of_wedge,
     is_transitive_on_corners,
     j_complement,
@@ -236,19 +236,18 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     L = S.base
     if not is_transitive_on_corners(G, L):
         raise NotTransitive("the group is not transitive on the corneration")
+    K = list(K)
     k_keys = {c.key() for c in K}
-    by_key = {c.key(): c for c in L.corners}
-    k_by_key = {c.key(): c for c in K}
+    vertex_of = m.cell_index(VERTEX)
+    dart_of = m.cell_index(DART)
     for g in G.generators:
         for c in K:
-            if corner_image_key(m, g, c) not in k_keys:
+            if _corner_image(vertex_of, dart_of, g, c) not in k_keys:
                 raise KNotInvariant("the new-corner set is not group-invariant")
+        image = {c.key(): _corner_image(vertex_of, dart_of, g, c) for c in L.corners}
         for pair in S.edges:
             a, b = tuple(pair)
-            image = frozenset(
-                (corner_image_key(m, g, by_key[a]), corner_image_key(m, g, by_key[b]))
-            )
-            if image not in S.edges:
+            if frozenset((image[a], image[b])) not in S.edges:
                 return False
     return True
 

@@ -1,8 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import cornmaps.cornerations as corn
 from cornmaps.builders import (
+    build_antiprism,
     build_antiprism_corneration,
+    build_torus_grid,
     build_torus_grid_corneration,
 )
 from cornmaps.core import cells, face_boundary_edges, order_mod, rotation_at_vertex
@@ -10,15 +15,18 @@ from cornmaps.errors import (
     CircuitTooShort,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
+    InvalidCorner,
     NoHalfReflexiveGroup,
     NotWedgeCorneration,
     StraightCornerHasNoSide,
     StraightHasNoComplement,
+    UnknownCell,
     WidthMismatch,
     WidthOutOfRange,
 )
 from cornmaps.operators import hole, petrie
 from cornmaps.symmetry import SymGroup, automorphism_group
+from cornmaps.verify import _all_cornerations_mixed
 
 
 def trivial_group(m):
@@ -89,6 +97,19 @@ def test_corner_needs_one_vertex(theta4):
         corn.corner_from_darts(theta4, (d1, d1))
 
 
+def test_corner_from_darts_raises_library_errors():
+    m = build_torus_grid(4, 4)
+    dart_ids = {c.id for c in cells(m, "dart")}
+    assert 0 in dart_ids and 5 not in dart_ids and 5 < m.n_flags
+    with pytest.raises(InvalidCorner):
+        corn.corner_from_darts(m, (0, 0))
+    for bad in (5, 10**6):
+        with pytest.raises(UnknownCell):
+            corn.corner_from_darts(m, (0, bad))
+    # parsers and oracles catch ValueError
+    assert issubclass(InvalidCorner, ValueError)
+
+
 # -- alignment ---------------------------------------------------------------
 
 
@@ -153,6 +174,14 @@ def test_is_corneration(torus44):
     assert not report.ok and report.witness is not None
     empty = corn.is_corneration(torus44, [])
     assert not empty.ok and empty.reason == "uncovered dart"
+
+
+def test_is_corneration_rejects_corners_of_another_map(torus44):
+    foreign = corn.all_j_corners(build_torus_grid(6, 6), 1)
+    dart_ids = {c.id for c in cells(torus44, "dart")}
+    first = next(d for c in foreign for d in c.darts if d not in dart_ids)
+    report = corn.is_corneration(torus44, foreign)
+    assert report == corn.CoverReport(False, first, "not a dart of the map")
 
 
 # -- circuits ----------------------------------------------------------------
@@ -328,6 +357,60 @@ def test_enumerate_trivial_group_theta4(theta4):
     assert len(out) == 4
     out2 = corn.enumerate_invariant_cornerations(theta4, trivial_group(theta4), 2)
     assert len(out2) == 1
+
+
+def brute_force_exact_covers(row_cols, n_cols):
+    full = (1 << n_cols) - 1
+    out = set()
+    for size in range(len(row_cols) + 1):
+        for picked in combinations(range(len(row_cols)), size):
+            cols = [row_cols[ri] for ri in picked]
+            union = 0
+            for c in cols:
+                union |= c
+            if union == full and sum(c.bit_count() for c in cols) == n_cols:
+                out.add(picked)
+    return out
+
+
+def test_exact_cover_matches_brute_force():
+    rng = random.Random(2024)
+    instances = [([], 0), ([], 3), ([0b1], 1), ([0b01, 0b10], 2)]
+    for _ in range(300):
+        n_cols = rng.randint(1, 8)
+        n_rows = rng.randint(0, 12)
+        density = rng.choice((0.2, 0.35, 0.5))
+        row_cols = []
+        for _ in range(n_rows):
+            cols = sum(1 << c for c in range(n_cols) if rng.random() < density)
+            row_cols.append(cols or 1 << rng.randrange(n_cols))
+        instances.append((row_cols, n_cols))
+    solved = unsolved = 0
+    for row_cols, n_cols in instances:
+        found = corn._exact_cover(row_cols, n_cols)
+        expected = brute_force_exact_covers(row_cols, n_cols)
+        assert len(found) == len(set(found))
+        assert {tuple(sorted(s)) for s in found} == expected
+        solved += bool(expected)
+        unsolved += not expected
+    assert solved > 20 and unsolved > 20
+
+
+def test_enumerate_trivial_group_antiprism5_in_key_order():
+    m = build_antiprism(5)
+    out = corn.enumerate_invariant_cornerations(m, trivial_group(m), 1)
+    assert len(out) == 1024
+    assert len({L.key() for L in out}) == 1024
+    assert out == sorted(out, key=corn.Corneration.key)
+    oracle = {L.key() for L in _all_cornerations_mixed(m) if L.width == 1}
+    assert {L.key() for L in out} == oracle
+
+
+def test_enumerate_depth_is_not_bounded_by_the_corner_count():
+    # 1152 straight corners, each forced: more than Python's recursion limit
+    m = build_torus_grid(24, 24)
+    (L,) = corn.enumerate_invariant_cornerations(m, trivial_group(m), 2)
+    assert len(L) == 1152 and corn.is_corneration(m, L.corners).ok
 
 
 def test_enumerate_rejects_foreign_group(torus44, opp44):
