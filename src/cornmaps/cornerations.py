@@ -29,8 +29,10 @@ from .core import (
 )
 from .errors import (
     CircuitTooShort,
+    CornerationMismatch,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
+    InvalidCircuits,
     InvalidCorner,
     NoHalfReflexiveGroup,
     NonUniformValence,
@@ -185,7 +187,7 @@ def _interior_flag_on_dart(m: FlagMap, c: Corner, dart: int) -> int:
     if c.straight:
         raise StraightCornerHasNoSide(f"{c} has no interior side")
     if dart not in c.darts:
-        raise ValueError(f"dart {dart} is not part of {c}")
+        raise InvalidCorner(f"dart {dart} is not part of {c}")
     dart_of = m.cell_index(DART)
     for w in c.interior_boundary_wedges:
         for f in (w, m.r1[w]):
@@ -202,7 +204,7 @@ def alignment(m: FlagMap, c1: Corner, c2: Corner) -> str:
     sharing two edges only align if both edges agree on the verdict.
     """
     if c1.width != c2.width:
-        raise ValueError("alignment is defined for corners of equal width")
+        raise WidthMismatch("alignment is defined for corners of equal width")
     if c1.straight or c2.straight or c1.vertex == c2.vertex:
         return NOT_ALIGNED
     edge_of = m.cell_index(EDGE)
@@ -333,7 +335,9 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     m = L.map
     report = is_corneration(m, L.corners)
     if not report.ok:
-        raise ValueError(f"not a corneration: {report.reason} at dart {report.witness}")
+        raise CornerationMismatch(
+            f"not a corneration: {report.reason} at dart {report.witness}"
+        )
     edge_of = m.cell_index(EDGE)
     darts = [c.id for c in cells(m, DART)]
 
@@ -388,20 +392,20 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
             raise CircuitTooShort("a circuit in a loopless graph has at least 2 edges")
         edges = [edge_of[d] for d in ds]
         if len(set(edges)) != k:
-            raise ValueError("circuit repeats an edge")
+            raise InvalidCircuits("circuit repeats an edge")
         for e in edges:
             if e in covered:
-                raise ValueError(f"edge {e} appears in two circuits")
+                raise InvalidCircuits(f"edge {e} appears in two circuits")
             covered.add(e)
         for i in range(k):
             d_here = ds[i]
             d_next_far = ds[(i + 1) % k]
             d_next_near = other_dart(m, d_next_far)
             if vertex_of[d_next_near] != vertex_of[d_here]:
-                raise ValueError("consecutive circuit edges do not share a vertex")
+                raise InvalidCircuits("consecutive circuit edges do not share a vertex")
             corners.append(corner_from_darts(m, (d_here, d_next_near)))
     if covered != {c.id for c in cells(m, EDGE)}:
-        raise ValueError("circuits do not cover every edge")
+        raise InvalidCircuits("circuits do not cover every edge")
     L = Corneration.from_corners(m, corners)
     report = is_corneration(m, L.corners)
     if not report.ok:
@@ -588,15 +592,37 @@ def _require_symmetry_group(m: FlagMap, H: SymGroup) -> None:
         raise GroupNotSubgroup("elements do not commute with the involutions")
 
 
-def _corner_image(vertex_of, dart_of, g, c: Corner) -> tuple:
+def corner_image_key(m: FlagMap, g, c: Corner) -> tuple:
+    """The key of the image of ``c`` under the flag permutation ``g``."""
+    vertex_of = m.cell_index(VERTEX)
+    dart_of = m.cell_index(DART)
     d1, d2 = c.darts
     a, b = dart_of[g[d1]], dart_of[g[d2]]
     return (vertex_of[g[c.vertex]], (a, b) if a < b else (b, a))
 
 
-def corner_image_key(m: FlagMap, g, c: Corner) -> tuple:
-    """The key of the image of ``c`` under the flag permutation ``g``."""
-    return _corner_image(m.cell_index(VERTEX), m.cell_index(DART), g, c)
+def _dart_action(G: SymGroup) -> tuple[tuple[int, ...], ...]:
+    """Per generator of ``G``, a table from each flag to the dart of its image.
+
+    A corner's darts fix its vertex, so a corner moves as its sorted dart
+    pair by two lookups (:func:`_moved`).  Memoized on the group; each
+    table is memoized on the map by generator, as subgroups share them.
+    """
+    cache = G._cache
+    if "dart_action" not in cache:
+        dart_of = G.map.cell_index(DART)
+        tables = G.map._memo(("dart_action",), dict)
+        for g in G.generators:
+            if g not in tables:
+                tables[g] = tuple(map(dart_of.__getitem__, g))
+        cache["dart_action"] = tuple(tables[g] for g in G.generators)
+    return cache["dart_action"]
+
+
+def _moved(action: Sequence[int], darts: tuple) -> tuple:
+    """The sorted dart pair of a corner's image under one generator."""
+    a, b = action[darts[0]], action[darts[1]]
+    return (a, b) if a < b else (b, a)
 
 
 def enumerate_invariant_cornerations(
@@ -619,21 +645,15 @@ def enumerate_invariant_cornerations(
         return []
 
     corners = all_j_corners(m, j)
-    key_to_index = {c.key(): i for i, c in enumerate(corners)}
+    corner_pos = {c.darts: i for i, c in enumerate(corners)}
     darts = [c.id for c in cells(m, DART)]
     dart_pos = {d: i for i, d in enumerate(darts)}
 
     gen_corner_perms = []
     gen_dart_perms = []
-    vertex_of = m.cell_index(VERTEX)
-    dart_of = m.cell_index(DART)
-    for g in H.generators:
-        gen_corner_perms.append(
-            tuple(
-                key_to_index[_corner_image(vertex_of, dart_of, g, c)] for c in corners
-            )
-        )
-        gen_dart_perms.append(tuple(dart_pos[dart_of[g[d]]] for d in darts))
+    for action in _dart_action(H):
+        gen_corner_perms.append([corner_pos[_moved(action, c.darts)] for c in corners])
+        gen_dart_perms.append([dart_pos[action[d]] for d in darts])
 
     corner_orbits = orbits(len(corners), gen_corner_perms)
     dart_orbits = orbits(len(darts), gen_dart_perms)
@@ -754,29 +774,17 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves a
     corner out of the set.
     """
-    pool = {c.key(): c for c in corners}
-    vertex_of = G.map.cell_index(VERTEX)
-    dart_of = G.map.cell_index(DART)
-    remaining = set(pool)
-    out = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            k = frontier.pop()
-            for g in G.generators:
-                img = _corner_image(vertex_of, dart_of, g, pool[k])
-                if img not in pool:
-                    raise GroupDoesNotPreserveCorneration(
-                        "the corner set is not invariant under the group"
-                    )
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
-        out.append([pool[k] for k in sorted(orbit)])
-    return out
+    pool = sorted({c.darts: c for c in corners}.values(), key=Corner.key)
+    pos = {c.darts: i for i, c in enumerate(pool)}
+    try:
+        perms = [
+            [pos[_moved(action, c.darts)] for c in pool] for action in _dart_action(G)
+        ]
+    except KeyError:
+        raise GroupDoesNotPreserveCorneration(
+            "the corner set is not invariant under the group"
+        ) from None
+    return [[pool[i] for i in orbit] for orbit in orbits(len(pool), perms)]
 
 
 def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
@@ -788,26 +796,15 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
     stabilizer order, not the order of ``A``; ``L`` need not be invariant
     under any part of ``A``.
     """
-    m = L.map
-    vertex_of = m.cell_index(VERTEX)
-    dart_of = m.cell_index(DART)
-    by = A._by_image()
-    gens = [by[s] for s in A.generator_images()]
-
-    def image(g, keys) -> frozenset:
-        return frozenset(
-            (vertex_of[g[v]], tuple(sorted((dart_of[g[d1]], dart_of[g[d2]]))))
-            for v, (d1, d2) in keys
-        )
-
-    start = frozenset(c.key() for c in L.corners)
+    gens = list(zip(A.generators, _dart_action(A)))
+    start = frozenset(c.darts for c in L.corners)
     transversal = {start: 0}  # corner set -> image of an element sending L to it
     orbit = [start]
     schreier = set()
-    for keys in orbit:
-        t = transversal[keys]
-        for g in gens:
-            moved = image(g, keys)
+    for pairs in orbit:
+        t = transversal[pairs]
+        for g, action in gens:
+            moved = frozenset(_moved(action, p) for p in pairs)
             st = g[t]  # t then g sends L to moved; undoing moved's t fixes L
             if moved in transversal:
                 schreier.add(A.mul_images(st, A.inv_image(transversal[moved])))
@@ -933,7 +930,9 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     m = L.map
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:
-            raise ValueError("target map does not share darts with the corneration")
+            raise CornerationMismatch(
+                "target map does not share darts with the corneration"
+            )
         corners = [corner_from_darts(target, c.darts) for c in L.corners]
         moved = Corneration.from_corners(target, corners)
         report = is_corneration(target, moved.corners)
@@ -943,7 +942,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
 
     result = target
     if result.source != m:
-        raise ValueError("the operator result belongs to a different map")
+        raise CornerationMismatch("the operator result belongs to a different map")
     if L.width != result.width:
         raise WidthMismatch(
             f"corneration width {L.width} does not match operator width {result.width}"

@@ -42,8 +42,11 @@ class MapFormatError(CornMapsError):
     """A map or corneration file is syntactically malformed."""
 
 
-class CornerationMismatch(CornMapsError):
-    """A corneration file does not fit the map it is read against."""
+class CornerationMismatch(CornMapsError, ValueError):
+    """A corneration does not fit the map it is read against or moved to.
+
+    Also a ``ValueError``: the corneration argument has the wrong value.
+    """
 
 
 class DegenerateResult(CornMapsError):
@@ -59,7 +62,8 @@ class WidthOutOfRange(CornMapsError):
 
 
 class InvalidCorner(CornMapsError, ValueError):
-    """Two darts span no corner: they are equal, at two vertices or on one edge.
+    """Two darts span no corner (they are equal, at two vertices or on one
+    edge), or a dart is not one of a corner's two darts.
 
     Also a ``ValueError``: the dart pair has the wrong value.
     """
@@ -79,6 +83,13 @@ class NotWedgeCorneration(CornMapsError):
 
 class CircuitTooShort(CornMapsError):
     """A closed walk of length < 2 cannot be a circuit in a loopless graph."""
+
+
+class InvalidCircuits(CornMapsError, ValueError):
+    """Circuits are not closed walks partitioning the edges of the map.
+
+    Also a ``ValueError``: the decomposition argument has the wrong value.
+    """
 
 
 class GroupTooLarge(CornMapsError):
@@ -112,8 +123,17 @@ class KNotInvariant(CornMapsError):
     """The new-corner set is not invariant under the supplied group."""
 
 
-class WidthMismatch(CornMapsError):
-    """Corneration width does not match the operator it is moved along."""
+class UnknownConstruction(CornMapsError, ValueError):
+    """A split-graph construction is not one of A, B, Ci or Cx."""
+
+
+class WidthMismatch(CornMapsError, ValueError):
+    """Widths that must agree differ, or a uniform width is missing.
+
+    Raised for a corneration and the operator it is moved along, two
+    corners being aligned, or a mixed corneration where one width is
+    needed.  Also a ``ValueError``.
+    """
 
 
 class NoHalfReflexiveGroup(CornMapsError):

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DART, EDGE, VERTEX, FlagMap, cells, uniform_valence
+from .core import DART, EDGE, FlagMap, cells, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
-    _corner_image,
+    _dart_action,
+    _moved,
     all_j_corners,
     corner_of_wedge,
     is_transitive_on_corners,
@@ -26,6 +27,7 @@ from .errors import (
     KIntersectsL,
     KNotInvariant,
     NotTransitive,
+    UnknownConstruction,
     WidthOutOfRange,
 )
 from .symmetry import SymGroup
@@ -232,19 +234,17 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     transitive on the vertices.  This certifies vertex-transitivity
     without computing the full automorphism group of the graph.
     """
-    m = S.map
     L = S.base
     if not is_transitive_on_corners(G, L):
         raise NotTransitive("the group is not transitive on the corneration")
     K = list(K)
-    k_keys = {c.key() for c in K}
-    vertex_of = m.cell_index(VERTEX)
-    dart_of = m.cell_index(DART)
-    for g in G.generators:
+    k_pairs = {c.darts for c in K}
+    key_of = {c.darts: c.key() for c in L.corners}
+    for action in _dart_action(G):
         for c in K:
-            if _corner_image(vertex_of, dart_of, g, c) not in k_keys:
+            if _moved(action, c.darts) not in k_pairs:
                 raise KNotInvariant("the new-corner set is not group-invariant")
-        image = {c.key(): _corner_image(vertex_of, dart_of, g, c) for c in L.corners}
+        image = {c.key(): key_of[_moved(action, c.darts)] for c in L.corners}
         for pair in S.edges:
             a, b = tuple(pair)
             if frozenset((image[a], image[b])) not in S.edges:
@@ -359,7 +359,9 @@ _BUILDERS = {"A": graph_A, "B": graph_B, "Ci": graph_Ci, "Cx": graph_Cx}
 
 def build_construction(L: Corneration, kind: str) -> SplitGraph:
     if kind not in _BUILDERS:
-        raise ValueError(f"unknown construction {kind!r}; expected one of A, B, Ci, Cx")
+        raise UnknownConstruction(
+            f"unknown construction {kind!r}; expected one of A, B, Ci, Cx"
+        )
     return _BUILDERS[kind](L)
 
 
@@ -385,27 +387,67 @@ def cubic_filter(m: FlagMap, L: Corneration) -> CubicReport:
     return CubicReport(tuple(entries))
 
 
-def _as_networkx(S: SplitGraph):
-    import networkx as nx
+def _six_bit_chars(bits: str) -> str:
+    """A bit string, a multiple of 6 long, as characters 63 + each 6-bit group."""
+    return "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
 
+
+def _size_field(n: int) -> str:
+    """N(n) of the graph6 and sparse6 formats (McKay, formats.txt).
+
+    The 18-bit form ends at 258047, the last n whose first 6-bit group is
+    below 63, so that its first character never reads as a second ``~``.
+    """
+    if n < 63:
+        return chr(63 + n)
+    if n < 258048:
+        return "~" + _six_bit_chars(format(n, "018b"))
+    return "~~" + _six_bit_chars(format(n, "036b"))
+
+
+def _index_edges(S: SplitGraph) -> list[tuple[int, int]]:
+    """Edges as (larger, smaller) positions in the sorted vertices, ascending."""
     pos = {key: i for i, key in enumerate(S.vertices)}
-    g = nx.Graph()
-    g.add_nodes_from(range(len(S.vertices)))
-    for pair in S.edges:
-        a, b = tuple(pair)
-        g.add_edge(pos[a], pos[b])
-    return g
+    return sorted(tuple(sorted((pos[a] for a in pair), reverse=True)) for pair in S.edges)
 
 
 def to_graph6(S: SplitGraph) -> str:
-    """graph6 encoding of the split graph with canonically sorted vertices."""
-    import networkx as nx
+    """graph6 encoding of the split graph with canonically sorted vertices.
 
-    return nx.to_graph6_bytes(_as_networkx(S), header=False).decode("ascii").strip()
+    The upper triangle of the adjacency matrix, column by column, packed
+    into 6-bit groups (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt).
+    """
+    n = S.n_vertices
+    bits = bytearray(b"0" * (-(-n * (n - 1) // 12) * 6))
+    for b, a in _index_edges(S):
+        bits[b * (b - 1) // 2 + a] = ord("1")
+    return _size_field(n) + _six_bit_chars(bits.decode("ascii"))
 
 
 def to_sparse6(S: SplitGraph) -> str:
-    """sparse6 encoding, for catalogs preferring the sparse format."""
-    import networkx as nx
+    """sparse6 encoding, for catalogs preferring the sparse format.
 
-    return nx.to_sparse6_bytes(_as_networkx(S), header=False).decode("ascii").strip()
+    Edges (v, u) with u <= v in ascending order, each as a flag bit (0: same
+    v, 1: next v) and u in k bits, with a jump to v written out when v
+    skips ahead (McKay's formats.txt).
+    """
+    n = S.n_vertices
+    k = max(1, (n - 1).bit_length())
+    bits = []
+    v = 0
+    for b, a in _index_edges(S):
+        if b == v:
+            bits.append("0" + format(a, f"0{k}b"))
+        elif b == v + 1:
+            v = b
+            bits.append("1" + format(a, f"0{k}b"))
+        else:
+            v = b
+            bits.append("1" + format(b, f"0{k}b") + "0" + format(a, f"0{k}b"))
+    data = "".join(bits)
+    pad = -len(data) % 6
+    # padding 1s could decode as an edge to vertex n - 1 when n = 2^k
+    if k < 6 and n == 1 << k and pad >= k and v < n - 1:
+        data += "0"
+        pad = -len(data) % 6
+    return ":" + _size_field(n) + _six_bit_chars(data + "1" * pad)

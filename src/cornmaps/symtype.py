@@ -246,6 +246,12 @@ def verify_canonical_catalog() -> list[Diagram]:
     the canonical set up to isomorphism.
     """
     derived = enumerate_valid_diagrams()
+    _match_catalog(derived)
+    return derived
+
+
+def _match_catalog(derived: list[Diagram]) -> None:
+    """Raise ``AssertionError`` unless ``derived`` is the catalog up to isomorphism."""
     if len(derived) != 12:
         raise AssertionError(f"expected 12 valid diagrams, derived {len(derived)}")
     unmatched = list(CANONICAL_DIAGRAMS.items())
@@ -258,7 +264,6 @@ def verify_canonical_catalog() -> list[Diagram]:
         unmatched = [(k, cd) for k, cd in unmatched if k != hit]
     if unmatched:
         raise AssertionError(f"catalog rows not derived: {[k for k, _ in unmatched]}")
-    return derived
 
 
 def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:

@@ -10,11 +10,13 @@ from cornmaps.builders import (
     build_torus_grid,
     build_torus_grid_corneration,
 )
-from cornmaps.core import cells, face_boundary_edges, order_mod, rotation_at_vertex
+from cornmaps.core import FlagMap, cells, face_boundary_edges, order_mod, rotation_at_vertex
 from cornmaps.errors import (
     CircuitTooShort,
+    CornerationMismatch,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
+    InvalidCircuits,
     InvalidCorner,
     NoHalfReflexiveGroup,
     NotWedgeCorneration,
@@ -163,6 +165,21 @@ def test_interior_flag_rejects_straight(torus44):
         corn._interior_flag_on_dart(torus44, c, c.darts[0])
 
 
+def test_interior_flag_rejects_a_dart_of_another_corner(torus44):
+    c, other = corn.all_j_corners(torus44, 1)[:2]
+    (dart,) = set(other.darts) - set(c.darts)
+    with pytest.raises(InvalidCorner):
+        corn._interior_flag_on_dart(torus44, c, dart)
+
+
+def test_alignment_of_unequal_widths_raises_width_mismatch(torus44):
+    c1 = corn.all_j_corners(torus44, 1)[0]
+    c2 = corn.all_j_corners(torus44, 2)[0]
+    with pytest.raises(WidthMismatch):
+        corn.alignment(torus44, c1, c2)
+    assert issubclass(WidthMismatch, ValueError)
+
+
 # -- cover checks ------------------------------------------------------------
 
 
@@ -232,6 +249,34 @@ def test_corneration_of_rejects_bad_input(torus44):
         corn.corneration_of(torus44, [tiny])
     with pytest.raises(ValueError):
         corn.corneration_of(torus44, dec.circuits[:-1])  # misses edges
+
+
+def test_corneration_of_raises_invalid_circuits(torus44):
+    from cornmaps.core import Circuit
+
+    dec = corn.circuits_of(straight_corneration(torus44))
+    first = dec.circuits[0]
+    assert len(first.darts) == 4
+    twice = Circuit(darts=first.darts * 2, edges=first.edges)
+    skipping = Circuit(darts=first.darts[::2], edges=first.edges)
+    cases = [
+        ([twice] + list(dec.circuits[1:]), "repeats"),
+        (list(dec.circuits) + [first], "two circuits"),
+        ([skipping], "share a vertex"),
+        (dec.circuits[:-1], "cover every edge"),
+    ]
+    for circuits, words in cases:
+        with pytest.raises(InvalidCircuits, match=words):
+            corn.corneration_of(torus44, circuits)
+    assert issubclass(InvalidCircuits, ValueError)
+
+
+def test_circuits_of_a_partial_cover_raises_corneration_mismatch(torus44):
+    L = straight_corneration(torus44)
+    partial = corn.Corneration.from_corners(torus44, L.sorted_corners()[:-1])
+    with pytest.raises(CornerationMismatch, match="uncovered dart"):
+        corn.circuits_of(partial)
+    assert issubclass(CornerationMismatch, ValueError)
 
 
 # -- complement --------------------------------------------------------------
@@ -441,6 +486,23 @@ def test_corner_orbits(opp44):
         corn.corner_orbits(A, list(L.corners)[:3])
 
 
+def test_corner_action_is_built_once_per_group(opp44, monkeypatch):
+    L = corn.symmetric_cornerations_from_coloring(opp44, 1)[0]
+    G = corn.corneration_stabilizer(automorphism_group(opp44), L)
+    reads = []
+    real_cell_index = FlagMap.cell_index
+
+    def counting_cell_index(m, kind):
+        reads.append(kind)
+        return real_cell_index(m, kind)
+
+    monkeypatch.setattr(FlagMap, "cell_index", counting_cell_index)
+    assert corn.is_transitive_on_corners(G, L)
+    assert reads == ["dart"]
+    assert corn.is_transitive_on_corners(G, L)
+    assert reads == ["dart"]
+
+
 def test_transitivity_needs_a_group_preserving_the_corneration():
     m, L = build_torus_grid_corneration(4, 5)
     A = automorphism_group(m)
@@ -507,6 +569,14 @@ def test_transfer_through_hole(opp44):
     (moved,) = corn.transfer(L, result)
     assert moved.width == 1
     assert len(moved) == len(L)
+
+
+def test_transfer_to_another_map_raises_corneration_mismatch(torus44, opp44):
+    L = straight_corneration(torus44)
+    with pytest.raises(CornerationMismatch, match="share darts"):
+        corn.transfer(L, opp44)
+    with pytest.raises(CornerationMismatch, match="different map"):
+        corn.transfer(L, hole(opp44, 2))
 
 
 def test_transfer_width_mismatch(opp44):

@@ -3,8 +3,9 @@
 The oracles below are the straightforward algorithms that walk every
 element of a group: greedy generator selection by recomputing an orbit for
 each candidate, index-2 kernels from all pairwise commutators, the whole
-subgroup lattice closed one element at a time, and the stabilizer of a
-corneration as a filter over all elements.  The library's versions must
+subgroup lattice closed one element at a time, the stabilizer of a
+corneration as a filter over all elements, and corner orbits walked
+breadth-first with each corner's image key.  The library's versions must
 reproduce them exactly, generator tuples included.
 """
 
@@ -13,19 +14,20 @@ import random
 import pytest
 
 from cornmaps import symmetry
-from cornmaps.builders import build_antiprism, build_torus_grid
+from cornmaps.builders import build_antiprism, build_theta, build_torus_grid
 from cornmaps.core import FlagMap, uniform_valence
 from cornmaps.cornerations import (
     Corneration,
     corner_image_key,
+    corner_orbits,
     corneration_stabilizer,
     enumerate_invariant_cornerations,
     enumerate_transitive_cornerations,
 )
-from cornmaps.errors import GroupNotSubgroup
+from cornmaps.errors import GroupDoesNotPreserveCorneration, GroupNotSubgroup
 from cornmaps.operators import opposite
 from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
-from cornmaps.verify import SuiteContext
+from cornmaps.verify import SuiteContext, _all_cornerations_mixed
 
 
 # -- oracles -----------------------------------------------------------------
@@ -154,6 +156,29 @@ def oracle_stabilizer(A, L):
     )
 
 
+def oracle_corner_orbits(G, corners):
+    """Breadth-first orbits of corner keys; None when a corner leaves the set."""
+    m = G.map
+    pool = {c.key(): c for c in corners}
+    remaining = set(pool)
+    out = []
+    while remaining:
+        start = min(remaining)
+        orbit = {start}
+        queue = [start]
+        for k in queue:
+            for g in G.generators:
+                img = corner_image_key(m, g, pool[k])
+                if img not in pool:
+                    return None
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+        remaining -= orbit
+        out.append(sorted(orbit))
+    return out
+
+
 # -- maps --------------------------------------------------------------------
 
 
@@ -265,6 +290,30 @@ def test_stabilizer_of_a_partial_corner_set():
     L = enumerate_invariant_cornerations(m, A, 1)[0]
     part = Corneration.from_corners(m, L.sorted_corners()[:3])
     assert corneration_stabilizer(A, part).images() == oracle_stabilizer(A, part)
+
+
+@pytest.mark.parametrize(
+    "m", [build_theta(4), build_antiprism(3)], ids=["theta4", "antiprism3"]
+)
+def test_corner_orbits_match_breadth_first_oracle(m):
+    """Every mixed-width corneration, under its stabilizer and under Aut."""
+    A = automorphism_group(m)
+    moved = 0
+    for L in _all_cornerations_mixed(m):
+        S = corneration_stabilizer(A, L)
+        got = [[c.key() for c in orbit] for orbit in corner_orbits(S, L.corners)]
+        assert got == oracle_corner_orbits(S, L.corners)
+        # repeated corners in any order are one corner each
+        repeated = list(L.corners) + L.sorted_corners()[::-1]
+        assert [[c.key() for c in o] for o in corner_orbits(S, repeated)] == got
+        expected = oracle_corner_orbits(A, L.corners)
+        if expected is None:
+            moved += 1
+            with pytest.raises(GroupDoesNotPreserveCorneration):
+                corner_orbits(A, L.corners)
+        else:
+            assert [[c.key() for c in o] for o in corner_orbits(A, L.corners)] == expected
+    assert moved > 0
 
 
 # -- trust by provenance -----------------------------------------------------

@@ -1,11 +1,20 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
 from cornmaps.core import uniform_valence
-from cornmaps.errors import KIntersectsL, KNotInvariant, WidthOutOfRange
+from cornmaps.errors import (
+    KIntersectsL,
+    KNotInvariant,
+    UnknownConstruction,
+    WidthOutOfRange,
+)
 from cornmaps.symmetry import automorphism_group
 
 
@@ -154,6 +163,73 @@ def test_graph6_roundtrip(torus44):
     sparse = sg.to_sparse6(S)
     g2 = nx.from_sparse6_bytes(sparse.encode("ascii"))
     assert g2.number_of_edges() == S.n_edges
+
+
+def test_encoders_match_networkx_on_random_graphs():
+    """Byte for byte against networkx, sparse6 padding at n = 2^k included."""
+    import networkx as nx
+
+    rng = random.Random(6)
+    sizes = [1, 2, 4, 8, 16, 32, 64, 3, 62, 63, 64, 65, 100] + [
+        rng.randint(1, 80) for _ in range(180)
+    ]
+    graphs = []
+    for n in sizes:
+        p = rng.random() ** 2
+        graphs.append((n, [(a, b) for b in range(n) for a in range(b) if rng.random() < p]))
+    # short paths at n = 2^k end below vertex n - 1 with k or more bits
+    # left to pad, where sparse6 pads with a 0 before the 1s
+    graphs += [(n, [(i, i + 1) for i in range(m)]) for n in (4, 8, 16) for m in (1, 2, 3)]
+    for n, pairs in graphs:
+        S = sg.SplitGraph(
+            map=None,
+            base=None,
+            vertices=tuple(range(n)),
+            edges=dict.fromkeys(frozenset(e) for e in pairs),
+        )
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pairs)
+        assert sg.to_graph6(S) == nx.to_graph6_bytes(g, header=False).decode().strip()
+        assert sg.to_sparse6(S) == nx.to_sparse6_bytes(g, header=False).decode().strip()
+
+
+def test_size_field_matches_networkx():
+    from networkx.readwrite.graph6 import n_to_data
+
+    for n in (0, 62, 63, 258047, 258048, 2**36 - 1):
+        assert sg._size_field(n) == "".join(chr(63 + d) for d in n_to_data(n))
+
+
+def test_encoding_imports_no_networkx(tmp_path):
+    code = (
+        "import sys\n"
+        "import cornmaps as c\n"
+        "L = c.symmetric_cornerations_from_coloring(c.build_torus_grid(4, 4), 1)[0]\n"
+        "S = c.graph_A(L)\n"
+        "assert c.to_graph6(S) and c.to_sparse6(S)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'networkx'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sg.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_unknown_construction_raises_library_error(torus44):
+    L = straight(torus44)
+    with pytest.raises(UnknownConstruction):
+        sg.build_construction(L, "Z")
+    assert issubclass(UnknownConstruction, ValueError)
 
 
 def test_theta4_straight_degenerate_b(theta4):

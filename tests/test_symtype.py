@@ -69,6 +69,21 @@ def test_enumeration_gives_twelve():
     st.verify_canonical_catalog()
 
 
+def test_diagram_claim_enumerates_once(monkeypatch):
+    from cornmaps.verify import SuiteContext, claim_diagram_enumeration
+
+    calls = []
+    real = st.enumerate_valid_diagrams
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(st, "enumerate_valid_diagrams", counting)
+    instances, failures, _ = claim_diagram_enumeration(SuiteContext())
+    assert (instances, failures, len(calls)) == (92, [], 1)
+
+
 def test_diagram_isomorphism_basics():
     a = st.CANONICAL_DIAGRAMS["a"]
     f = st.CANONICAL_DIAGRAMS["f"]
