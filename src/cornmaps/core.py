@@ -20,7 +20,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InvalidMapError, UnknownCell, UnknownCellKind
+from .errors import (
+    InvalidMapError,
+    InvalidModulus,
+    MalformedFlagSystem,
+    UnknownCell,
+    UnknownCellKind,
+)
 
 Perm = tuple[int, ...]
 
@@ -41,25 +47,9 @@ _KIND_GENERATORS = {
 }
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Permutation applying ``p`` first and then ``q``."""
     return tuple(q[p[i]] for i in range(len(p)))
-
-
-def perm_inverse(p: Sequence[int]) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def is_involution(p: Sequence[int]) -> bool:
-    n = len(p)
-    return all(0 <= p[i] < n and p[p[i]] == i for i in range(n))
 
 
 def orbits(n: int, perms: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -91,7 +81,7 @@ def orbits(n: int, perms: Sequence[Sequence[int]]) -> list[list[int]]:
 def order_mod(a: int, n: int) -> int:
     """Additive order of ``a`` modulo ``n``, i.e. ``n // gcd(n, a)``."""
     if n < 1:
-        raise ValueError("modulus must be positive")
+        raise InvalidModulus("modulus must be positive")
     return n // math.gcd(n, a)
 
 
@@ -188,12 +178,12 @@ class FlagMap:
         for attr in ("r0", "r1", "r2"):
             p = tuple(int(x) for x in getattr(self, attr))
             if len(p) != self.n_flags:
-                raise ValueError(f"{attr} has length {len(p)}, expected {self.n_flags}")
+                raise MalformedFlagSystem(f"{attr} has length {len(p)}, expected {self.n_flags}")
             if any(x < 0 or x >= self.n_flags for x in p):
-                raise ValueError(f"{attr} contains an out-of-range image")
+                raise MalformedFlagSystem(f"{attr} contains an out-of-range image")
             object.__setattr__(self, attr, p)
         if self.n_flags <= 0:
-            raise ValueError("a map needs a positive number of flags")
+            raise MalformedFlagSystem("a map needs a positive number of flags")
 
     # -- basic access -----------------------------------------------------
 
@@ -550,11 +540,6 @@ def face_boundary_edges(m: FlagMap, f: int) -> tuple[int, ...]:
         out.append(edge_of[flag])
         flag = m.r1[m.r0[flag]]
     return tuple(out)
-
-
-def dart_endpoints(m: FlagMap, d: int) -> tuple[int, int]:
-    """(vertex, edge) of the dart cell ``d``."""
-    return (m.cell_of_flag(VERTEX, d), m.cell_of_flag(EDGE, d))
 
 
 def other_dart(m: FlagMap, d: int) -> int:

@@ -149,11 +149,6 @@ def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
     return corner_from_darts(m, (dart_of[wedge_id], dart_of[m.r1[wedge_id]]))
 
 
-def corner_edges(m: FlagMap, c: Corner) -> tuple[int, int]:
-    edge_of = m.cell_index(EDGE)
-    return tuple(sorted(edge_of[d] for d in c.darts))
-
-
 def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
     """Every corner of width exactly ``j``, in canonical order."""
     if j < 1:

@@ -16,6 +16,19 @@ class InvalidMapError(CornMapsError):
         self.report = report
 
 
+class MalformedFlagSystem(CornMapsError, ValueError):
+    """Involution arrays that do not fit the flag count: a wrong length, an
+    image out of range, or no flags at all.
+
+    Also a ``ValueError``: the arrays have the wrong value.  Arrays that fit
+    but break a map axiom are :class:`InvalidMapError` instead.
+    """
+
+
+class InvalidModulus(CornMapsError, ValueError):
+    """A modulus is not a positive integer."""
+
+
 class UnknownCellKind(CornMapsError, ValueError):
     """A cell kind is not one of vertex, edge, face, dart or wedge."""
 
@@ -108,6 +121,15 @@ class GroupDoesNotPreserveCorneration(CornMapsError, ValueError):
     """A group moves the corneration or corner set it was asked to act on.
 
     Also a ``ValueError``: the group argument has the wrong value.
+    """
+
+
+class InvalidDiagram(CornMapsError, ValueError):
+    """A symmetry-type diagram has a node shape other than box or oval, not
+    three edge colors, or a color whose edge structure is not an
+    involution of the nodes.
+
+    Also a ``ValueError``: the diagram data has the wrong value.
     """
 
 

@@ -9,6 +9,7 @@ and all group arithmetic here happens on those integer images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import (
@@ -127,6 +128,18 @@ def _commutes_with_involutions(m: FlagMap, elements: Iterable[Perm]) -> bool:
     return True
 
 
+def _close_orbit(orbit: set, perms, frontier: list) -> set:
+    """Grow ``orbit`` by everything ``perms`` reach from ``frontier``."""
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def _span_images(G: SymGroup, gen_images: Iterable[int], start=(0,)) -> set:
     """Images of the subgroup generated by ``gen_images``.
 
@@ -136,16 +149,7 @@ def _span_images(G: SymGroup, gen_images: Iterable[int], start=(0,)) -> set:
     """
     by = G._by_image()
     perms = [by[f] for f in set(gen_images)]
-    reached = set(start)
-    frontier = list(reached)
-    while frontier:
-        x = frontier.pop()
-        for p in perms:
-            y = p[x]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return reached
+    return _close_orbit(set(start), perms, list(start))
 
 
 def _greedy_generator_images(G: SymGroup) -> tuple[int, ...]:
@@ -188,19 +192,49 @@ def _greedy_generator_images(G: SymGroup) -> tuple[int, ...]:
 def automorphism_group(m: FlagMap) -> SymGroup:
     """All flag permutations commuting with the three involutions.
 
-    Each flag is tried as the image of flag 0 and propagated along the
-    involutions; the successful propagations are exactly the symmetries,
-    so the group is marked as checked.  Raises :class:`InvalidMapError`
-    when ``m`` violates the map axioms.
+    Found by orbit growth over generators (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.1).  A flag is
+    tried as the image of flag 0, by propagation along the involutions,
+    only while it is undecided: outside the orbit of flag 0 under the
+    symmetries found so far, and outside the orbits, under those, of the
+    flags that already failed.  The flags that succeed are the orbit of
+    flag 0 under the whole group, a union of orbits of any subgroup, so
+    each success is a new generator that grows the orbit of flag 0, and
+    each failure rules out its whole orbit.  A torus with a flag-transitive
+    group takes three propagations.  The elements are then closed
+    breadth-first from the identity, one product per new image of flag 0.
+    The group is marked as checked.  Raises :class:`InvalidMapError` when
+    ``m`` violates the map axioms.
     """
     m.require_valid()
 
     def build():
-        elems = []
-        for target in range(m.n_flags):
+        n = m.n_flags
+        gens: list[Perm] = []
+        reached = {0}
+        dead: set = set()
+        # targets start at 1, so generators exist only for n >= 2; an
+        # itemgetter over a single index would return an int, not a tuple
+        for target in range(1, n):
+            if target in reached or target in dead:
+                continue
             phi = _propagate(m, m, target)
-            if phi is not None:
-                elems.append(phi)
+            if phi is None:
+                dead.add(target)
+                _close_orbit(dead, gens, [target])
+            else:
+                gens.append(phi)
+                _close_orbit(reached, gens, list(reached))
+        products = [(g[0], itemgetter(*g)) for g in gens]
+        identity = tuple(range(n))
+        seen = {0}
+        elems = [identity]
+        for e in elems:
+            for g0, times_g in products:
+                f = e[g0]
+                if f not in seen:
+                    seen.add(f)
+                    elems.append(times_g(e))
         G = SymGroup(m, tuple(elems))
         G._cache["is_sym"] = True
         return G
@@ -254,10 +288,6 @@ def orbits_on(G: SymGroup, what: str) -> tuple[tuple[int, ...], ...]:
         perms.append(tuple(id_pos[index[g[c]]] for c in ids))
     parts = orbits(len(ids), perms)
     return tuple(tuple(ids[i] for i in part) for part in parts)
-
-
-def is_transitive_on(G: SymGroup, what: str) -> bool:
-    return len(orbits_on(G, what)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .cornerations import (
 )
 from .errors import (
     GroupDoesNotPreserveCorneration,
+    InvalidDiagram,
     NotTransitive,
     NotWedgeCorneration,
 )
@@ -46,14 +47,14 @@ class Diagram:
         object.__setattr__(self, "shapes", tuple(self.shapes))
         object.__setattr__(self, "sigma", tuple(tuple(s) for s in self.sigma))
         if any(shape not in (BOX, OVAL) for shape in self.shapes):
-            raise ValueError("node shapes must be 'B' or 'O'")
+            raise InvalidDiagram("node shapes must be 'B' or 'O'")
         if len(self.sigma) != 3:
-            raise ValueError("a diagram needs involutions for colors 0, 1, 2")
+            raise InvalidDiagram("a diagram needs involutions for colors 0, 1, 2")
         for s in self.sigma:
             if len(s) != n or any(not 0 <= s[i] < n for i in range(n)):
-                raise ValueError("edge involution does not match the node count")
+                raise InvalidDiagram("edge involution does not match the node count")
             if any(s[s[i]] != i for i in range(n)):
-                raise ValueError("edge structure of a color must be an involution")
+                raise InvalidDiagram("edge structure of a color must be an involution")
 
     @property
     def n_nodes(self) -> int:

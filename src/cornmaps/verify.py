@@ -40,6 +40,13 @@ from .core import (
     uniform_valence,
     validate,
 )
+from .errors import (
+    GroupDoesNotPreserveCorneration,
+    KNotInvariant,
+    NotTransitive,
+    UnknownConstruction,
+    WidthOutOfRange,
+)
 from .operators import dual, hole, is_isomorphic, opposite, petrie
 from .symmetry import (
     HC,
@@ -708,7 +715,11 @@ def claim_split_graphs(ctx: SuiteContext):
                 try:
                     if not sg.verify_vertex_transitive(S, r.aut, K):
                         failures.append(f"{label} {kind}: group action broke an edge")
-                except Exception as exc:
+                except (
+                    NotTransitive,
+                    KNotInvariant,
+                    GroupDoesNotPreserveCorneration,
+                ) as exc:
                     failures.append(f"{label} {kind}: transitivity witness failed: {exc}")
     for key, seen in witnessed.items():
         instances += 1
@@ -761,7 +772,7 @@ def claim_census_example(ctx: SuiteContext):
         for kind in ("A", "B", "Ci", "Cx"):
             try:
                 S = sg.build_construction(r.corneration, kind)
-            except Exception:
+            except (UnknownConstruction, WidthOutOfRange):
                 continue
             lc, _ = sg.is_locally_connected(S)
             if S.is_connected() and not lc:

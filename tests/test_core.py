@@ -18,7 +18,13 @@ from cornmaps.core import (
     vertex_bipartition,
     wedges_at_vertex,
 )
-from cornmaps.errors import CornMapsError, UnknownCell, UnknownCellKind
+from cornmaps.errors import (
+    CornMapsError,
+    InvalidModulus,
+    MalformedFlagSystem,
+    UnknownCell,
+    UnknownCellKind,
+)
 
 
 def test_cube_is_valid(cube):
@@ -167,6 +173,32 @@ def test_order_mod():
     assert order_mod(5, 12) == 12
     with pytest.raises(ValueError):
         order_mod(1, 0)
+
+
+def test_nonpositive_modulus_raises_invalid_modulus():
+    for n in (0, -3):
+        with pytest.raises(InvalidModulus) as info:
+            order_mod(1, n)
+        assert isinstance(info.value, CornMapsError)
+        assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "n, rs, message",
+    [
+        (4, ((1, 0, 3), (1, 0, 3, 2), (2, 3, 0, 1)), "r0 has length 3"),
+        (4, ((1, 0, 3, 2), (1, 0, 3, 4), (2, 3, 0, 1)), "r1 contains"),
+        (4, ((1, 0, 3, 2), (1, 0, 3, 2), (2, 3, 0, -1)), "r2 contains"),
+        (0, ((), (), ()), "positive number of flags"),
+    ],
+    ids=["length", "too-large", "negative", "no-flags"],
+)
+def test_malformed_involutions_raise_malformed_flag_system(n, rs, message):
+    with pytest.raises(MalformedFlagSystem) as info:
+        FlagMap(n, *rs)
+    assert isinstance(info.value, CornMapsError)
+    assert isinstance(info.value, ValueError)
+    assert message in str(info.value)
 
 
 def test_rotation_at_vertex(cube):

@@ -1,8 +1,9 @@
 """Generator- and coset-based group bookkeeping against element-wise oracles.
 
 The oracles below are the straightforward algorithms that walk every
-element of a group: greedy generator selection by recomputing an orbit for
-each candidate, index-2 kernels from all pairwise commutators, the whole
+element of a group: the automorphism group by propagating from every
+flag, greedy generator selection by recomputing an orbit for each
+candidate, index-2 kernels from all pairwise commutators, the whole
 subgroup lattice closed one element at a time, the stabilizer of a
 corneration as a filter over all elements, and corner orbits walked
 breadth-first with each corner's image key.  The library's versions must
@@ -25,12 +26,18 @@ from cornmaps.cornerations import (
     enumerate_transitive_cornerations,
 )
 from cornmaps.errors import GroupDoesNotPreserveCorneration, GroupNotSubgroup
-from cornmaps.operators import opposite
+from cornmaps.operators import _propagate, opposite, petrie
 from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
 from cornmaps.verify import SuiteContext, _all_cornerations_mixed
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+def oracle_automorphisms(m):
+    """Every flag tried as the image of flag 0."""
+    found = (_propagate(m, m, target) for target in m.flags())
+    return tuple(sorted(phi for phi in found if phi is not None))
 
 
 def oracle_orbit_of_zero(G, gen_images):
@@ -200,6 +207,47 @@ def maps():
     out["torus8x8"] = build_torus_grid(8, 8)
     out["opp4x4~7"] = relabel(opposite(build_torus_grid(4, 4)), 7)
     return out
+
+
+@pytest.fixture
+def propagations(monkeypatch):
+    targets = []
+    real = symmetry._propagate
+
+    def counting(a, b, target):
+        targets.append(target)
+        return real(a, b, target)
+
+    monkeypatch.setattr(symmetry, "_propagate", counting)
+    return targets
+
+
+def test_automorphism_group_matches_per_flag_oracle(propagations, asymmetric_map):
+    maps = dict(SuiteContext().maps)
+    maps["theta4"] = build_theta(4)
+    maps["antiprism7"] = build_antiprism(7)
+    maps["opp6x6"] = opposite(build_torus_grid(6, 6))
+    maps["petrie(opp4x4)"] = petrie(opposite(build_torus_grid(4, 4)))
+    maps["opp4x4~7"] = relabel(opposite(build_torus_grid(4, 4)), 7)
+    for name, m in maps.items():
+        propagations.clear()
+        A = automorphism_group(m)
+        assert A.elements == oracle_automorphisms(m), name
+        assert 1 <= len(propagations) <= 15, (name, len(propagations))
+    # with no symmetry to grow, every other flag is tried once; a fresh
+    # copy, since the session fixture may have its group memoized
+    m = FlagMap(asymmetric_map.n_flags, *asymmetric_map.involutions())
+    propagations.clear()
+    assert automorphism_group(m).elements == oracle_automorphisms(m)
+    assert sorted(propagations) == list(range(1, m.n_flags))
+
+
+def test_flag_transitive_torus_takes_three_propagations(propagations):
+    m = build_torus_grid(24, 24)
+    A = automorphism_group(m)
+    assert len(propagations) == 3
+    assert A.order == m.n_flags == 4608
+    assert A.images() == tuple(range(m.n_flags))
 
 
 def test_generator_images_match_greedy_oracle(maps):

@@ -8,6 +8,7 @@ import pytest
 
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
+from cornmaps.builders import build_theta, build_torus_grid
 from cornmaps.core import uniform_valence
 from cornmaps.errors import (
     KIntersectsL,
@@ -15,7 +16,9 @@ from cornmaps.errors import (
     UnknownConstruction,
     WidthOutOfRange,
 )
+from cornmaps.fileio import write_map
 from cornmaps.symmetry import automorphism_group
+from cornmaps.verify import SuiteContext, claim_census_example, claim_split_graphs
 
 
 def straight(m):
@@ -230,6 +233,29 @@ def test_unknown_construction_raises_library_error(torus44):
     with pytest.raises(UnknownConstruction):
         sg.build_construction(L, "Z")
     assert issubclass(UnknownConstruction, ValueError)
+
+
+def raise_runtime_error(*args):
+    raise RuntimeError("a library bug")
+
+
+def test_census_claim_lets_a_library_bug_through(tmp_path, monkeypatch):
+    """Only an undefined construction is skipped, not any error."""
+    path = tmp_path / "theta12.map"
+    path.write_text(write_map(build_theta(12)))
+    ctx = SuiteContext(census_map_path=str(path))
+    monkeypatch.setattr(sg, "build_construction", raise_runtime_error)
+    with pytest.raises(RuntimeError, match="a library bug"):
+        claim_census_example(ctx)
+
+
+def test_split_graph_claim_lets_a_library_bug_through(monkeypatch):
+    """Only a failed transitivity witness is reported, not any error."""
+    ctx = SuiteContext()
+    ctx._maps = {"torus4x4": build_torus_grid(4, 4)}
+    monkeypatch.setattr(sg, "verify_vertex_transitive", raise_runtime_error)
+    with pytest.raises(RuntimeError, match="a library bug"):
+        claim_split_graphs(ctx)
 
 
 def test_theta4_straight_degenerate_b(theta4):

@@ -4,7 +4,9 @@ import cornmaps.cornerations as corn
 import cornmaps.symtype as st
 from cornmaps.builders import build_antiprism_corneration, build_torus_grid_corneration
 from cornmaps.errors import (
+    CornMapsError,
     GroupDoesNotPreserveCorneration,
+    InvalidDiagram,
     NotTransitive,
     NotWedgeCorneration,
 )
@@ -22,6 +24,24 @@ def test_canonical_diagrams_pass_constraints():
     for letter, d in st.CANONICAL_DIAGRAMS.items():
         ok, why = st.satisfies_diagram_constraints(d)
         assert ok, f"{letter}: {why}"
+
+
+@pytest.mark.parametrize(
+    "shapes, sigma, message",
+    [
+        (("B", "X"), ((1, 0), (0, 1), (0, 1)), "node shapes"),
+        (("B", "O"), ((1, 0), (0, 1)), "colors 0, 1, 2"),
+        (("B", "O"), ((1, 0), (0, 1), (0, 2)), "node count"),
+        (("B", "O", "O"), ((1, 2, 0), (0, 1, 2), (0, 1, 2)), "involution"),
+    ],
+    ids=["shape", "colors", "node-count", "not-involution"],
+)
+def test_malformed_diagram_raises_invalid_diagram(shapes, sigma, message):
+    with pytest.raises(InvalidDiagram) as info:
+        st.Diagram(shapes, sigma)
+    assert isinstance(info.value, CornMapsError)
+    assert isinstance(info.value, ValueError)
+    assert message in str(info.value)
 
 
 def test_three_node_diagram_fails_rule_one():
