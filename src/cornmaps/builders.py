@@ -12,7 +12,12 @@ from typing import Optional
 
 from . import cornerations as corn
 from .core import FlagMap
-from .errors import DegenerateParameters, InconsistentRotation, InvalidMapError
+from .errors import (
+    DegenerateParameters,
+    InconsistentRotation,
+    InternalInvariantError,
+    InvalidMapError,
+)
 
 
 def _from_rotation_system(rotations, twists=None, name=None):
@@ -210,7 +215,7 @@ def build_antiprism_corneration(n: int):
     L = corn.Corneration.from_corners(m, corners)
     report = corn.is_corneration(m, L.corners)
     if not report.ok:
-        raise AssertionError(f"antiprism band corners miss dart {report.witness}")
+        raise InternalInvariantError(f"antiprism band corners miss dart {report.witness}")
     return m, L
 
 
@@ -273,5 +278,5 @@ def build_torus_grid_corneration(rows: int, cols: int):
     L = corn.Corneration.from_corners(m, corners)
     report = corn.is_corneration(m, L.corners)
     if not report.ok:
-        raise AssertionError(f"grid corners miss dart {report.witness}")
+        raise InternalInvariantError(f"grid corners miss dart {report.witness}")
     return m, L

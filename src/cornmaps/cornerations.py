@@ -32,6 +32,7 @@ from .errors import (
     CornerationMismatch,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
+    InternalInvariantError,
     InvalidCircuits,
     InvalidCorner,
     NoHalfReflexiveGroup,
@@ -188,7 +189,7 @@ def _interior_flag_on_dart(m: FlagMap, c: Corner, dart: int) -> int:
         for f in (w, m.r1[w]):
             if dart_of[f] == dart:
                 return f
-    raise AssertionError("interior boundary wedge misses its own dart")
+    raise InternalInvariantError("interior boundary wedge misses its own dart")
 
 
 def alignment(m: FlagMap, c1: Corner, c2: Corner) -> str:
@@ -353,7 +354,7 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
         remaining.difference_update(cycle)
         edges = frozenset(edge_of[d] for d in cycle)
         if len(edges) != len(cycle):
-            raise AssertionError("corner chain revisited an edge")
+            raise InternalInvariantError("corner chain revisited an edge")
         by_edges.setdefault(edges, []).append(tuple(cycle))
     circuits = []
     for edges, traversals in sorted(by_edges.items(), key=lambda kv: min(kv[1][0])):
@@ -404,7 +405,7 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
     L = Corneration.from_corners(m, corners)
     report = is_corneration(m, L.corners)
     if not report.ok:
-        raise AssertionError(f"circuit corners are not a corneration: {report.reason}")
+        raise InternalInvariantError(f"circuit corners are not a corneration: {report.reason}")
     return L
 
 
@@ -423,7 +424,7 @@ def j_complement(L: Corneration) -> Corneration:
     K = Corneration.from_corners(L.map, complement)
     report = is_corneration(L.map, K.corners)
     if not report.ok:
-        raise AssertionError("width complement failed to cover darts")
+        raise InternalInvariantError("width complement failed to cover darts")
     return K
 
 
@@ -587,15 +588,6 @@ def _require_symmetry_group(m: FlagMap, H: SymGroup) -> None:
         raise GroupNotSubgroup("elements do not commute with the involutions")
 
 
-def corner_image_key(m: FlagMap, g, c: Corner) -> tuple:
-    """The key of the image of ``c`` under the flag permutation ``g``."""
-    vertex_of = m.cell_index(VERTEX)
-    dart_of = m.cell_index(DART)
-    d1, d2 = c.darts
-    a, b = dart_of[g[d1]], dart_of[g[d2]]
-    return (vertex_of[g[c.vertex]], (a, b) if a < b else (b, a))
-
-
 def _dart_action(G: SymGroup) -> tuple[tuple[int, ...], ...]:
     """Per generator of ``G``, a table from each flag to the dart of its image.
 
@@ -673,7 +665,7 @@ def enumerate_invariant_cornerations(
         for col, total in cover.items():
             multiplicity, rem = divmod(total, len(dart_orbits[col]))
             if rem != 0:
-                raise AssertionError("orbit coverage is not constant on a dart orbit")
+                raise InternalInvariantError("orbit coverage is not constant on a dart orbit")
             if multiplicity > 1:
                 ok = False
                 break
@@ -887,7 +879,7 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
     orbit_of = flag_orbit_index(G)
     classes = sorted(set(orbit_of))
     if len(classes) != 2:
-        raise AssertionError("a half-reflexible group must have two flag orbits")
+        raise InternalInvariantError("a half-reflexible group must have two flag orbits")
     first = classes[0]
 
     piles = {True: [], False: []}
@@ -897,14 +889,14 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
             colors.add(orbit_of[w])
             colors.add(orbit_of[m.r1[w]])
         if len(colors) != 1:
-            raise AssertionError("interior boundary wedges of an odd corner differ in color")
+            raise InternalInvariantError("interior boundary wedges of an odd corner differ in color")
         piles[colors.pop() == first].append(c)
     out = []
     for flag_value in (True, False):
         L = Corneration.from_corners(m, piles[flag_value])
         report = is_corneration(m, L.corners)
         if not report.ok:
-            raise AssertionError(f"color class is not a corneration: {report.reason}")
+            raise InternalInvariantError(f"color class is not a corneration: {report.reason}")
         out.append(L)
     return tuple(out)
 
@@ -932,7 +924,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
         moved = Corneration.from_corners(target, corners)
         report = is_corneration(target, moved.corners)
         if not report.ok:
-            raise AssertionError("petrie transfer broke the dart cover")
+            raise InternalInvariantError("petrie transfer broke the dart cover")
         return moved
 
     result = target
@@ -950,21 +942,21 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
             comp_a, fa = corr[d]
             comp_b, fb = corr[m.r2[d]]
             if comp_a != comp_b:
-                raise AssertionError("a dart was split across components")
+                raise InternalInvariantError("a dart was split across components")
             images.append((comp_a, min(fa, fb)))
         comps = {comp for comp, _ in images}
         if len(comps) != 1:
-            raise AssertionError("a corner was split across components")
+            raise InternalInvariantError("a corner was split across components")
         comp = comps.pop()
         new_corner = corner_from_darts(result.maps[comp], tuple(d for _, d in images))
         if new_corner.width != 1:
-            raise AssertionError("hole transfer must produce wedges")
+            raise InternalInvariantError("hole transfer must produce wedges")
         piles[comp].append(new_corner)
     out = []
     for ci, component in enumerate(result.maps):
         moved = Corneration.from_corners(component, piles[ci])
         report = is_corneration(component, moved.corners)
         if not report.ok:
-            raise AssertionError("hole transfer broke the dart cover")
+            raise InternalInvariantError("hole transfer broke the dart cover")
         out.append(moved)
     return out

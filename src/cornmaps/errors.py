@@ -5,6 +5,10 @@ class CornMapsError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InternalInvariantError(CornMapsError):
+    """A result broke an invariant the library guarantees: a bug, not bad input."""
+
+
 class InvalidMapError(CornMapsError):
     """A flag system violates one of the map axioms.
 

@@ -24,6 +24,7 @@ from .cornerations import (
     j_complement,
 )
 from .errors import (
+    InternalInvariantError,
     KIntersectsL,
     KNotInvariant,
     NotTransitive,
@@ -129,7 +130,7 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
         c1 = L.corner_of_dart(dart_of[e])
         c2 = L.corner_of_dart(dart_of[m.r0[e]])
         if c1.key() == c2.key():
-            raise AssertionError("one corner covered both darts of an edge")
+            raise InternalInvariantError("one corner covered both darts of an edge")
         if other_edge(c1, e) != other_edge(c2, e):
             add(c1, c2, OLD, e)
 
@@ -138,7 +139,7 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
         c1 = L.corner_of_dart(d1)
         c2 = L.corner_of_dart(d2)
         if c1.key() == c2.key():
-            raise AssertionError("a corner outside L covered by a single L-corner")
+            raise InternalInvariantError("a corner outside L covered by a single L-corner")
         add(c1, c2, NEW, k.key())
 
     packed = {

@@ -8,7 +8,8 @@ and all group arithmetic here happens on those integer images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -30,93 +31,180 @@ from .errors import GroupNotSubgroup, GroupTooLarge, UnknownCell
 from .operators import _propagate
 
 
-@dataclass(frozen=True, eq=False)
 class SymGroup:
-    """A group of map symmetries, materialized as an element list.
+    """A group of map symmetries, stored as its images of flag 0.
 
-    Elements are sorted lexicographically, which for a semiregular action
-    coincides with sorting by the image of flag 0.  Group arithmetic works
-    from generators and cosets on those images: subgroups are spanned from
-    generator images, and stabilizers come from orbits and Schreier
-    generators rather than from a scan of every element.
+    A symmetry commutes with r0, r1 and r2, and the flags are connected,
+    so a symmetry g is pinned down by h = g(0): a flag reached from flag 0
+    by a word w in the involutions goes to w applied to h.  A group is
+    therefore its sorted images of flag 0 plus the generator permutations;
+    nothing is stored per element.  Group arithmetic reads the words of a
+    breadth-first tree of the flags from flag 0, memoized on the map
+    (Schreier vectors: Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005, section 4.1; Seress, *Permutation Group
+    Algorithms*, 2003).  :attr:`elements` builds the permutations on
+    demand.
 
-    Whether the elements are map symmetries is checked once per group and
-    memoized.  Groups returned by :func:`automorphism_group` are symmetries
-    by construction, and :meth:`subgroup_from_images` passes that on, so
-    only groups built directly from permutations pay for the full check.
+    ``SymGroup(m, perms)`` keeps the given permutations.  Their images of
+    flag 0 must be closed under each of them, or :class:`GroupNotSubgroup`
+    is raised.  Whether they are map symmetries is checked once, before
+    the first group arithmetic, and memoized.  Groups returned by
+    :func:`automorphism_group` are symmetries by construction, and
+    :meth:`subgroup_from_images` passes that on.
     """
 
-    map: FlagMap
-    elements: tuple[Perm, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("map", "_images", "_perms", "_given", "_cache")
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(tuple(p) for p in self.elements)))
-        if not elems:
+    def __init__(self, map: FlagMap, elements: Iterable[Perm]):
+        perms = tuple(sorted({tuple(p) for p in elements}))
+        if not perms:
             raise GroupNotSubgroup("a group needs at least the identity")
-        object.__setattr__(self, "elements", elems)
+        images = frozenset(p[0] for p in perms)
+        if not _maps_into(images, perms):
+            raise GroupNotSubgroup(
+                "the permutations are not closed: they send flag 0 to a flag "
+                "that none of them has as its image"
+            )
+        self.map = map
+        self._images = tuple(sorted(images))
+        self._perms = perms
+        self._given = True
+        self._cache = {}
+
+    @classmethod
+    def _of_symmetries(cls, m: FlagMap, images: tuple, gens: tuple = ()) -> "SymGroup":
+        """A group of known symmetries: sorted images, optional generators."""
+        G = cls.__new__(cls)
+        G.map = m
+        G._images = images
+        G._perms = gens
+        G._given = False
+        G._cache = {"is_sym": True}
+        return G
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._images)
 
     def images(self) -> tuple[int, ...]:
         """Images of flag 0, one per element, ascending."""
-        return tuple(p[0] for p in self.elements)
+        return self._images
 
-    def _by_image(self) -> dict:
+    def _image_set(self) -> frozenset:
         cache = self._cache
-        if "by_image" not in cache:
-            cache["by_image"] = {p[0]: p for p in self.elements}
-        return cache["by_image"]
+        if "image_set" not in cache:
+            cache["image_set"] = frozenset(self._images)
+        return cache["image_set"]
+
+    def _require_symmetries(self) -> None:
+        if not self.is_map_symmetry_group():
+            raise GroupNotSubgroup("elements do not commute with the involutions")
+
+    def _words(self) -> list:
+        """The map's flag words; only for a group of map symmetries."""
+        self._require_symmetries()
+        return _flag_words(self.map)[0]
+
+    def _apply(self, h: int, x: int) -> int:
+        """Image of flag ``x`` under the element with image ``h``."""
+        for r in self._words()[x]:
+            h = r[h]
+        return h
 
     def element_with_image(self, f: int) -> Perm:
-        return self._by_image()[f]
+        self._require_symmetries()
+        if f not in self._image_set():
+            raise GroupNotSubgroup(f"no element of the group sends flag 0 to {f}")
+        return _element(self.map, f)
 
     def __contains__(self, perm) -> bool:
         p = tuple(perm)
-        e = self._by_image().get(p[0])
-        return e == p
+        return p[0] in self._image_set() and self.element_with_image(p[0]) == p
 
     def mul_images(self, f: int, h: int) -> int:
         """Image of the product (element with image f, then the one with h)."""
-        return self._by_image()[h][f]
+        return self._apply(h, f)
 
     def inv_image(self, f: int) -> int:
-        cache = self._cache
-        if "inv" not in cache:
-            cache["inv"] = {p[0]: p.index(0) for p in self.elements}
-        return cache["inv"][f]
+        """Image of the inverse: the word of ``f`` read backwards from flag 0."""
+        word = self._words()[f]
+        inverse = _flag_words(self.map)[2]
+        if f not in inverse:
+            x = 0
+            for r in reversed(word):
+                x = r[x]
+            inverse[f] = x
+        return inverse[f]
 
     def subgroup_from_images(self, images: Iterable[int]) -> "SymGroup":
-        by = self._by_image()
-        sub = SymGroup(self.map, tuple(by[f] for f in sorted(set(images))))
+        images = tuple(sorted(set(images)))
+        if not self._image_set().issuperset(images):
+            raise GroupNotSubgroup("an image of flag 0 lies outside the group")
         if self._cache.get("is_sym"):
-            sub._cache["is_sym"] = True
-        return sub
+            return SymGroup._of_symmetries(self.map, images)
+        by_image = {}
+        for p in self._perms:
+            by_image.setdefault(p[0], p)
+        return SymGroup(self.map, [by_image[f] for f in images])
 
     def generator_images(self) -> tuple[int, ...]:
         """A small generating set, found by greedy orbit growth."""
         cache = self._cache
         if "gen_images" not in cache:
+            self._require_symmetries()
             cache["gen_images"] = _greedy_generator_images(self)
         return cache["gen_images"]
 
     @property
     def generators(self) -> tuple[Perm, ...]:
-        by = self._by_image()
-        gens = tuple(by[f] for f in self.generator_images())
-        return gens if gens else (self.elements[0],)
+        gens = tuple(_element(self.map, f) for f in self.generator_images())
+        return gens if gens else (tuple(self.map.flags()),)
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """Every element as a permutation, sorted (built on first use).
+
+        Sorting permutations sorts them by their image of flag 0.  A group
+        built from permutations returns them; any other group is closed
+        breadth-first from the identity over its generators, one product
+        per new image of flag 0.
+        """
+        cache = self._cache
+        if "elements" not in cache:
+            if self._given:
+                cache["elements"] = self._perms
+            else:
+                gens = self._perms or self.generators
+                # a product is built only for a new image, so never for
+                # n = 1, where an itemgetter would return an int
+                products = [(g[0], itemgetter(*g)) for g in gens]
+                elems = [tuple(self.map.flags())]
+                seen = {0}
+                for e in elems:
+                    for g0, times_g in products:
+                        f = e[g0]
+                        if f not in seen:
+                            seen.add(f)
+                            elems.append(times_g(e))
+                cache["elements"] = tuple(sorted(elems))
+        return cache["elements"]
 
     def is_map_symmetry_group(self) -> bool:
         """Whether every element commutes with r0, r1 and r2 (memoized)."""
         cache = self._cache
         if "is_sym" not in cache:
-            cache["is_sym"] = _commutes_with_involutions(self.map, self.elements)
+            cache["is_sym"] = _commutes_with_involutions(self.map, self._perms)
         return cache["is_sym"]
 
     def __str__(self):
         return f"SymGroup(order={self.order})"
+
+    __repr__ = __str__
+
+
+def _maps_into(images: frozenset, perms) -> bool:
+    """Whether every permutation sends each flag of ``images`` into it."""
+    return all(images.issuperset(map(p.__getitem__, images)) for p in perms)
 
 
 def _commutes_with_involutions(m: FlagMap, elements: Iterable[Perm]) -> bool:
@@ -126,6 +214,50 @@ def _commutes_with_involutions(m: FlagMap, elements: Iterable[Perm]) -> bool:
             if any(p[r[f]] != r[p[f]] for f in m.flags()):
                 return False
     return True
+
+
+def _flag_words(m: FlagMap) -> tuple:
+    """A breadth-first tree of the flags from flag 0, memoized on the map.
+
+    ``(words, steps, inverse)``.  ``words[f]`` holds the involutions that
+    carry flag 0 to ``f``, in the order they are applied; a symmetry with
+    image h sends f to ``words[f]`` applied to h.  ``steps`` lists the tree
+    edges ``(f, r, parent)``, ``f = r[parent]``, in breadth-first order.
+    ``inverse`` is filled by :meth:`SymGroup.inv_image`.
+    """
+
+    def build():
+        m.require_valid()
+        words = [None] * m.n_flags
+        words[0] = ()
+        steps = []
+        queue = [0]
+        for x in queue:
+            for r in m.involutions():
+                y = r[x]
+                if words[y] is None:
+                    words[y] = words[x] + (r,)
+                    steps.append((y, r, x))
+                    queue.append(y)
+        return words, steps, {}
+
+    return m._memo(("flag_words",), build)
+
+
+def _element(m: FlagMap, h: int) -> Perm:
+    """The symmetry with image ``h``, one tree edge per flag.
+
+    Memoized on the map: subgroups share generators, and the greedy
+    generator search meets the same double coset representatives in
+    many groups.
+    """
+    table = m._memo(("elements",), dict)
+    if h not in table:
+        image = [h] * m.n_flags
+        for y, r, x in _flag_words(m)[1]:
+            image[y] = r[image[x]]
+        table[h] = tuple(image)
+    return table[h]
 
 
 def _close_orbit(orbit: set, perms, frontier: list) -> set:
@@ -140,16 +272,47 @@ def _close_orbit(orbit: set, perms, frontier: list) -> set:
     return orbit
 
 
-def _span_images(G: SymGroup, gen_images: Iterable[int], start=(0,)) -> set:
+def _span_images(G: SymGroup, gen_images: Iterable[int]) -> set:
     """Images of the subgroup generated by ``gen_images``.
 
-    The orbit of flag 0 under right multiplication by the generators; in a
-    finite group that is the whole generated subgroup.  ``start`` may hold
-    the images of a subgroup already known to lie inside the result.
+    The orbit of flag 0 under the generators; in a finite group that is
+    the whole generated subgroup.  A generator already reached adds
+    nothing, so only the others are built as permutations.
     """
-    by = G._by_image()
-    perms = [by[f] for f in set(gen_images)]
-    return _close_orbit(set(start), perms, list(start))
+    G._require_symmetries()
+    reached = {0}
+    perms = []
+    for f in sorted(set(gen_images)):
+        if f not in reached:
+            perms.append(_element(G.map, f))
+            _close_orbit(reached, perms, list(reached))
+    return reached
+
+
+def _orders(G: SymGroup) -> dict:
+    """Order of every element of ``G``, keyed by image; memoized on the map.
+
+    The cycle 0, f, f^2, ... of the first element f of unknown order is
+    walked, and every power f^k of an order-n element gets n / gcd(k, n).
+    """
+    order = G.map._memo(("orders",), dict)
+    for f in G.images():
+        if f not in order:
+            cycle = _cycle(G, f)
+            n = len(cycle)
+            for k, y in enumerate(cycle):
+                order[y] = n // gcd(k, n)
+    return order
+
+
+def _cycle(G: SymGroup, f: int) -> list:
+    """Images of the powers of the element with image ``f``, in order."""
+    cycle = [0]
+    x = f
+    while x:
+        cycle.append(x)
+        x = G._apply(f, x)
+    return cycle
 
 
 def _greedy_generator_images(G: SymGroup) -> tuple[int, ...]:
@@ -157,34 +320,57 @@ def _greedy_generator_images(G: SymGroup) -> tuple[int, ...]:
 
     The growth of <R, f> over the reached subgroup R is the same for every
     f in the double coset R f R, so it is computed once per double coset.
+    With R trivial the growth of f is its order, so the first step reads
+    the element orders.  Later steps work on the orbits of R on the images
+    (the right cosets of R): R f R is the union of the orbits of f(y) for
+    y in R's images, and <R, f> closes R's images under f alone, adding a
+    whole orbit for each new image.
     """
-    by = G._by_image()
-    inv = G.inv_image
-    gens: list[int] = []
-    reached = {0}
-    while len(reached) < G.order:
+    images = G.images()
+    if len(images) == 1:
+        return ()
+    order = _orders(G)
+    # larger growth first, involutions preferred, then smallest image
+    first = min(images[1:], key=lambda h: (-order[h], order[h] != 2, h))
+    gens = [first]
+    reached = set(_cycle(G, first))
+    m = G.map
+    while len(reached) < len(images):
+        perms = [_element(m, g) for g in gens]
+        orbit_of = {}
+        for h in images:
+            if h not in orbit_of:
+                orbit = [h]
+                orbit_of[h] = orbit
+                for x in orbit:
+                    for p in perms:
+                        y = p[x]
+                        if y not in orbit_of:
+                            orbit_of[y] = orbit
+                            orbit.append(y)
         seen = set(reached)
         best_key = None
-        for f in G.images():
+        for f in images:
             if f in seen:
                 continue
-            # R f R: close {f} under multiplication by R's generators on
-            # either side
-            coset = [f]
-            seen.add(f)
-            for x in coset:
-                px = by[x]
-                for g in gens:
-                    for y in (by[g][x], px[g]):
-                        if y not in seen:
-                            seen.add(y)
-                            coset.append(y)
-            grown = _span_images(G, gens + [f], reached)
-            # larger growth first, involutions preferred, then smallest image
-            key = min((-len(grown), 0 if inv(h) == h else 1, h) for h in coset)
+            pf = _element(m, f)
+            coset = []
+            for y in reached:
+                z = pf[y]
+                if z not in seen:
+                    seen.update(orbit_of[z])
+                    coset.extend(orbit_of[z])
+            grown = set(reached)
+            frontier = list(reached)
+            for x in frontier:
+                z = pf[x]
+                if z not in grown:
+                    grown.update(orbit_of[z])
+                    frontier.extend(orbit_of[z])
+            key = (-len(grown), min((order[h] != 2, h) for h in coset))
             if best_key is None or key < best_key:
                 best_key, best_grown = key, grown
-        gens.append(best_key[2])
+        gens.append(best_key[1][1])
         reached = best_grown
     return tuple(gens)
 
@@ -201,10 +387,9 @@ def automorphism_group(m: FlagMap) -> SymGroup:
     flag 0 under the whole group, a union of orbits of any subgroup, so
     each success is a new generator that grows the orbit of flag 0, and
     each failure rules out its whole orbit.  A torus with a flag-transitive
-    group takes three propagations.  The elements are then closed
-    breadth-first from the identity, one product per new image of flag 0.
-    The group is marked as checked.  Raises :class:`InvalidMapError` when
-    ``m`` violates the map axioms.
+    group takes three propagations.  The group is the reached orbit of
+    flag 0 with the generators found; no element is built.  Raises
+    :class:`InvalidMapError` when ``m`` violates the map axioms.
     """
     m.require_valid()
 
@@ -213,8 +398,6 @@ def automorphism_group(m: FlagMap) -> SymGroup:
         gens: list[Perm] = []
         reached = {0}
         dead: set = set()
-        # targets start at 1, so generators exist only for n >= 2; an
-        # itemgetter over a single index would return an int, not a tuple
         for target in range(1, n):
             if target in reached or target in dead:
                 continue
@@ -225,19 +408,7 @@ def automorphism_group(m: FlagMap) -> SymGroup:
             else:
                 gens.append(phi)
                 _close_orbit(reached, gens, list(reached))
-        products = [(g[0], itemgetter(*g)) for g in gens]
-        identity = tuple(range(n))
-        seen = {0}
-        elems = [identity]
-        for e in elems:
-            for g0, times_g in products:
-                f = e[g0]
-                if f not in seen:
-                    seen.add(f)
-                    elems.append(times_g(e))
-        G = SymGroup(m, tuple(elems))
-        G._cache["is_sym"] = True
-        return G
+        return SymGroup._of_symmetries(m, tuple(sorted(reached)), tuple(gens))
 
     return m._memo(("aut",), build)
 
@@ -324,8 +495,7 @@ def subgroups_up_to_index(
     if cache_key in G._cache:
         return G._cache[cache_key]
 
-    by = G._by_image()
-    gens = [by[f] for f in G.generator_images()]
+    gens = G.generators
     # (x, generator, x g, whether this edge reaches x g first), in BFS order;
     # which elements are labelled before an edge does not depend on the
     # branch, so backtracking only has to undo table entries
@@ -355,7 +525,7 @@ def subgroups_up_to_index(
                 return
             e += 1
         else:
-            found.append([f for f in queue if label[f] == 0])
+            found.append([f for f in G.images() if label[f] == 0])
             return
         row = table[label[x]]
         hit = {r[gi] for r in table[:n_cosets]}
@@ -408,7 +578,9 @@ def is_face_reflexible(m: FlagMap) -> Optional[SymGroup]:
             return None
         face_of = m.cell_index(FACE)
         f0 = cells(m, FACE)[0].id
-        keep = [g[0] for g in A.elements if coloring[face_of[g[f0]]] == coloring[f0]]
+        keep = [
+            h for h in A.images() if coloring[face_of[A._apply(h, f0)]] == coloring[f0]
+        ]
         G = A.subgroup_from_images(keep)
         if is_half_reflexible(m, G):
             return G
@@ -456,16 +628,25 @@ def local_action_group(G: SymGroup, v: int) -> LocalAction:
     flags, darts, _ = table[v]
     q = len(darts)
     pos = {d: i for i, d in enumerate(darts)}
-    vertex_of = m.cell_index(VERTEX)
     dart_of = m.cell_index(DART)
 
-    perms = []
-    for g in G.elements:
-        if vertex_of[g[v]] != v:
-            continue
-        sigma = tuple(pos[dart_of[g[f]]] for f in flags)
-        perms.append(sigma)
-    perms = tuple(sorted(set(perms)))
+    # a stabilizing element sends v to a flag x of v, and has the image
+    # that the word of v, read backwards, carries x to; it sends the k-th
+    # rotation flag (r1 then r2, k times, from v) to the same walk from x
+    word = G._words()[v]
+    images = G._image_set()
+    perms = set()
+    for x in flags + tuple(m.r1[f] for f in flags):
+        h = x
+        for r in reversed(word):
+            h = r[h]
+        if h in images:
+            sigma = []
+            for _ in range(q):
+                sigma.append(pos[dart_of[x]])
+                x = m.r2[m.r1[x]]
+            perms.add(tuple(sigma))
+    perms = tuple(sorted(perms))
 
     rotations = set()
     reflections = set()

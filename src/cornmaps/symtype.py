@@ -21,6 +21,7 @@ from .cornerations import (
 )
 from .errors import (
     GroupDoesNotPreserveCorneration,
+    InternalInvariantError,
     InvalidDiagram,
     NotTransitive,
     NotWedgeCorneration,
@@ -240,31 +241,21 @@ def diagram_orbit_counts(d: Diagram) -> tuple[int, int, int]:
     )
 
 
-def verify_canonical_catalog() -> list[Diagram]:
-    """Re-derive the twelve diagrams and check them against the catalog.
-
-    Fails loudly if the exhaustive enumeration does not produce exactly
-    the canonical set up to isomorphism.
-    """
-    derived = enumerate_valid_diagrams()
-    _match_catalog(derived)
-    return derived
-
-
 def _match_catalog(derived: list[Diagram]) -> None:
-    """Raise ``AssertionError`` unless ``derived`` is the catalog up to isomorphism."""
+    """Raise :class:`InternalInvariantError` unless ``derived`` is the
+    catalog up to isomorphism."""
     if len(derived) != 12:
-        raise AssertionError(f"expected 12 valid diagrams, derived {len(derived)}")
+        raise InternalInvariantError(f"expected 12 valid diagrams, derived {len(derived)}")
     unmatched = list(CANONICAL_DIAGRAMS.items())
     for d in derived:
         hit = next(
             (k for k, cd in unmatched if diagram_isomorphic(d, cd) is not None), None
         )
         if hit is None:
-            raise AssertionError("derived a diagram missing from the catalog")
+            raise InternalInvariantError("derived a diagram missing from the catalog")
         unmatched = [(k, cd) for k, cd in unmatched if k != hit]
     if unmatched:
-        raise AssertionError(f"catalog rows not derived: {[k for k, _ in unmatched]}")
+        raise InternalInvariantError(f"catalog rows not derived: {[k for k, _ in unmatched]}")
 
 
 def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:

@@ -42,6 +42,7 @@ from .core import (
 )
 from .errors import (
     GroupDoesNotPreserveCorneration,
+    InternalInvariantError,
     KNotInvariant,
     NotTransitive,
     UnknownConstruction,
@@ -402,7 +403,7 @@ def claim_diagram_enumeration(ctx: SuiteContext):
     try:
         st._match_catalog(derived)
         instances += 1
-    except AssertionError as exc:
+    except InternalInvariantError as exc:
         failures.append(str(exc))
     rows = list(st.ROW_ATTRIBUTES.items())
     for i, (ka, va) in enumerate(rows):

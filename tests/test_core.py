@@ -257,3 +257,19 @@ def test_unknown_cell_kind_raises_unknown_cell_kind(cube):
         cube.cell_index("bogus")
     assert isinstance(info.value, ValueError)
     assert "bogus" in str(info.value)
+
+
+def test_library_raises_no_bare_assertion_error():
+    """Broken invariants raise InternalInvariantError, a CornMapsError."""
+    import pathlib
+
+    import cornmaps
+
+    src = pathlib.Path(cornmaps.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "raise AssertionError" in line
+    ]
+    assert offenders == []

@@ -10,16 +10,26 @@ breadth-first with each corner's image key.  The library's versions must
 reproduce them exactly, generator tuples included.
 """
 
+import functools
 import random
+import tracemalloc
 
 import pytest
 
 from cornmaps import symmetry
 from cornmaps.builders import build_antiprism, build_theta, build_torus_grid
-from cornmaps.core import FlagMap, uniform_valence
+from cornmaps.core import (
+    DART,
+    FACE,
+    VERTEX,
+    FlagMap,
+    _rotation_table,
+    cells,
+    face_bipartition,
+    uniform_valence,
+)
 from cornmaps.cornerations import (
     Corneration,
-    corner_image_key,
     corner_orbits,
     corneration_stabilizer,
     enumerate_invariant_cornerations,
@@ -27,11 +37,26 @@ from cornmaps.cornerations import (
 )
 from cornmaps.errors import GroupDoesNotPreserveCorneration, GroupNotSubgroup
 from cornmaps.operators import _propagate, opposite, petrie
-from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
+from cornmaps.symmetry import (
+    SymGroup,
+    automorphism_group,
+    is_face_reflexible,
+    local_action_group,
+    subgroups_up_to_index,
+)
 from cornmaps.verify import SuiteContext, _all_cornerations_mixed
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+def corner_image_key(m, g, c):
+    """The key of the image of the corner ``c`` under the flag permutation ``g``."""
+    vertex_of = m.cell_index(VERTEX)
+    dart_of = m.cell_index(DART)
+    d1, d2 = c.darts
+    a, b = dart_of[g[d1]], dart_of[g[d2]]
+    return (vertex_of[g[c.vertex]], (a, b) if a < b else (b, a))
 
 
 def oracle_automorphisms(m):
@@ -40,8 +65,13 @@ def oracle_automorphisms(m):
     return tuple(sorted(phi for phi in found if phi is not None))
 
 
+@functools.cache
+def by_image(G):
+    return {p[0]: p for p in G.elements}
+
+
 def oracle_orbit_of_zero(G, gen_images):
-    by = G._by_image()
+    by = by_image(G)
     perms = []
     for f in gen_images:
         p = by[f]
@@ -64,6 +94,7 @@ def oracle_orbit_of_zero(G, gen_images):
 
 def oracle_generator_images(G):
     images = G.images()
+    by = by_image(G)
     gens = []
     reached = {0}
     while len(reached) < len(images):
@@ -72,7 +103,7 @@ def oracle_generator_images(G):
             if f in reached:
                 continue
             grown = oracle_orbit_of_zero(G, gens + [f])
-            key = (-len(grown), 0 if G.inv_image(f) == f else 1, f)
+            key = (-len(grown), 0 if by[f][f] == 0 else 1, f)
             if best_key is None or key < best_key:
                 best, best_key, best_grown = f, key, grown
         gens.append(best)
@@ -81,7 +112,7 @@ def oracle_generator_images(G):
 
 
 def oracle_closure(G, seed):
-    by = G._by_image()
+    by = by_image(G)
     closure = {0} | set(seed)
     frontier = list(closure)
     while frontier:
@@ -99,7 +130,14 @@ def oracle_closure(G, seed):
 def oracle_index_two(G):
     """Index-2 kernels, with G^2 closed from every square and commutator."""
     images = G.images()
-    mul, inv = G.mul_images, G.inv_image
+    by = by_image(G)
+
+    def mul(f, h):
+        return by[h][f]
+
+    def inv(f):
+        return by[f].index(0)
+
     seed = {mul(f, f) for f in images}
     for f in images:
         for h in images:
@@ -257,6 +295,99 @@ def test_generator_images_match_greedy_oracle(maps):
             assert H.generator_images() == oracle_generator_images(H), (name, H.order)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [relabel(build_torus_grid(8, 8), 1), opposite(build_torus_grid(6, 6))],
+    ids=["torus8x8~1", "opp6x6"],
+)
+def test_generator_images_match_greedy_oracle_on_sweep_inputs(m):
+    """The two benchmark sweep inputs: the first step picks by element order."""
+    A = automorphism_group(m)
+    groups = [A] + subgroups_up_to_index(A, 4)
+    assert max(H.order for H in groups) >= 288
+    for H in groups:
+        assert H.generator_images() == oracle_generator_images(H), H.order
+
+
+def test_elements_are_built_lazily_and_match_the_oracle():
+    for name, m in SuiteContext().maps.items():
+        want = oracle_automorphisms(m)
+        A = automorphism_group(m)
+        for H in [A] + subgroups_up_to_index(A, 4):
+            # a fresh group with the same images has built no element yet
+            fresh = A.subgroup_from_images(H.images())
+            assert "elements" not in fresh._cache
+            images = set(H.images())
+            assert fresh.elements == tuple(p for p in want if p[0] in images), name
+
+
+def test_image_arithmetic_matches_elements(maps):
+    for name in ("torus4x4", "opp4x4", "antiprism5", "torus3x5", "opp4x4~7"):
+        A = automorphism_group(maps[name])
+        by = by_image(A)
+        for f in A.images():
+            assert A.inv_image(f) == by[f].index(0), name
+            assert A.element_with_image(f) == by[f]
+            assert by[f] in A
+            for h in A.images():
+                assert A.mul_images(f, h) == by[h][f], name
+
+
+def oracle_local_permutations(G, v):
+    """The vertex stabilizer on rotation positions, by a scan of every element."""
+    m = G.map
+    flags, darts, _ = _rotation_table(m)[v]
+    pos = {d: i for i, d in enumerate(darts)}
+    vertex_of = m.cell_index(VERTEX)
+    dart_of = m.cell_index(DART)
+    return tuple(
+        sorted(
+            {
+                tuple(pos[dart_of[g[f]]] for f in flags)
+                for g in G.elements
+                if vertex_of[g[v]] == v
+            }
+        )
+    )
+
+
+def test_local_actions_and_face_colorings_match_element_scans(maps):
+    checked = 0
+    for name, m in maps.items():
+        if m.n_flags > 288:
+            continue
+        A = automorphism_group(m)
+        for H in [A] + subgroups_up_to_index(A, 2):
+            for vertex in cells(m, VERTEX):
+                got = local_action_group(H, vertex.id).permutations
+                assert got == oracle_local_permutations(H, vertex.id), name
+                checked += 1
+        G = is_face_reflexible(m)
+        coloring = face_bipartition(m)
+        if A.order == m.n_flags and coloring is not None:
+            face_of = m.cell_index(FACE)
+            f0 = cells(m, FACE)[0].id
+            keep = tuple(
+                g[0] for g in A.elements if coloring[face_of[g[f0]]] == coloring[f0]
+            )
+            assert G is None or G.images() == keep, name
+    assert checked > 500
+
+
+def test_automorphism_group_stores_no_element():
+    m = build_torus_grid(24, 24)
+    m.require_valid()
+    m.cell_index(VERTEX)
+    tracemalloc.start()
+    try:
+        A = automorphism_group(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.order == 4608
+    assert peak < 20 * 2**20
+
+
 def test_index_two_subgroups_match_commutator_oracle(maps):
     for name, m in maps.items():
         A = automorphism_group(m)
@@ -395,6 +526,36 @@ def test_user_groups_still_get_the_full_check(check_calls):
     # the answer is memoized on the group
     assert not bogus.is_map_symmetry_group()
     assert len(check_calls) == 2
+
+
+def test_permutation_fixing_flag_zero_is_not_a_symmetry(check_calls):
+    m = build_torus_grid(4, 4)
+    n = m.n_flags
+    swap = list(range(n))
+    swap[1], swap[2] = swap[2], swap[1]
+    fixing = SymGroup(m, (tuple(range(n)), tuple(swap)))
+    assert fixing.images() == (0,)
+    with pytest.raises(GroupNotSubgroup):
+        enumerate_invariant_cornerations(m, fixing, 1)
+    with pytest.raises(GroupNotSubgroup):
+        fixing.generators
+    assert len(check_calls) == 1
+
+
+def test_permutations_not_closed_are_rejected():
+    """{identity, g} with g of order 4 spans four images, not two."""
+    m = build_torus_grid(4, 4)
+    A = automorphism_group(m)
+    identity = tuple(range(m.n_flags))
+    g = next(p for p in A.elements if p[p[p[p[0]]]] == 0 and p[p[0]] != 0)
+    with pytest.raises(GroupNotSubgroup, match="not closed"):
+        SymGroup(m, (identity, g))
+    powers = [identity]
+    for _ in range(3):
+        powers.append(tuple(g[x] for x in powers[-1]))
+    C4 = SymGroup(m, powers)
+    assert C4.order == 4 and C4.is_map_symmetry_group()
+    assert C4.images() == tuple(sorted(p[0] for p in powers))
 
 
 def test_sweep_trusts_subgroups_of_the_automorphism_group(check_calls):

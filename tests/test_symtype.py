@@ -6,6 +6,7 @@ from cornmaps.builders import build_antiprism_corneration, build_torus_grid_corn
 from cornmaps.errors import (
     CornMapsError,
     GroupDoesNotPreserveCorneration,
+    InternalInvariantError,
     InvalidDiagram,
     NotTransitive,
     NotWedgeCorneration,
@@ -80,13 +81,32 @@ def test_open_zigzag_fails_rule_five():
     assert not ok and "rule 5" in why
 
 
+def verify_canonical_catalog():
+    """Re-derive the twelve diagrams and check them against the catalog.
+
+    Fails loudly if the exhaustive enumeration does not produce exactly
+    the canonical set up to isomorphism.
+    """
+    derived = st.enumerate_valid_diagrams()
+    st._match_catalog(derived)
+    return derived
+
+
 def test_enumeration_gives_twelve():
     derived = st.enumerate_valid_diagrams()
     assert len(derived) == 12
     for i, a in enumerate(derived):
         for b in derived[i + 1 :]:
             assert st.diagram_isomorphic(a, b) is None
-    st.verify_canonical_catalog()
+    verify_canonical_catalog()
+
+
+def test_catalog_mismatch_raises_internal_invariant_error():
+    derived = st.enumerate_valid_diagrams()
+    with pytest.raises(InternalInvariantError, match="expected 12"):
+        st._match_catalog(derived[:11])
+    with pytest.raises(InternalInvariantError, match="missing from the catalog"):
+        st._match_catalog(derived[:11] + [derived[0]])
 
 
 def test_diagram_claim_enumerates_once(monkeypatch):
