@@ -98,10 +98,36 @@ class Corner:
 def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
     """The corner of ``m`` spanned by two darts at a common vertex.
 
-    Raises :class:`UnknownCell` for an id that is not a dart of ``m`` and
-    :class:`InvalidCorner` for darts that span no corner.
+    Each corner is built once per map: the first request validates the
+    darts and stores the corner in a table memoized on ``m`` and keyed by
+    the sorted dart pair; later requests in either order return that same
+    object, which is safe to share as corners are frozen.  Raises
+    :class:`InvalidCorner` for anything but a pair and for darts that span
+    no corner, and :class:`UnknownCell` for an id that is not a dart of
+    ``m``.
     """
-    d1, d2 = darts
+    try:
+        d1, d2 = darts
+    except (TypeError, ValueError):
+        raise InvalidCorner(f"a corner needs a pair of darts, got {darts!r}") from None
+    if not (isinstance(d1, int) and isinstance(d2, int)):
+        bad = d2 if isinstance(d1, int) else d1
+        raise UnknownCell(f"no dart cell with id {bad!r}")
+    table = _corner_table(m)
+    corner = table.get((d1, d2) if d1 < d2 else (d2, d1))
+    if corner is None:
+        corner = _build_corner(m, d1, d2)
+        table[corner.darts] = corner
+    return corner
+
+
+def _corner_table(m: FlagMap) -> dict:
+    """The corners of ``m`` built so far, by sorted dart pair."""
+    return m._memo(("corners",), dict)
+
+
+def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
+    """Validate two dart ids and build the corner they span."""
     dart_of = m.cell_index(DART)
     for d in (d1, d2):
         if not (0 <= d < m.n_flags and dart_of[d] == d):
@@ -145,7 +171,15 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
 
 
 def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
-    """The 1-corner spanned by the two flags of a wedge cell."""
+    """The 1-corner spanned by the two flags of a wedge cell.
+
+    Raises :class:`UnknownCell` for an id that is not a wedge of ``m``.
+    """
+    # a wedge cell is the r1-orbit {f, r1 f}, and its id is the smaller flag
+    if not (
+        isinstance(wedge_id, int) and 0 <= wedge_id < m.n_flags and wedge_id <= m.r1[wedge_id]
+    ):
+        raise UnknownCell(f"no wedge cell with id {wedge_id!r}")
     dart_of = m.cell_index(DART)
     return corner_from_darts(m, (dart_of[wedge_id], dart_of[m.r1[wedge_id]]))
 
@@ -762,16 +796,24 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     corner out of the set.
     """
     pool = sorted({c.darts: c for c in corners}.values(), key=Corner.key)
-    pos = {c.darts: i for i, c in enumerate(pool)}
+    perms = _corner_perms(G, [c.darts for c in pool])
+    return [[pool[i] for i in orbit] for orbit in orbits(len(pool), perms)]
+
+
+def _corner_perms(G: SymGroup, pairs: Sequence[tuple]) -> list[list[int]]:
+    """Per generator of ``G``, the positions in ``pairs`` of its images.
+
+    ``pairs`` are distinct sorted dart pairs of corners.  Raises
+    :class:`GroupDoesNotPreserveCorneration` when ``G`` moves a pair out
+    of the list.
+    """
+    pos = {p: i for i, p in enumerate(pairs)}
     try:
-        perms = [
-            [pos[_moved(action, c.darts)] for c in pool] for action in _dart_action(G)
-        ]
+        return [[pos[_moved(action, p)] for p in pairs] for action in _dart_action(G)]
     except KeyError:
         raise GroupDoesNotPreserveCorneration(
             "the corner set is not invariant under the group"
         ) from None
-    return [[pool[i] for i in orbit] for orbit in orbits(len(pool), perms)]
 
 
 def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:

@@ -12,19 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DART, EDGE, FlagMap, cells, uniform_valence
+from .core import DART, EDGE, FlagMap, cells, orbits, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
+    _corner_perms,
+    _corner_table,
     _dart_action,
     _moved,
     all_j_corners,
+    corner_from_darts,
     corner_of_wedge,
-    is_transitive_on_corners,
     j_complement,
 )
 from .errors import (
+    CornerationMismatch,
     InternalInvariantError,
+    InvalidCorner,
     KIntersectsL,
     KNotInvariant,
     NotTransitive,
@@ -100,57 +104,69 @@ class SplitGraph:
 
 
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
-    """The split graph of ``L`` and a disjoint corner set ``K``."""
+    """The split graph of ``L`` and a disjoint corner set ``K``.
+
+    Built from dart tables: the corners of ``L`` are numbered once in key
+    order, each dart gets the number of its L-corner and the map edge of
+    that corner's other dart, and edges are gathered as number pairs
+    before the graph is built in one pass.  Each K-corner is looked up in
+    the map's corner table (:func:`corner_from_darts`), so one that is not
+    a corner of ``L.map`` raises :class:`UnknownCell` or
+    :class:`InvalidCorner`.
+    """
     m = L.map
-    K = list(K)
-    l_keys = {c.key() for c in L.corners}
-    for k in K:
-        if k.key() in l_keys:
-            raise KIntersectsL(f"{k} belongs to the corneration")
-
+    vertices = tuple(sorted(c.key() for c in L.corners))
     edge_of = m.cell_index(EDGE)
-    edges: dict = {}
+    slot = {}  # dart -> number of the L-corner covering it
+    far = {}  # dart -> map edge of the other dart of that corner
+    for i, (_, (a, b)) in enumerate(vertices):
+        slot[a] = slot[b] = i
+        far[a] = edge_of[b]
+        far[b] = edge_of[a]
 
-    def other_edge(c: Corner, e: int) -> int:
-        e1, e2 = (edge_of[d] for d in c.darts)
-        return e2 if e1 == e else e1
+    table = _corner_table(m)
+    joins = []
+    for k in K:
+        own = table.get(k.darts)
+        if own is not k:
+            own = corner_from_darts(m, k.darts)
+            if own.vertex != k.vertex:
+                raise InvalidCorner(f"{k} is not a corner of the map")
+        d1, d2 = own.darts
+        s1, s2 = slot[d1], slot[d2]
+        if s1 == s2:
+            raise KIntersectsL(f"{k} belongs to the corneration")
+        joins.append((s1, s2, own.key()))
 
-    def add(a: Corner, b: Corner, kind: str, token):
-        pair = frozenset((a.key(), b.key()))
-        old, new = edges.get(pair, ((), ()))
-        if kind == OLD:
-            old = old + (token,)
-        else:
-            new = new + (token,)
-        edges[pair] = (old, new)
-
+    # sorted number pair -> (the pair as first met, old tokens, new tokens);
+    # each frozenset key is built in the order first met, as the iteration
+    # order of a two-key frozenset can follow it
+    found: dict = {}
     dart_of = m.cell_index(DART)
     for ecell in cells(m, EDGE):
         e = ecell.id
-        c1 = L.corner_of_dart(dart_of[e])
-        c2 = L.corner_of_dart(dart_of[m.r0[e]])
-        if c1.key() == c2.key():
+        d1, d2 = dart_of[e], dart_of[m.r0[e]]
+        s1, s2 = slot[d1], slot[d2]
+        if s1 == s2:
             raise InternalInvariantError("one corner covered both darts of an edge")
-        if other_edge(c1, e) != other_edge(c2, e):
-            add(c1, c2, OLD, e)
+        if far[d1] != far[d2]:
+            pair = (s1, s2) if s1 < s2 else (s2, s1)
+            if pair in found:
+                found[pair][1].append(e)
+            else:
+                found[pair] = ((s1, s2), [e], [])
+    for s1, s2, token in joins:
+        pair = (s1, s2) if s1 < s2 else (s2, s1)
+        if pair in found:
+            found[pair][2].append(token)
+        else:
+            found[pair] = ((s1, s2), [], [token])
 
-    for k in K:
-        d1, d2 = k.darts
-        c1 = L.corner_of_dart(d1)
-        c2 = L.corner_of_dart(d2)
-        if c1.key() == c2.key():
-            raise InternalInvariantError("a corner outside L covered by a single L-corner")
-        add(c1, c2, NEW, k.key())
-
-    packed = {
-        pair: EdgeProvenance(old, new) for pair, (old, new) in edges.items()
+    edges = {
+        frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(new))
+        for (a, b), old, new in found.values()
     }
-    return SplitGraph(
-        map=m,
-        base=L,
-        vertices=tuple(sorted(l_keys)),
-        edges=packed,
-    )
+    return SplitGraph(map=m, base=L, vertices=vertices, edges=edges)
 
 
 def _uniform_width(L: Corneration) -> tuple[int, int]:
@@ -233,22 +249,25 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     Checks that ``G`` preserves the corneration and ``K`` setwise, that
     its induced action maps split-graph edges to edges, and that it is
     transitive on the vertices.  This certifies vertex-transitivity
-    without computing the full automorphism group of the graph.
+    without computing the full automorphism group of the graph.  The
+    vertices are numbered once, each generator acts on the numbers as a
+    permutation, and edges are tested as number pairs.
     """
-    L = S.base
-    if not is_transitive_on_corners(G, L):
+    perms = _corner_perms(G, [darts for _, darts in S.vertices])
+    if len(orbits(S.n_vertices, perms)) != 1:
         raise NotTransitive("the group is not transitive on the corneration")
     K = list(K)
     k_pairs = {c.darts for c in K}
-    key_of = {c.darts: c.key() for c in L.corners}
-    for action in _dart_action(G):
+    number = {key: i for i, key in enumerate(S.vertices)}
+    ends = [(number[a], number[b]) for a, b in S.edges]
+    edge_set = {(a, b) if a < b else (b, a) for a, b in ends}
+    for action, perm in zip(_dart_action(G), perms):
         for c in K:
             if _moved(action, c.darts) not in k_pairs:
                 raise KNotInvariant("the new-corner set is not group-invariant")
-        image = {c.key(): key_of[_moved(action, c.darts)] for c in L.corners}
-        for pair in S.edges:
-            a, b = tuple(pair)
-            if frozenset((image[a], image[b])) not in S.edges:
+        for a, b in ends:
+            x, y = perm[a], perm[b]
+            if ((x, y) if x < y else (y, x)) not in edge_set:
                 return False
     return True
 
@@ -371,8 +390,11 @@ def cubic_filter(m: FlagMap, L: Corneration) -> CubicReport:
 
     Builds every construction defined at the corneration's width and
     compares the measured valence with the predicted one (accounting for
-    parallel-edge deficits in the old edges).
+    parallel-edge deficits in the old edges).  Raises
+    :class:`CornerationMismatch` when ``L`` is not a corneration of ``m``.
     """
+    if L.map is not m and L.map != m:
+        raise CornerationMismatch("the corneration belongs to a different map")
     j, q = _uniform_width(L)
     predictions = predicted_valences(q, j, old_degree_deficit(L))
     entries = []

@@ -273,3 +273,21 @@ def test_library_raises_no_bare_assertion_error():
         if "raise AssertionError" in line
     ]
     assert offenders == []
+
+
+def test_library_raises_no_bare_lookup_or_value_error():
+    """Bad input raises a CornMapsError subclass, and no handler swallows
+    every error."""
+    import pathlib
+
+    import cornmaps
+
+    src = pathlib.Path(cornmaps.__file__).parent
+    banned = ("raise ValueError(", "raise KeyError(", "raise IndexError(", "except Exception")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if any(b in line for b in banned)
+    ]
+    assert offenders == []

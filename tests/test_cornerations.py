@@ -112,6 +112,52 @@ def test_corner_from_darts_raises_library_errors():
     assert issubclass(InvalidCorner, ValueError)
 
 
+BAD_CORNER_INPUTS = [
+    ("wedge", -1, UnknownCell),
+    ("wedge", 10**6, UnknownCell),
+    ("wedge", 7, UnknownCell),  # the second flag of wedge 0, not a wedge id
+    ("wedge", "a", UnknownCell),
+    ("darts", (0, 1, 2), InvalidCorner),
+    ("darts", (0,), InvalidCorner),
+    ("darts", 7, InvalidCorner),
+    ("darts", ("a", 0), UnknownCell),
+    ("darts", (0, "a"), UnknownCell),
+    ("darts", (0.0, 2), UnknownCell),
+    ("darts", (-2, 0), UnknownCell),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("kind,arg,error", BAD_CORNER_INPUTS, ids=repr)
+def test_corner_constructors_reject_non_ids(kind, arg, error, warm):
+    m = build_torus_grid(4, 4)
+    assert m.r1[0] == 7
+    if warm:
+        for j in (1, 2):
+            corn.all_j_corners(m, j)
+    construct = corn.corner_of_wedge if kind == "wedge" else corn.corner_from_darts
+    with pytest.raises(error):
+        construct(m, arg)
+
+
+def test_each_corner_is_built_once_per_map():
+    m = build_torus_grid(4, 4)
+    a, b = corn.all_j_corners(build_torus_grid(4, 4), 1)[5].darts
+    first = corn.corner_from_darts(m, (b, a))  # a cold table, reversed pair
+    assert first is corn.corner_from_darts(m, (a, b))
+    assert first.darts == (a, b)
+    wedges = corn.all_j_corners(m, 1)
+    assert first in wedges
+    for c in wedges:
+        assert corn.corner_from_darts(m, c.darts) is c
+        assert corn.corner_from_darts(m, c.darts[::-1]) is c
+        (w,) = c.interior_wedges
+        assert corn.corner_of_wedge(m, w) is c
+    # another map with the same darts keeps its own corners
+    other = build_torus_grid(4, 4)
+    assert corn.corner_from_darts(other, (a, b)) is not first
+
+
 # -- alignment ---------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -9,16 +10,28 @@ import pytest
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
 from cornmaps.builders import build_theta, build_torus_grid
-from cornmaps.core import uniform_valence
+from cornmaps.core import DART, EDGE, cells, uniform_valence
 from cornmaps.errors import (
+    CornerationMismatch,
+    GroupDoesNotPreserveCorneration,
+    InternalInvariantError,
+    InvalidCorner,
     KIntersectsL,
     KNotInvariant,
+    NotTransitive,
+    UnknownCell,
     UnknownConstruction,
     WidthOutOfRange,
 )
 from cornmaps.fileio import write_map
+from cornmaps.operators import opposite
 from cornmaps.symmetry import automorphism_group
-from cornmaps.verify import SuiteContext, claim_census_example, claim_split_graphs
+from cornmaps.verify import (
+    _K_BUILDERS,
+    SuiteContext,
+    claim_census_example,
+    claim_split_graphs,
+)
 
 
 def straight(m):
@@ -265,3 +278,188 @@ def test_theta4_straight_degenerate_b(theta4):
     assert S.regular_valence() == 1
     predicted = sg.predicted_valences(4, 2, deficit=2)["B"]
     assert predicted == 1
+
+
+# -- the dart-table split graphs against the key-based oracles ---------------
+
+
+def split_oracle(L, K):
+    """Split graph built from corner keys, one corner lookup per dart."""
+    m = L.map
+    K = list(K)
+    l_keys = {c.key() for c in L.corners}
+    for k in K:
+        if k.key() in l_keys:
+            raise KIntersectsL(f"{k} belongs to the corneration")
+    edge_of = m.cell_index(EDGE)
+    edges = {}
+
+    def other_edge(c, e):
+        e1, e2 = (edge_of[d] for d in c.darts)
+        return e2 if e1 == e else e1
+
+    def add(a, b, kind, token):
+        pair = frozenset((a.key(), b.key()))
+        old, new = edges.get(pair, ((), ()))
+        if kind == sg.OLD:
+            old = old + (token,)
+        else:
+            new = new + (token,)
+        edges[pair] = (old, new)
+
+    dart_of = m.cell_index(DART)
+    for ecell in cells(m, EDGE):
+        e = ecell.id
+        c1 = L.corner_of_dart(dart_of[e])
+        c2 = L.corner_of_dart(dart_of[m.r0[e]])
+        if c1.key() == c2.key():
+            raise InternalInvariantError("one corner covered both darts of an edge")
+        if other_edge(c1, e) != other_edge(c2, e):
+            add(c1, c2, sg.OLD, e)
+    for k in K:
+        d1, d2 = k.darts
+        c1 = L.corner_of_dart(d1)
+        c2 = L.corner_of_dart(d2)
+        if c1.key() == c2.key():
+            raise InternalInvariantError("a corner outside L covered by a single L-corner")
+        add(c1, c2, sg.NEW, k.key())
+    packed = {pair: sg.EdgeProvenance(old, new) for pair, (old, new) in edges.items()}
+    return sg.SplitGraph(m, L, tuple(sorted(l_keys)), packed)
+
+
+def vertex_transitive_oracle(S, G, K):
+    """The witness with a key dict and frozensets per generator."""
+    L = S.base
+    if not corn.is_transitive_on_corners(G, L):
+        raise NotTransitive("the group is not transitive on the corneration")
+    K = list(K)
+    k_pairs = {c.darts for c in K}
+    key_of = {c.darts: c.key() for c in L.corners}
+    for action in corn._dart_action(G):
+        for c in K:
+            if corn._moved(action, c.darts) not in k_pairs:
+                raise KNotInvariant("the new-corner set is not group-invariant")
+        image = {c.key(): key_of[corn._moved(action, c.darts)] for c in L.corners}
+        for pair in S.edges:
+            a, b = tuple(pair)
+            if frozenset((image[a], image[b])) not in S.edges:
+                return False
+    return True
+
+
+def witness_outcome(check, S, G, K):
+    try:
+        return check(S, G, K)
+    except (NotTransitive, KNotInvariant, GroupDoesNotPreserveCorneration) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def transitive_cases():
+    """(label, record, q, j) for every transitive record of the suite
+    sweeps and of the j = 1..3 sweeps of opposite(torus 6x6)."""
+    out = []
+    for (name, j), records in SuiteContext().sweep_all().items():
+        out += [(f"{name} j={j}", r, j) for r in records if r.transitive]
+    o66 = opposite(build_torus_grid(6, 6))
+    for j in (1, 2, 3):
+        records = corn.enumerate_transitive_cornerations(o66, j)
+        out += [(f"opp6x6 j={j}", r, j) for r in records if r.transitive]
+    return [(label, r, uniform_valence(r.corneration.map), j) for label, r, j in out]
+
+
+def test_split_matches_the_key_oracle(transitive_cases):
+    """Every construction defined at the width: the same vertices, edges in
+    the same order with the same provenance, pairs iterating alike, and the
+    same transitivity witness."""
+    built = 0
+    for label, r, q, j in transitive_cases:
+        L = r.corneration
+        for kind in sg.predicted_valences(q, j):
+            K = list(_K_BUILDERS[kind](L))
+            S = sg.build_construction(L, kind)
+            O = split_oracle(L, K)
+            assert S.vertices == O.vertices, (label, kind)
+            assert list(S.edges.items()) == list(O.edges.items()), (label, kind)
+            assert [tuple(p) for p in S.edges] == [tuple(p) for p in O.edges], (label, kind)
+            assert witness_outcome(sg.verify_vertex_transitive, S, r.aut, K) == (
+                witness_outcome(vertex_transitive_oracle, O, r.aut, K)
+            ), (label, kind)
+            built += 1
+    assert built > 100
+
+
+def orbit_under(actions, start, move):
+    orbit = {start}
+    queue = [start]
+    for x in queue:
+        for action in actions:
+            y = move(action, x)
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
+
+
+def test_vertex_transitive_reads_every_generator(transitive_cases):
+    """Drop from S (or K) one orbit of the group left without generator i:
+    only generator i can see the break, and the witness must agree with
+    the oracle for each i."""
+    seen_by = {}  # (record label, generator count) -> generators seeing a break
+    for label, r, q, j in transitive_cases:
+        if not label.startswith("opp6x6"):
+            continue
+        L = r.corneration
+        actions = corn._dart_action(r.aut)
+        key_of = {c.darts: c.key() for c in L.corners}
+
+        def move_edge(action, pair):
+            a, b = tuple(pair)
+            return frozenset((key_of[corn._moved(action, a[1])], key_of[corn._moved(action, b[1])]))
+
+        for kind in sg.predicted_valences(q, j):
+            K = list(_K_BUILDERS[kind](L))
+            S = sg.build_construction(L, kind)
+            for i in range(len(actions)):
+                rest = actions[:i] + actions[i + 1 :]
+                edge = next(iter(S.edges))
+                gone = orbit_under(rest, edge, move_edge)
+                edges = {p: prov for p, prov in S.edges.items() if p not in gone}
+                cut = sg.SplitGraph(S.map, L, S.vertices, edges)
+                gone_k = orbit_under(rest, K[0].darts, corn._moved)
+                fewer = [c for c in K if c.darts not in gone_k]
+                for S2, K2 in ((cut, K), (S, fewer)):
+                    got = witness_outcome(sg.verify_vertex_transitive, S2, r.aut, K2)
+                    assert got == witness_outcome(vertex_transitive_oracle, S2, r.aut, K2)
+                    if got is not True:
+                        seen_by.setdefault((label, id(r), len(actions)), set()).add(i)
+    # not vacuous: almost every generator is the only one to see a break
+    assert len(seen_by) == 32
+    assert all(len(seen) >= n - 1 for (_, _, n), seen in seen_by.items())
+
+
+def test_split_rejects_corners_of_another_map(torus44):
+    L = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    assert corn.is_transitive_on_corners(
+        corn.corneration_stabilizer(automorphism_group(torus44), L), L
+    )
+    foreign = corn.all_j_corners(build_torus_grid(6, 6), 1)[-5:]
+    with pytest.raises((UnknownCell, InvalidCorner)):
+        sg.split(L, foreign)
+    # darts of torus 4x4, but at two vertices there
+    (spread,) = [c for c in corn.all_j_corners(opposite(torus44), 2) if c.darts == (0, 40)]
+    with pytest.raises(InvalidCorner):
+        sg.split(L, [spread])
+    # a corner of torus 4x4 claimed at another vertex
+    outside = corn.j_complement(L).sorted_corners()[0]
+    moved = dataclasses.replace(outside, vertex=outside.vertex + 8)
+    with pytest.raises(InvalidCorner):
+        sg.split(L, [moved])
+    assert sg.split(L, [outside]).n_edges >= 1
+
+
+def test_cubic_filter_rejects_a_corneration_of_another_map(torus44):
+    L = straight(torus44)
+    with pytest.raises(CornerationMismatch):
+        sg.cubic_filter(build_torus_grid(6, 6), L)
+    assert sg.cubic_filter(torus44, L).cubic_constructions() == ("B",)
