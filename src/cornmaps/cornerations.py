@@ -8,6 +8,7 @@ compared by that encoding alone; everything else is derived data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -444,7 +445,11 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
 
 
 def j_complement(L: Corneration) -> Corneration:
-    """All corners of the same width not in ``L``; again a corneration."""
+    """All corners of the same width not in ``L``; again a corneration.
+
+    Raises :class:`CornerationMismatch` when ``L`` is not a corneration
+    and its complement covers no dart set exactly.
+    """
     j = L.width
     if j is None:
         raise WidthMismatch("the complement needs a uniform corneration")
@@ -458,6 +463,11 @@ def j_complement(L: Corneration) -> Corneration:
     K = Corneration.from_corners(L.map, complement)
     report = is_corneration(L.map, K.corners)
     if not report.ok:
+        given = is_corneration(L.map, L.corners)
+        if not given.ok:
+            raise CornerationMismatch(
+                f"not a corneration: {given.reason} at dart {given.witness}"
+            )
         raise InternalInvariantError("width complement failed to cover darts")
     return K
 
@@ -654,7 +664,15 @@ def enumerate_invariant_cornerations(
     Exact cover on orbits: rows are H-orbits of j-corners, columns are
     H-orbits of darts; a row covers each column a constant number of
     times, and a corneration is a row selection covering every column
-    exactly once.
+    exactly once.  Rows sharing no column chain fall into independent
+    blocks (one per vertex under the trivial group), each solved once by
+    :func:`_block_covers`; the cornerations are the product of the blocks'
+    covers.  Each block cover carries an int with bit ``n-1-i`` set for
+    its corner index ``i`` (``n`` corners in key order); blocks own
+    disjoint bits, so a corneration's int is the sum over its blocks.
+    Every corneration has the same number of corners, so descending ints
+    are ascending :meth:`Corneration.key`: the first index where two
+    sorted index lists differ is their highest differing bit.
     """
     _require_symmetry_group(m, H)
     q = uniform_valence(m)
@@ -708,21 +726,77 @@ def enumerate_invariant_cornerations(
             row_orbits.append(orbit)
             row_cols.append(cols)
 
-    solutions = _exact_cover(row_cols, len(dart_orbits))
-    # corners are sorted by their distinct keys, so sorted corner-index
-    # lists sort the cornerations by Corneration.key
-    solutions.sort(key=lambda s: sorted(ci for ri in s for ci in row_orbits[ri]))
+    # a union reuses the corners' stored hashes; a lone row's set is kept
+    # as it is, as a union would copy it into a larger table
+    union = frozenset().union
     row_sets = [frozenset(corners[ci] for ci in orbit) for orbit in row_orbits]
-    out = []
-    for selection in solutions:
-        # a union reuses the corners' stored hashes; a lone row's set is
-        # kept as it is, as a union would copy it into a larger table
-        if len(selection) == 1:
-            chosen = row_sets[selection[0]]
-        else:
-            chosen = frozenset().union(*(row_sets[ri] for ri in selection))
-        out.append(Corneration(m, chosen))
-    return out
+    top = len(corners) - 1
+    block_keys, block_pieces = [], []
+    for solutions in _block_covers(row_cols, len(dart_orbits)):
+        block_keys.append(
+            [sum(1 << top - ci for ri in s for ci in row_orbits[ri]) for s in solutions]
+        )
+        block_pieces.append([
+            row_sets[s[0]] if len(s) == 1 else union(*map(row_sets.__getitem__, s))
+            for s in solutions
+        ])
+    # blocks own disjoint bits, so a sum of their keys is the key of the whole
+    keys = list(map(sum, itertools.product(*block_keys)))
+    combos = list(itertools.product(*block_pieces))
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    return [
+        Corneration(m, c[0] if len(c) == 1 else union(*c))
+        for c in map(combos.__getitem__, order)
+    ]
+
+
+def _block_covers(row_cols: Sequence[int], n_cols: int) -> list[list[tuple[int, ...]]]:
+    """The exact covers of each independent block of an instance.
+
+    Two columns are in one block when a row links them through a chain of
+    rows; each row lies in the block of its columns.  A cover of the whole
+    instance is one cover per block, so the covers are the product of the
+    returned lists, each a list of row-index tuples.  A column no row
+    covers is a block without a cover, which empties the product.
+    """
+    parent = list(range(n_cols))
+
+    def root(col: int) -> int:
+        while parent[col] != col:
+            parent[col] = parent[parent[col]]
+            col = parent[col]
+        return col
+
+    row_columns = []
+    for cols in row_cols:
+        columns = []
+        while cols:
+            bit = cols & -cols
+            cols ^= bit
+            columns.append(bit.bit_length() - 1)
+        row_columns.append(columns)
+        for col in columns[1:]:
+            parent[root(col)] = root(columns[0])
+    block_of = {}  # root column -> block number
+    position = [0] * n_cols  # column -> its bit in its block
+    sizes = []
+    for col in range(n_cols):
+        b = block_of.setdefault(root(col), len(sizes))
+        if b == len(sizes):
+            sizes.append(0)
+        position[col] = sizes[b]
+        sizes[b] += 1
+    block_rows = [[] for _ in sizes]
+    block_masks = [[] for _ in sizes]
+    for ri, columns in enumerate(row_columns):
+        if columns:  # a row without columns is never selected
+            b = block_of[root(columns[0])]
+            block_rows[b].append(ri)
+            block_masks[b].append(sum(1 << position[col] for col in columns))
+    return [
+        [tuple(map(rows.__getitem__, s)) for s in _exact_cover(masks, size)]
+        for rows, masks, size in zip(block_rows, block_masks, sizes)
+    ]
 
 
 def _exact_cover(row_cols: Sequence[int], n_cols: int) -> list[tuple[int, ...]]:
@@ -733,7 +807,9 @@ def _exact_cover(row_cols: Sequence[int], n_cols: int) -> list[tuple[int, ...]]:
     rows, and a search node is the mask of covered columns and the mask of
     rows disjoint from them.  It branches on the uncovered column with the
     fewest such rows, the lowest column first; a column with a single such
-    row forces that row without branching.
+    row forces that row without branching.  The enumeration runs it once
+    per independent block (:func:`_block_covers`), so ``n_cols`` is the
+    size of one block, not of the whole instance.
     """
     full = (1 << n_cols) - 1
     rows_of = [0] * n_cols

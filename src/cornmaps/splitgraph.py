@@ -112,7 +112,8 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     before the graph is built in one pass.  Each K-corner is looked up in
     the map's corner table (:func:`corner_from_darts`), so one that is not
     a corner of ``L.map`` raises :class:`UnknownCell` or
-    :class:`InvalidCorner`.
+    :class:`InvalidCorner`, and an ``L`` that leaves a dart uncovered
+    raises :class:`CornerationMismatch`.
     """
     m = L.map
     vertices = tuple(sorted(c.key() for c in L.corners))
@@ -124,8 +125,30 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
         far[a] = edge_of[b]
         far[b] = edge_of[a]
 
+    # sorted number pair -> (the pair as first met, old tokens, new tokens);
+    # each frozenset key is built in the order first met, as the iteration
+    # order of a two-key frozenset can follow it
+    found: dict = {}
+    dart_of = m.cell_index(DART)
+    try:
+        for ecell in cells(m, EDGE):
+            e = ecell.id
+            d1, d2 = dart_of[e], dart_of[m.r0[e]]
+            s1, s2 = slot[d1], slot[d2]
+            if s1 == s2:
+                raise InternalInvariantError("one corner covered both darts of an edge")
+            if far[d1] != far[d2]:
+                pair = (s1, s2) if s1 < s2 else (s2, s1)
+                if pair in found:
+                    found[pair][1].append(e)
+                else:
+                    found[pair] = ((s1, s2), [e], [])
+    except KeyError as missing:
+        raise CornerationMismatch(
+            f"not a corneration: uncovered dart {missing.args[0]}"
+        ) from None
+
     table = _corner_table(m)
-    joins = []
     for k in K:
         own = table.get(k.darts)
         if own is not k:
@@ -136,31 +159,11 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
         s1, s2 = slot[d1], slot[d2]
         if s1 == s2:
             raise KIntersectsL(f"{k} belongs to the corneration")
-        joins.append((s1, s2, own.key()))
-
-    # sorted number pair -> (the pair as first met, old tokens, new tokens);
-    # each frozenset key is built in the order first met, as the iteration
-    # order of a two-key frozenset can follow it
-    found: dict = {}
-    dart_of = m.cell_index(DART)
-    for ecell in cells(m, EDGE):
-        e = ecell.id
-        d1, d2 = dart_of[e], dart_of[m.r0[e]]
-        s1, s2 = slot[d1], slot[d2]
-        if s1 == s2:
-            raise InternalInvariantError("one corner covered both darts of an edge")
-        if far[d1] != far[d2]:
-            pair = (s1, s2) if s1 < s2 else (s2, s1)
-            if pair in found:
-                found[pair][1].append(e)
-            else:
-                found[pair] = ((s1, s2), [e], [])
-    for s1, s2, token in joins:
         pair = (s1, s2) if s1 < s2 else (s2, s1)
         if pair in found:
-            found[pair][2].append(token)
+            found[pair][2].append(own.key())
         else:
-            found[pair] = ((s1, s2), [], [token])
+            found[pair] = ((s1, s2), [], [own.key()])
 
     edges = {
         frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(new))

@@ -150,7 +150,17 @@ def enumerate_valid_diagrams() -> list[Diagram]:
             p for p in itertools.permutations(range(n)) if all(p[p[i]] == i for i in range(n))
         ]
         for shapes in itertools.product((BOX, OVAL), repeat=n):
-            for s0, s1, s2 in itertools.product(involutions, repeat=3):
+            # rules 2 and 3 each read one involution, so they prune the
+            # product; every survivor is still checked against all five
+            color1 = [
+                p for p in involutions
+                if all(p[i] == i or shapes[i] == shapes[p[i]] for i in range(n))
+            ]
+            color2 = [
+                p for p in involutions
+                if all(p[i] != i and shapes[i] != shapes[p[i]] for i in range(n))
+            ]
+            for s0, s1, s2 in itertools.product(involutions, color1, color2):
                 d = Diagram(shapes, (s0, s1, s2))
                 ok, _ = satisfies_diagram_constraints(d)
                 if not ok:

@@ -43,6 +43,7 @@ from .core import (
 from .errors import (
     GroupDoesNotPreserveCorneration,
     InternalInvariantError,
+    InvalidCorner,
     KNotInvariant,
     NotTransitive,
     UnknownConstruction,
@@ -593,7 +594,7 @@ def _vertex_covers_all_widths(m: FlagMap, v: int):
         for b in range(a + 1, q):
             try:
                 corners_at_v.append(corn.corner_from_darts(m, (rotation[a], rotation[b])))
-            except ValueError:
+            except InvalidCorner:
                 continue  # parallel darts on one edge
     covers = []
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +10,14 @@ from cornmaps.builders import (
     build_torus_grid,
     build_torus_grid_corneration,
 )
-from cornmaps.core import FlagMap, cells, face_boundary_edges, order_mod, rotation_at_vertex
+from cornmaps.core import (
+    FlagMap,
+    cells,
+    face_boundary_edges,
+    order_mod,
+    rotation_at_vertex,
+    uniform_valence,
+)
 from cornmaps.errors import (
     CircuitTooShort,
     CornerationMismatch,
@@ -26,8 +33,8 @@ from cornmaps.errors import (
     WidthMismatch,
     WidthOutOfRange,
 )
-from cornmaps.operators import hole, petrie
-from cornmaps.symmetry import SymGroup, automorphism_group
+from cornmaps.operators import hole, opposite, petrie
+from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
 from cornmaps.verify import _all_cornerations_mixed
 
 
@@ -328,6 +335,13 @@ def test_circuits_of_a_partial_cover_raises_corneration_mismatch(torus44):
 # -- complement --------------------------------------------------------------
 
 
+def test_j_complement_rejects_a_corner_set_that_misses_darts(torus44):
+    L = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    short = corn.Corneration.from_corners(torus44, L.sorted_corners()[:-1])
+    with pytest.raises(CornerationMismatch, match="uncovered dart"):
+        corn.j_complement(short)
+
+
 def test_j_complement(opp44):
     L = corn.symmetric_cornerations_from_coloring(opp44, 1)[0]
     K = corn.j_complement(L)
@@ -485,6 +499,67 @@ def test_exact_cover_matches_brute_force():
         solved += bool(expected)
         unsolved += not expected
     assert solved > 20 and unsolved > 20
+
+
+def covers_of_the_blocks(row_cols, n_cols):
+    return {
+        tuple(sorted(ri for s in combo for ri in s))
+        for combo in product(*corn._block_covers(row_cols, n_cols))
+    }
+
+
+def test_block_covers_multiply_to_the_brute_force_covers():
+    rng = random.Random(7)
+    glued = 0
+    for _ in range(200):
+        row_cols, n_cols = [], 0
+        for _ in range(rng.randint(2, 4)):
+            width = rng.randint(1, 4)
+            for _ in range(rng.randint(1, 5)):
+                cols = sum(1 << c for c in range(width) if rng.random() < 0.5)
+                row_cols.append((cols or 1 << rng.randrange(width)) << n_cols)
+            n_cols += width
+        rng.shuffle(row_cols)
+        expected = brute_force_exact_covers(row_cols, n_cols)
+        assert covers_of_the_blocks(row_cols, n_cols) == expected
+        assert {tuple(sorted(s)) for s in corn._exact_cover(row_cols, n_cols)} == expected
+        glued += bool(expected) and len(corn._block_covers(row_cols, n_cols)) > 1
+    assert glued > 20
+
+
+def test_a_column_no_row_covers_gives_no_cover():
+    # column 2 lies in no row; the other two blocks each have a cover
+    row_cols = [0b0001, 0b1000, 0b0010]
+    blocks = corn._block_covers(row_cols, 4)
+    assert sorted(blocks) == [[], [(0,)], [(1,)], [(2,)]]
+    assert covers_of_the_blocks(row_cols, 4) == set()
+    assert corn._exact_cover(row_cols, 4) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_torus_grid(4, 4),
+        lambda: opposite(build_torus_grid(4, 4)),
+        lambda: build_antiprism(4),
+        lambda: build_antiprism(5),
+        lambda: build_antiprism(6),
+    ],
+    ids=["torus44", "opp44", "antiprism4", "antiprism5", "antiprism6"],
+)
+def test_invariant_cornerations_come_in_key_order(build):
+    m = build()
+    A = automorphism_group(m)
+    q = uniform_valence(m)
+    calls = 0
+    for H in subgroups_up_to_index(A, 4):
+        for j in range(1, q // 2 + 1):
+            out = corn.enumerate_invariant_cornerations(m, H, j)
+            keys = [L.key() for L in out]
+            assert out == sorted(out, key=corn.Corneration.key)
+            assert len(set(keys)) == len(keys)
+            calls += 1
+    assert calls >= 2
 
 
 def test_enumerate_trivial_group_antiprism5_in_key_order():

@@ -458,6 +458,18 @@ def test_split_rejects_corners_of_another_map(torus44):
     assert sg.split(L, [outside]).n_edges >= 1
 
 
+def test_split_and_graph_a_reject_a_corner_set_that_misses_darts(torus44):
+    L = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    short = corn.Corneration.from_corners(torus44, L.sorted_corners()[:-1])
+    a, b = L.sorted_corners()[-1].darts
+    with pytest.raises(CornerationMismatch, match=f"uncovered dart ({a}|{b})$"):
+        sg.split(short, [])
+    with pytest.raises(CornerationMismatch, match="uncovered dart"):
+        sg.split(short, corn.j_complement(L).corners)
+    with pytest.raises(CornerationMismatch, match="uncovered dart"):
+        sg.graph_A(short)
+
+
 def test_cubic_filter_rejects_a_corneration_of_another_map(torus44):
     L = straight(torus44)
     with pytest.raises(CornerationMismatch):

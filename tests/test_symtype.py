@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import cornmaps.cornerations as corn
@@ -99,6 +101,30 @@ def test_enumeration_gives_twelve():
         for b in derived[i + 1 :]:
             assert st.diagram_isomorphic(a, b) is None
     verify_canonical_catalog()
+
+
+def unpruned_valid_diagrams():
+    """Every diagram of the full involution product, kept up to isomorphism."""
+    out = []
+    for n in (2, 4):
+        involutions = [
+            p for p in itertools.permutations(range(n)) if all(p[p[i]] == i for i in range(n))
+        ]
+        for shapes in itertools.product((st.BOX, st.OVAL), repeat=n):
+            for sigma in itertools.product(involutions, repeat=3):
+                d = st.Diagram(shapes, sigma)
+                if not st.satisfies_diagram_constraints(d)[0]:
+                    continue
+                if any(st.diagram_isomorphic(d, seen) for seen in out):
+                    continue
+                out.append(d)
+    return out
+
+
+def test_pruned_enumeration_matches_the_full_product():
+    derived = st.enumerate_valid_diagrams()
+    oracle = unpruned_valid_diagrams()
+    assert [(d.shapes, d.sigma) for d in derived] == [(d.shapes, d.sigma) for d in oracle]
 
 
 def test_catalog_mismatch_raises_internal_invariant_error():
