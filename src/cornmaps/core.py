@@ -220,9 +220,6 @@ class FlagMap:
 
         return self._memo(("index", kind), build)
 
-    def cell_of_flag(self, kind: str, flag: int) -> int:
-        return self.cell_index(kind)[flag]
-
     def require_valid(self) -> "FlagMap":
         report = validate(self)
         if not report.ok:

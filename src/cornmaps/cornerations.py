@@ -53,7 +53,7 @@ from .symmetry import (
     is_face_reflexible,
     orbits_on,
     subgroups_up_to_index,
-    _span_images,
+    _generating_images,
 )
 
 CONVEX = "Convex"
@@ -348,9 +348,6 @@ class CircuitDecomposition:
     """A partition of the edge set into circuits."""
 
     circuits: tuple[Circuit, ...]
-
-    def edge_sets(self) -> list[frozenset]:
-        return [c.edges for c in self.circuits]
 
     def __len__(self):
         return len(self.circuits)
@@ -916,7 +913,7 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
             else:
                 transversal[moved] = st
                 orbit.append(moved)
-    return A.subgroup_from_images(_span_images(A, schreier))
+    return A.subgroup_from_images(_generating_images(A, schreier)[1])
 
 
 def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
@@ -949,13 +946,15 @@ def enumerate_transitive_cornerations(
     """
     A = automorphism_group(m)
     found: dict = {}
+    # the subgroups come by decreasing order, and every H that leaves L
+    # invariant lies in Stab(L), itself of index <= index_bound and listed:
+    # so the first H to yield L is its stabilizer
     for H in subgroups_up_to_index(A, index_bound, element_bound):
         for L in enumerate_invariant_cornerations(m, H, j):
-            found.setdefault(L.key(), L)
+            found.setdefault(L.key(), (L, H))
     records = []
     for key in sorted(found):
-        L = found[key]
-        aut_L = corneration_stabilizer(A, L)
+        L, aut_L = found[key]
         transitive = is_transitive_on_corners(aut_L, L)
         symmetric = transitive and len(orbits_on(aut_L, DART)) == 1
         records.append(TransitiveCornerationRecord(L, aut_L, transitive, symmetric))
@@ -993,7 +992,8 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
             raise NoHalfReflexiveGroup(
                 "neither the map nor its Petrie dual is face-reflexible"
             )
-        G = SymGroup(m, Gp.elements)
+        # the Petrie dual keeps the flag numbering, and its symmetries are m's
+        G = automorphism_group(m).subgroup_from_images(Gp.images())
     orbit_of = flag_orbit_index(G)
     classes = sorted(set(orbit_of))
     if len(classes) != 2:

@@ -148,11 +148,19 @@ class SymGroup:
         return SymGroup(self.map, [by_image[f] for f in images])
 
     def generator_images(self) -> tuple[int, ...]:
-        """A small generating set, found by greedy orbit growth."""
+        """An irredundant generating set, read off the group's own images.
+
+        The images are walked involutions first, then by decreasing order,
+        then ascending; each one that grows the orbit of flag 0 is kept,
+        and a kept one that the others span is dropped again (see
+        :func:`_generating_images`).  Nothing computed from a group
+        depends on which generators it gets.
+        """
         cache = self._cache
         if "gen_images" not in cache:
-            self._require_symmetries()
-            cache["gen_images"] = _greedy_generator_images(self)
+            order = _orders(self)
+            candidates = sorted(self.images(), key=lambda h: (order[h] != 2, -order[h], h))
+            cache["gen_images"] = _generating_images(self, candidates)[0]
         return cache["gen_images"]
 
     @property
@@ -247,9 +255,7 @@ def _flag_words(m: FlagMap) -> tuple:
 def _element(m: FlagMap, h: int) -> Perm:
     """The symmetry with image ``h``, one tree edge per flag.
 
-    Memoized on the map: subgroups share generators, and the greedy
-    generator search meets the same double coset representatives in
-    many groups.
+    Memoized on the map: subgroups share generators.
     """
     table = m._memo(("elements",), dict)
     if h not in table:
@@ -272,21 +278,30 @@ def _close_orbit(orbit: set, perms, frontier: list) -> set:
     return orbit
 
 
-def _span_images(G: SymGroup, gen_images: Iterable[int]) -> set:
-    """Images of the subgroup generated by ``gen_images``.
+def _generating_images(G: SymGroup, candidates: Iterable[int]) -> tuple:
+    """``(generators, span)`` for the images ``candidates`` of ``G``.
 
-    The orbit of flag 0 under the generators; in a finite group that is
-    the whole generated subgroup.  A generator already reached adds
-    nothing, so only the others are built as permutations.
+    The candidates are walked in order, and each one outside the orbit of
+    flag 0 under those kept so far is kept; in a finite group that orbit
+    is the generated subgroup.  A second pass, in the same order, drops
+    each kept image that the other remaining ones already span, so no
+    generator left is redundant.
     """
     G._require_symmetries()
-    reached = {0}
+    m = G.map
+    span = {0}
+    kept = []
     perms = []
-    for f in sorted(set(gen_images)):
-        if f not in reached:
-            perms.append(_element(G.map, f))
-            _close_orbit(reached, perms, list(reached))
-    return reached
+    for f in candidates:
+        if f not in span:
+            kept.append(f)
+            perms.append(_element(m, f))
+            _close_orbit(span, perms, list(span))
+    for f in tuple(kept):
+        others = [_element(m, g) for g in kept if g != f]
+        if f in _close_orbit({0}, others, [0]):
+            kept.remove(f)
+    return tuple(kept), span
 
 
 def _orders(G: SymGroup) -> dict:
@@ -313,66 +328,6 @@ def _cycle(G: SymGroup, f: int) -> list:
         cycle.append(x)
         x = G._apply(f, x)
     return cycle
-
-
-def _greedy_generator_images(G: SymGroup) -> tuple[int, ...]:
-    """Generators chosen one at a time by the key (-growth, involution, image).
-
-    The growth of <R, f> over the reached subgroup R is the same for every
-    f in the double coset R f R, so it is computed once per double coset.
-    With R trivial the growth of f is its order, so the first step reads
-    the element orders.  Later steps work on the orbits of R on the images
-    (the right cosets of R): R f R is the union of the orbits of f(y) for
-    y in R's images, and <R, f> closes R's images under f alone, adding a
-    whole orbit for each new image.
-    """
-    images = G.images()
-    if len(images) == 1:
-        return ()
-    order = _orders(G)
-    # larger growth first, involutions preferred, then smallest image
-    first = min(images[1:], key=lambda h: (-order[h], order[h] != 2, h))
-    gens = [first]
-    reached = set(_cycle(G, first))
-    m = G.map
-    while len(reached) < len(images):
-        perms = [_element(m, g) for g in gens]
-        orbit_of = {}
-        for h in images:
-            if h not in orbit_of:
-                orbit = [h]
-                orbit_of[h] = orbit
-                for x in orbit:
-                    for p in perms:
-                        y = p[x]
-                        if y not in orbit_of:
-                            orbit_of[y] = orbit
-                            orbit.append(y)
-        seen = set(reached)
-        best_key = None
-        for f in images:
-            if f in seen:
-                continue
-            pf = _element(m, f)
-            coset = []
-            for y in reached:
-                z = pf[y]
-                if z not in seen:
-                    seen.update(orbit_of[z])
-                    coset.extend(orbit_of[z])
-            grown = set(reached)
-            frontier = list(reached)
-            for x in frontier:
-                z = pf[x]
-                if z not in grown:
-                    grown.update(orbit_of[z])
-                    frontier.extend(orbit_of[z])
-            key = (-len(grown), min((order[h] != 2, h) for h in coset))
-            if best_key is None or key < best_key:
-                best_key, best_grown = key, grown
-        gens.append(best_key[1][1])
-        reached = best_grown
-    return tuple(gens)
 
 
 def automorphism_group(m: FlagMap) -> SymGroup:

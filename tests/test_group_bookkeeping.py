@@ -2,12 +2,12 @@
 
 The oracles below are the straightforward algorithms that walk every
 element of a group: the automorphism group by propagating from every
-flag, greedy generator selection by recomputing an orbit for each
-candidate, index-2 kernels from all pairwise commutators, the whole
-subgroup lattice closed one element at a time, the stabilizer of a
-corneration as a filter over all elements, and corner orbits walked
-breadth-first with each corner's image key.  The library's versions must
-reproduce them exactly, generator tuples included.
+flag, the generator rule by recomputing an orbit for each candidate,
+index-2 kernels from all pairwise commutators, the whole subgroup
+lattice closed one element at a time, the stabilizer of a corneration as
+a filter over all elements, and corner orbits walked breadth-first with
+each corner's image key.  The library's versions must reproduce them
+exactly, generator tuples included.
 """
 
 import functools
@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from cornmaps import symmetry
+from cornmaps import cornerations, symmetry
 from cornmaps.builders import build_antiprism, build_theta, build_torus_grid
 from cornmaps.core import (
     DART,
@@ -92,22 +92,30 @@ def oracle_orbit_of_zero(G, gen_images):
     return reached
 
 
+def oracle_order(G, f):
+    """Order of the element with image ``f``: the length of its cycle through flag 0."""
+    p = by_image(G)[f]
+    n, x = 1, p[0]
+    while x != 0:
+        n, x = n + 1, p[x]
+    return n
+
+
 def oracle_generator_images(G):
-    images = G.images()
-    by = by_image(G)
+    """The generator rule, with every orbit recomputed from the elements:
+    involutions first, then by decreasing order, then ascending image, keep
+    each image that grows the orbit of flag 0, then drop, in the same order,
+    each kept image that the others span."""
+    order = {f: oracle_order(G, f) for f in G.images()}
     gens = []
     reached = {0}
-    while len(reached) < len(images):
-        best_key = None
-        for f in images:
-            if f in reached:
-                continue
-            grown = oracle_orbit_of_zero(G, gens + [f])
-            key = (-len(grown), 0 if by[f][f] == 0 else 1, f)
-            if best_key is None or key < best_key:
-                best, best_key, best_grown = f, key, grown
-        gens.append(best)
-        reached = best_grown
+    for f in sorted(G.images(), key=lambda h: (order[h] != 2, -order[h], h)):
+        if f not in reached:
+            gens.append(f)
+            reached = oracle_orbit_of_zero(G, gens)
+    for f in list(gens):
+        if f in oracle_orbit_of_zero(G, [g for g in gens if g != f]):
+            gens.remove(f)
     return tuple(gens)
 
 
@@ -288,25 +296,49 @@ def test_flag_transitive_torus_takes_three_propagations(propagations):
     assert A.images() == tuple(range(m.n_flags))
 
 
-def test_generator_images_match_greedy_oracle(maps):
-    for name, m in maps.items():
+@pytest.fixture(scope="module")
+def sweep_groups():
+    """Aut and every subgroup of index <= 4 of the suite maps, the relabelled
+    8x8 torus and opp(torus 6x6): 434 groups, every sweep stabilizer among
+    them."""
+    ms = dict(SuiteContext().maps)
+    ms["torus8x8~1"] = relabel(build_torus_grid(8, 8), 1)
+    ms["opp6x6"] = opposite(build_torus_grid(6, 6))
+    out = []
+    for name, m in ms.items():
         A = automorphism_group(m)
-        for H in [A] + subgroups_up_to_index(A, 4):
-            assert H.generator_images() == oracle_generator_images(H), (name, H.order)
+        out.extend((name, H) for H in [A] + subgroups_up_to_index(A, 4))
+    return out
 
 
-@pytest.mark.parametrize(
-    "m",
-    [relabel(build_torus_grid(8, 8), 1), opposite(build_torus_grid(6, 6))],
-    ids=["torus8x8~1", "opp6x6"],
-)
-def test_generator_images_match_greedy_oracle_on_sweep_inputs(m):
-    """The two benchmark sweep inputs: the first step picks by element order."""
-    A = automorphism_group(m)
-    groups = [A] + subgroups_up_to_index(A, 4)
-    assert max(H.order for H in groups) >= 288
-    for H in groups:
-        assert H.generator_images() == oracle_generator_images(H), H.order
+def test_generator_images_span_the_group_irredundantly(sweep_groups):
+    assert len(sweep_groups) == 434
+    assert max(H.order for _, H in sweep_groups) >= 512
+    for name, H in sweep_groups:
+        gens = list(H.generator_images())
+        assert oracle_orbit_of_zero(H, gens) == set(H.images()), (name, H.order)
+        for i in range(len(gens)):
+            rest = gens[:i] + gens[i + 1 :]
+            assert len(oracle_orbit_of_zero(H, rest)) < H.order, (name, H.order, i)
+
+
+def test_generator_images_follow_the_rule_oracle(sweep_groups):
+    for name, H in sweep_groups:
+        assert H.generator_images() == oracle_generator_images(H), (name, H.order)
+
+
+def test_sweep_reads_stabilizers_off_the_subgroup_list(monkeypatch):
+    """test_stabilizers_match_element_filter_on_sweeps checks what it reads."""
+    calls = []
+
+    def counting(A, L):
+        calls.append(L)
+        return corneration_stabilizer(A, L)
+
+    monkeypatch.setattr(cornerations, "corneration_stabilizer", counting)
+    for m, j in ((build_torus_grid(4, 4), 1), (opposite(build_torus_grid(4, 4)), 3)):
+        assert enumerate_transitive_cornerations(m, j)
+    assert calls == []
 
 
 def test_elements_are_built_lazily_and_match_the_oracle():

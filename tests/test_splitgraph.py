@@ -28,9 +28,12 @@ from cornmaps.operators import opposite
 from cornmaps.symmetry import automorphism_group
 from cornmaps.verify import (
     _K_BUILDERS,
+    FAILED,
+    SKIPPED,
     SuiteContext,
     claim_census_example,
     claim_split_graphs,
+    run_claim,
 )
 
 
@@ -260,6 +263,17 @@ def test_census_claim_lets_a_library_bug_through(tmp_path, monkeypatch):
     monkeypatch.setattr(sg, "build_construction", raise_runtime_error)
     with pytest.raises(RuntimeError, match="a library bug"):
         claim_census_example(ctx)
+
+
+def test_census_claim_fails_on_a_map_that_is_not_the_census_map(tmp_path):
+    """theta(12) has valence 12 and a suitable width-3 corneration, but not
+    the 27 vertices and 162 edges of the {3,12} census map."""
+    path = tmp_path / "theta12.map"
+    path.write_text(write_map(build_theta(12)))
+    result = run_claim("census-local-connectivity", SuiteContext(census_map_path=str(path)))
+    assert result.status == FAILED
+    assert result.note == "V=2, E=12"
+    assert run_claim("census-local-connectivity", SuiteContext()).status == SKIPPED
 
 
 def test_split_graph_claim_lets_a_library_bug_through(monkeypatch):
