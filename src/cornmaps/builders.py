@@ -109,6 +109,23 @@ def from_rotation_system(rotations, twists=None, name=None) -> FlagMap:
     return m
 
 
+def _torus_rotations(rows: int, cols: int) -> dict:
+    """Rotations of the torus grid; at ``(r, c)`` the edges run east,
+    north, west, south."""
+    if rows < 2 or cols < 2:
+        raise DegenerateParameters("torus grid needs rows >= 2 and cols >= 2")
+    return {
+        (r, c): [
+            ("h", r, c),
+            ("v", r, c),
+            ("h", r, (c - 1) % cols),
+            ("v", (r - 1) % rows, c),
+        ]
+        for r in range(rows)
+        for c in range(cols)
+    }
+
+
 def build_torus_grid(rows: int, cols: int, name: Optional[str] = None) -> FlagMap:
     """The 4-valent quadrangulated torus on ``rows x cols`` vertices.
 
@@ -116,22 +133,23 @@ def build_torus_grid(rows: int, cols: int, name: Optional[str] = None) -> FlagMa
     vertical edges to ``(r+1, c)``, indices wrapping around.  Both sizes
     must be at least 2, otherwise wraparound creates loops.
     """
-    if rows < 2 or cols < 2:
-        raise DegenerateParameters("torus grid needs rows >= 2 and cols >= 2")
-    rotations = {}
-    for r in range(rows):
-        for c in range(cols):
-            rotations[(r, c)] = [
-                ("h", r, c),
-                ("v", r, c),
-                ("h", r, (c - 1) % cols),
-                ("v", (r - 1) % rows, c),
-            ]
-    label = name or f"torus{rows}x{cols}"
+    rotations = _torus_rotations(rows, cols)
     try:
-        return from_rotation_system(rotations, name=label)
+        return from_rotation_system(rotations, name=name or f"torus{rows}x{cols}")
     except InconsistentRotation as exc:
         raise DegenerateParameters(str(exc)) from exc
+
+
+def _antiprism_rotations(n: int) -> dict:
+    """Rotations of the n-antiprism: the ring ``u`` first, then ``w``."""
+    if n < 3:
+        raise DegenerateParameters("antiprism needs n >= 3")
+    rotations = {}
+    for k in range(n):
+        rotations[("u", k)] = [("p", k), ("t", k), ("t", (k - 1) % n), ("q", (k - 1) % n)]
+    for k in range(n):
+        rotations[("w", k)] = [("b", k), ("q", k), ("p", k), ("b", (k - 1) % n)]
+    return rotations
 
 
 def build_antiprism(n: int, name: Optional[str] = None) -> FlagMap:
@@ -140,26 +158,9 @@ def build_antiprism(n: int, name: Optional[str] = None) -> FlagMap:
     Vertices ``u_0..u_{n-1}`` form one n-gon and ``w_0..w_{n-1}`` the
     other, with ``w_k`` adjacent to ``u_k`` and ``u_{k+1}``.
     """
-    if n < 3:
-        raise DegenerateParameters("antiprism needs n >= 3")
-    rotations = {}
-    for k in range(n):
-        rotations[("u", k)] = [
-            ("p", k),
-            ("t", k),
-            ("t", (k - 1) % n),
-            ("q", (k - 1) % n),
-        ]
-    for k in range(n):
-        rotations[("w", k)] = [
-            ("b", k),
-            ("q", k),
-            ("p", k),
-            ("b", (k - 1) % n),
-        ]
-    label = name or f"antiprism{n}"
+    rotations = _antiprism_rotations(n)
     try:
-        return from_rotation_system(rotations, name=label)
+        return from_rotation_system(rotations, name=name or f"antiprism{n}")
     except InconsistentRotation as exc:
         raise DegenerateParameters(str(exc)) from exc
 
@@ -202,9 +203,7 @@ def build_antiprism_corneration(n: int):
     ``L`` consists of the two wedges of every triangle that touch the edge
     shared with an n-gon; the n-gons contribute no wedges.
     """
-    if n < 3:
-        raise DegenerateParameters("antiprism needs n >= 3")
-    m, index = _antiprism_with_index(n)
+    m, index = _from_rotation_system(_antiprism_rotations(n), name=f"antiprism{n}")
     dart = index["dart"]
     corners = []
     for k in range(n):
@@ -219,25 +218,6 @@ def build_antiprism_corneration(n: int):
     return m, L
 
 
-def _antiprism_with_index(n: int):
-    rotations = {}
-    for k in range(n):
-        rotations[("u", k)] = [
-            ("p", k),
-            ("t", k),
-            ("t", (k - 1) % n),
-            ("q", (k - 1) % n),
-        ]
-    for k in range(n):
-        rotations[("w", k)] = [
-            ("b", k),
-            ("q", k),
-            ("p", k),
-            ("b", (k - 1) % n),
-        ]
-    return _from_rotation_system(rotations, name=f"antiprism{n}")
-
-
 def build_torus_grid_corneration(rows: int, cols: int):
     """Torus grid with the row-consistent, column-alternating corneration.
 
@@ -246,19 +226,9 @@ def build_torus_grid_corneration(rows: int, cols: int):
     wedges at that edge.  ``rows`` must be even for the alternation to
     close up around the torus; returns ``(map, L)``.
     """
-    if rows < 2 or cols < 2:
-        raise DegenerateParameters("torus grid needs rows >= 2 and cols >= 2")
+    rotations = _torus_rotations(rows, cols)
     if rows % 2 != 0:
         raise DegenerateParameters("the alternating corneration needs an even number of rows")
-    rotations = {}
-    for r in range(rows):
-        for c in range(cols):
-            rotations[(r, c)] = [
-                ("h", r, c),
-                ("v", r, c),
-                ("h", r, (c - 1) % cols),
-                ("v", (r - 1) % rows, c),
-            ]
     m, index = _from_rotation_system(rotations, name=f"torus{rows}x{cols}")
     dart = index["dart"]
     # rotation positions at (r, c): 0 = east, 1 = north, 2 = west, 3 = south

@@ -312,6 +312,7 @@ class Corneration:
         return tuple(c.key() for c in self.sorted_corners())
 
     def corner_of_dart(self, d: int) -> Corner:
+        """The corner holding dart ``d``; :class:`UnknownCell` if none does."""
         cache = self._cache
         if "by_dart" not in cache:
             by = {}
@@ -319,7 +320,10 @@ class Corneration:
                 for dart in c.darts:
                     by[dart] = c
             cache["by_dart"] = by
-        return cache["by_dart"][d]
+        try:
+            return cache["by_dart"][d]
+        except KeyError:
+            raise UnknownCell(f"no corner of the corneration holds dart {d!r}") from None
 
     def in_wedges(self) -> frozenset:
         """Wedge ids of the corners, defined for width-1 cornerations."""
@@ -625,8 +629,6 @@ def face_patterns(L: Corneration) -> FacePatternReport:
 def _require_symmetry_group(m: FlagMap, H: SymGroup) -> None:
     if H.map is not m and H.map != m:
         raise GroupNotSubgroup("the group belongs to a different map")
-    if not H.is_map_symmetry_group():
-        raise GroupNotSubgroup("elements do not commute with the involutions")
 
 
 def _dart_action(G: SymGroup) -> tuple[tuple[int, ...], ...]:
@@ -883,7 +885,7 @@ def _corner_perms(G: SymGroup, pairs: Sequence[tuple]) -> list[list[int]]:
     pos = {p: i for i, p in enumerate(pairs)}
     try:
         return [[pos[_moved(action, p)] for p in pairs] for action in _dart_action(G)]
-    except KeyError:
+    except (KeyError, IndexError):  # a pair off the list, or a dart off the map
         raise GroupDoesNotPreserveCorneration(
             "the corner set is not invariant under the group"
         ) from None
@@ -909,7 +911,8 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
             moved = frozenset(_moved(action, p) for p in pairs)
             st = g[t]  # t then g sends L to moved; undoing moved's t fixes L
             if moved in transversal:
-                schreier.add(A.mul_images(st, A.inv_image(transversal[moved])))
+                # unchecked arithmetic: st and every transversal image lie in A
+                schreier.add(A._apply(A._inverse(transversal[moved]), st))
             else:
                 transversal[moved] = st
                 orbit.append(moved)

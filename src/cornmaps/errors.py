@@ -118,7 +118,9 @@ class GroupTooLarge(CornMapsError):
 
 
 class GroupNotSubgroup(CornMapsError):
-    """The supplied permutations are not map symmetries."""
+    """Permutations that are not a group of map symmetries, found when
+    ``SymGroup(m, perms)`` is built; also an image of flag 0 outside the
+    group it is used with, or a group used with another map."""
 
 
 class GroupDoesNotPreserveCorneration(CornMapsError, ValueError):

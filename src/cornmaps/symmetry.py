@@ -37,49 +37,51 @@ class SymGroup:
     A symmetry commutes with r0, r1 and r2, and the flags are connected,
     so a symmetry g is pinned down by h = g(0): a flag reached from flag 0
     by a word w in the involutions goes to w applied to h.  A group is
-    therefore its sorted images of flag 0 plus the generator permutations;
-    nothing is stored per element.  Group arithmetic reads the words of a
-    breadth-first tree of the flags from flag 0, memoized on the map
-    (Schreier vectors: Holt, Eick and O'Brien, *Handbook of Computational
-    Group Theory*, 2005, section 4.1; Seress, *Permutation Group
-    Algorithms*, 2003).  :attr:`elements` builds the permutations on
-    demand.
+    therefore its sorted images of flag 0; nothing is stored per element.
+    Group arithmetic reads the words of a breadth-first tree of the flags
+    from flag 0, memoized on the map (Schreier vectors: Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1;
+    Seress, *Permutation Group Algorithms*, 2003).  :attr:`elements`
+    builds the permutations on demand.
 
-    ``SymGroup(m, perms)`` keeps the given permutations.  Their images of
-    flag 0 must be closed under each of them, or :class:`GroupNotSubgroup`
-    is raised.  Whether they are map symmetries is checked once, before
-    the first group arithmetic, and memoized.  Groups returned by
-    :func:`automorphism_group` are symmetries by construction, and
-    :meth:`subgroup_from_images` passes that on.
+    ``SymGroup(m, perms)`` is checked once, when built: each element must
+    be a permutation of the flags, their images of flag 0 must be closed
+    under each of them, and each must commute with r0, r1 and r2, or
+    :class:`GroupNotSubgroup` is raised.  Only the images are kept.
+    Groups returned by :func:`automorphism_group` and
+    :meth:`subgroup_from_images` are symmetries by construction.
     """
 
-    __slots__ = ("map", "_images", "_perms", "_given", "_cache")
+    __slots__ = ("map", "_images", "_cache")
 
     def __init__(self, map: FlagMap, elements: Iterable[Perm]):
-        perms = tuple(sorted({tuple(p) for p in elements}))
+        perms = {tuple(p) for p in elements}
         if not perms:
             raise GroupNotSubgroup("a group needs at least the identity")
-        images = frozenset(p[0] for p in perms)
-        if not _maps_into(images, perms):
+        flags = set(map.flags())
+        if any(len(p) != map.n_flags or set(p) != flags for p in perms):
+            raise GroupNotSubgroup(
+                f"an element is not a permutation of the {map.n_flags} flags"
+            )
+        images = {p[0] for p in perms}
+        if not all(images.issuperset(p[x] for x in images) for p in perms):
             raise GroupNotSubgroup(
                 "the permutations are not closed: they send flag 0 to a flag "
                 "that none of them has as its image"
             )
+        if not _commutes_with_involutions(map, perms):
+            raise GroupNotSubgroup("elements do not commute with the involutions")
         self.map = map
         self._images = tuple(sorted(images))
-        self._perms = perms
-        self._given = True
         self._cache = {}
 
     @classmethod
-    def _of_symmetries(cls, m: FlagMap, images: tuple, gens: tuple = ()) -> "SymGroup":
-        """A group of known symmetries: sorted images, optional generators."""
+    def _of_symmetries(cls, m: FlagMap, images: tuple) -> "SymGroup":
+        """A group of known symmetries, given by its sorted images."""
         G = cls.__new__(cls)
         G.map = m
         G._images = images
-        G._perms = gens
-        G._given = False
-        G._cache = {"is_sym": True}
+        G._cache = {}
         return G
 
     @property
@@ -96,56 +98,59 @@ class SymGroup:
             cache["image_set"] = frozenset(self._images)
         return cache["image_set"]
 
-    def _require_symmetries(self) -> None:
-        if not self.is_map_symmetry_group():
-            raise GroupNotSubgroup("elements do not commute with the involutions")
-
-    def _words(self) -> list:
-        """The map's flag words; only for a group of map symmetries."""
-        self._require_symmetries()
-        return _flag_words(self.map)[0]
+    def _require_images(self, *images: int) -> None:
+        """Raise :class:`GroupNotSubgroup` unless every image is the group's."""
+        if not self._image_set().issuperset(images):
+            raise GroupNotSubgroup("an image of flag 0 lies outside the group")
 
     def _apply(self, h: int, x: int) -> int:
         """Image of flag ``x`` under the element with image ``h``."""
-        for r in self._words()[x]:
+        for r in _flag_words(self.map)[0][x]:
             h = r[h]
         return h
 
     def element_with_image(self, f: int) -> Perm:
-        self._require_symmetries()
-        if f not in self._image_set():
-            raise GroupNotSubgroup(f"no element of the group sends flag 0 to {f}")
+        self._require_images(f)
         return _element(self.map, f)
 
     def __contains__(self, perm) -> bool:
+        """Whether ``perm`` is an element; False for a sequence of any other
+        length."""
         p = tuple(perm)
-        return p[0] in self._image_set() and self.element_with_image(p[0]) == p
+        return (
+            len(p) == self.map.n_flags
+            and p[0] in self._image_set()
+            and _element(self.map, p[0]) == p
+        )
 
     def mul_images(self, f: int, h: int) -> int:
-        """Image of the product (element with image f, then the one with h)."""
+        """Image of the product (element with image f, then the one with h).
+
+        Raises :class:`GroupNotSubgroup` for an image outside the group, as
+        do :meth:`inv_image` and :meth:`element_with_image`.
+        """
+        self._require_images(f, h)
         return self._apply(h, f)
 
     def inv_image(self, f: int) -> int:
-        """Image of the inverse: the word of ``f`` read backwards from flag 0."""
-        word = self._words()[f]
-        inverse = _flag_words(self.map)[2]
+        """Image of the inverse of the element with image ``f``."""
+        self._require_images(f)
+        return self._inverse(f)
+
+    def _inverse(self, f: int) -> int:
+        """:meth:`inv_image` unchecked: the word of ``f`` read backwards."""
+        words, _, inverse = _flag_words(self.map)
         if f not in inverse:
             x = 0
-            for r in reversed(word):
+            for r in reversed(words[f]):
                 x = r[x]
             inverse[f] = x
         return inverse[f]
 
     def subgroup_from_images(self, images: Iterable[int]) -> "SymGroup":
         images = tuple(sorted(set(images)))
-        if not self._image_set().issuperset(images):
-            raise GroupNotSubgroup("an image of flag 0 lies outside the group")
-        if self._cache.get("is_sym"):
-            return SymGroup._of_symmetries(self.map, images)
-        by_image = {}
-        for p in self._perms:
-            by_image.setdefault(p[0], p)
-        return SymGroup(self.map, [by_image[f] for f in images])
+        self._require_images(*images)
+        return SymGroup._of_symmetries(self.map, images)
 
     def generator_images(self) -> tuple[int, ...]:
         """An irredundant generating set, read off the group's own images.
@@ -172,47 +177,35 @@ class SymGroup:
     def elements(self) -> tuple[Perm, ...]:
         """Every element as a permutation, sorted (built on first use).
 
-        Sorting permutations sorts them by their image of flag 0.  A group
-        built from permutations returns them; any other group is closed
-        breadth-first from the identity over its generators, one product
-        per new image of flag 0.
+        Sorting permutations sorts them by their image of flag 0.  They are
+        closed breadth-first from the identity over :attr:`generators`, one
+        product per new image of flag 0.
         """
         cache = self._cache
         if "elements" not in cache:
-            if self._given:
-                cache["elements"] = self._perms
-            else:
-                gens = self._perms or self.generators
-                # a product is built only for a new image, so never for
-                # n = 1, where an itemgetter would return an int
-                products = [(g[0], itemgetter(*g)) for g in gens]
-                elems = [tuple(self.map.flags())]
-                seen = {0}
-                for e in elems:
-                    for g0, times_g in products:
-                        f = e[g0]
-                        if f not in seen:
-                            seen.add(f)
-                            elems.append(times_g(e))
-                cache["elements"] = tuple(sorted(elems))
+            # a product is built only for a new image, so never for n = 1,
+            # where an itemgetter would return an int
+            products = [(g[0], itemgetter(*g)) for g in self.generators]
+            elems = [tuple(self.map.flags())]
+            seen = {0}
+            for e in elems:
+                for g0, times_g in products:
+                    f = e[g0]
+                    if f not in seen:
+                        seen.add(f)
+                        elems.append(times_g(e))
+            cache["elements"] = tuple(sorted(elems))
         return cache["elements"]
 
     def is_map_symmetry_group(self) -> bool:
-        """Whether every element commutes with r0, r1 and r2 (memoized)."""
-        cache = self._cache
-        if "is_sym" not in cache:
-            cache["is_sym"] = _commutes_with_involutions(self.map, self._perms)
-        return cache["is_sym"]
+        """Always true: a group is checked when built from permutations, and
+        any other group is one of symmetries by construction."""
+        return True
 
     def __str__(self):
         return f"SymGroup(order={self.order})"
 
     __repr__ = __str__
-
-
-def _maps_into(images: frozenset, perms) -> bool:
-    """Whether every permutation sends each flag of ``images`` into it."""
-    return all(images.issuperset(map(p.__getitem__, images)) for p in perms)
 
 
 def _commutes_with_involutions(m: FlagMap, elements: Iterable[Perm]) -> bool:
@@ -231,7 +224,7 @@ def _flag_words(m: FlagMap) -> tuple:
     carry flag 0 to ``f``, in the order they are applied; a symmetry with
     image h sends f to ``words[f]`` applied to h.  ``steps`` lists the tree
     edges ``(f, r, parent)``, ``f = r[parent]``, in breadth-first order.
-    ``inverse`` is filled by :meth:`SymGroup.inv_image`.
+    ``inverse`` is filled by :meth:`SymGroup._inverse`.
     """
 
     def build():
@@ -287,7 +280,6 @@ def _generating_images(G: SymGroup, candidates: Iterable[int]) -> tuple:
     each kept image that the other remaining ones already span, so no
     generator left is redundant.
     """
-    G._require_symmetries()
     m = G.map
     span = {0}
     kept = []
@@ -363,7 +355,7 @@ def automorphism_group(m: FlagMap) -> SymGroup:
             else:
                 gens.append(phi)
                 _close_orbit(reached, gens, list(reached))
-        return SymGroup._of_symmetries(m, tuple(sorted(reached)), tuple(gens))
+        return SymGroup._of_symmetries(m, tuple(sorted(reached)))
 
     return m._memo(("aut",), build)
 
@@ -588,7 +580,7 @@ def local_action_group(G: SymGroup, v: int) -> LocalAction:
     # a stabilizing element sends v to a flag x of v, and has the image
     # that the word of v, read backwards, carries x to; it sends the k-th
     # rotation flag (r1 then r2, k times, from v) to the same walk from x
-    word = G._words()[v]
+    word = _flag_words(m)[0][v]
     images = G._image_set()
     perms = set()
     for x in flags + tuple(m.r1[f] for f in flags):

@@ -303,3 +303,28 @@ def test_only_symmetry_reads_group_elements():
         if ".elements" in line
     ]
     assert offenders == []
+
+
+def test_only_group_construction_checks_symmetries():
+    """``SymGroup(m, perms)`` is checked once, when built; any other group
+    is one of symmetries by construction and is never checked again."""
+    import ast
+    import pathlib
+
+    import cornmaps
+
+    uses = []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif getattr(child, "id", getattr(child, "attr", None)) == "_commutes_with_involutions":
+                uses.append(f"{name}:{'.'.join(scope)}")
+            visit(child, inner, name)
+
+    src = pathlib.Path(cornmaps.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    assert uses == ["symmetry.py:SymGroup.__init__"]

@@ -590,9 +590,8 @@ def test_enumerate_rejects_non_symmetry(torus44):
     # a transposition of two flags is almost never a map symmetry
     perm = list(range(n))
     perm[0], perm[1] = perm[1], perm[0]
-    bogus = SymGroup(torus44, (tuple(range(n)), tuple(perm)))
     with pytest.raises(GroupNotSubgroup):
-        corn.enumerate_invariant_cornerations(torus44, bogus, 1)
+        SymGroup(torus44, (tuple(range(n)), tuple(perm)))
 
 
 def test_corner_orbits(opp44):
@@ -605,6 +604,33 @@ def test_corner_orbits(opp44):
     assert len(singletons) == len(L)
     with pytest.raises(ValueError):
         corn.corner_orbits(A, list(L.corners)[:3])
+
+
+def test_corner_of_dart_rejects_a_dart_no_corner_holds():
+    _, L = build_torus_grid_corneration(4, 4)
+    with pytest.raises(UnknownCell):
+        L.corner_of_dart(999)
+
+
+def larger_map_corners(small):
+    """A corneration of torus 6x6 cut to its corners whose darts lie beyond
+    the flags of ``small``."""
+    big, L = build_torus_grid_corneration(6, 6)
+    far = [c for c in L.corners if min(c.darts) >= small.n_flags]
+    assert far
+    return corn.Corneration.from_corners(big, far)
+
+
+def test_corner_orbits_reject_corners_of_a_larger_map(torus44):
+    far = larger_map_corners(torus44)
+    with pytest.raises(GroupDoesNotPreserveCorneration):
+        corn.corner_orbits(automorphism_group(torus44), far.corners)
+
+
+def test_transitivity_rejects_corners_of_a_larger_map(torus44):
+    far = larger_map_corners(torus44)
+    with pytest.raises(GroupDoesNotPreserveCorneration):
+        corn.is_transitive_on_corners(automorphism_group(torus44), far)
 
 
 def test_corner_action_is_built_once_per_group(opp44, monkeypatch):

@@ -548,15 +548,16 @@ def test_user_groups_still_get_the_full_check(check_calls):
     n = m.n_flags
     swap = list(range(n))
     swap[0], swap[1] = swap[1], swap[0]
-    bogus = SymGroup(m, (tuple(range(n)), tuple(swap)))
-    with pytest.raises(GroupNotSubgroup):
-        enumerate_invariant_cornerations(m, bogus, 1)
-    cut = bogus.subgroup_from_images(bogus.images())
-    with pytest.raises(GroupNotSubgroup):
-        enumerate_invariant_cornerations(m, cut, 1)
+    with pytest.raises(GroupNotSubgroup, match="commute"):
+        SymGroup(m, (tuple(range(n)), tuple(swap)))
+    assert len(check_calls) == 1
+    # a user group is checked once, when built, and its subgroups never
+    G = SymGroup(m, automorphism_group(m).elements)
     assert len(check_calls) == 2
-    # the answer is memoized on the group
-    assert not bogus.is_map_symmetry_group()
+    for H in subgroups_up_to_index(G, 2):
+        enumerate_invariant_cornerations(m, H, 1)
+        assert H.is_map_symmetry_group() and H.generators
+    assert G.is_map_symmetry_group()
     assert len(check_calls) == 2
 
 
@@ -565,13 +566,43 @@ def test_permutation_fixing_flag_zero_is_not_a_symmetry(check_calls):
     n = m.n_flags
     swap = list(range(n))
     swap[1], swap[2] = swap[2], swap[1]
-    fixing = SymGroup(m, (tuple(range(n)), tuple(swap)))
-    assert fixing.images() == (0,)
-    with pytest.raises(GroupNotSubgroup):
-        enumerate_invariant_cornerations(m, fixing, 1)
-    with pytest.raises(GroupNotSubgroup):
-        fixing.generators
+    # its images of flag 0 are closed, {0}, so only the commute check fails
+    with pytest.raises(GroupNotSubgroup, match="commute"):
+        SymGroup(m, (tuple(range(n)), tuple(swap)))
     assert len(check_calls) == 1
+
+
+def test_user_group_retains_only_its_images():
+    m = build_torus_grid(8, 8)
+    copies = [list(p) for p in automorphism_group(m).elements]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = SymGroup(m, copies)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G.order == 512
+    assert retained < 64 * 2**10
+
+
+def test_group_arithmetic_rejects_images_outside_the_group():
+    m = build_torus_grid(4, 4)
+    A = automorphism_group(m)
+    H = next(H for H in subgroups_up_to_index(A, 2) if H.order < A.order)
+    outside = next(f for f in A.images() if f not in H.images())
+    for bad in (m.n_flags, -m.n_flags - 1, outside):
+        with pytest.raises(GroupNotSubgroup):
+            H.mul_images(0, bad)
+        with pytest.raises(GroupNotSubgroup):
+            H.mul_images(bad, 0)
+        with pytest.raises(GroupNotSubgroup):
+            H.inv_image(bad)
+    assert A.mul_images(outside, 0) == outside
+    identity = tuple(m.flags())
+    assert identity in H
+    for bad in ((), identity[:-1], identity + (0,), A.element_with_image(outside)):
+        assert bad not in H
 
 
 def test_permutations_not_closed_are_rejected():

@@ -1,6 +1,7 @@
 """Property-based checks of the map invariants on random rotation systems."""
 
 import hypothesis.strategies as hst
+import pytest
 from hypothesis import assume, given, settings
 
 from cornmaps.builders import from_rotation_system
@@ -13,10 +14,10 @@ from cornmaps.core import (
     uniform_valence,
     valence,
 )
-from cornmaps.errors import DegenerateResult, InconsistentRotation
+from cornmaps.errors import DegenerateResult, GroupNotSubgroup, InconsistentRotation
 from cornmaps.fileio import parse_map, write_map
 from cornmaps.operators import dual, hole, petrie
-from cornmaps.symmetry import automorphism_group
+from cornmaps.symmetry import SymGroup, automorphism_group
 
 
 @hst.composite
@@ -127,3 +128,47 @@ def test_symmetry_group_is_semiregular(data):
     assert m.n_flags % A.order == 0
     images = [g[0] for g in A.elements]
     assert len(set(images)) == A.order
+
+
+@given(rotation_systems(), hst.data())
+@settings(max_examples=60, deadline=None)
+def test_user_groups_are_checked_when_built(data, draws):
+    """A subset of the automorphism group, sometimes corrupted, is either a
+    group with the oracle's images and elements or raises GroupNotSubgroup."""
+    m = build(data)
+    n = m.n_flags
+    elements = automorphism_group(m).elements
+    g = draws.draw(hst.sampled_from(elements))
+    cyclic = [tuple(range(n))]
+    while g[cyclic[-1][0]] != 0:
+        cyclic.append(tuple(g[x] for x in cyclic[-1]))
+    subset = draws.draw(
+        hst.one_of(hst.just(cyclic), hst.lists(hst.sampled_from(elements), unique=True))
+    )
+    subset = [list(p) for p in subset]
+    corruption = draws.draw(hst.sampled_from((None, "range", "length", "swap", "extra")))
+    if corruption == "extra":
+        subset.append(draws.draw(hst.permutations(range(n))))
+    elif corruption and subset:
+        p = subset[draws.draw(hst.integers(0, len(subset) - 1))]
+        if corruption == "range":
+            p[draws.draw(hst.integers(0, n - 1))] = draws.draw(hst.sampled_from((-1, n)))
+        elif corruption == "length":
+            p.append(0) if draws.draw(hst.booleans()) else p.pop()
+        else:
+            i, j = draws.draw(hst.lists(hst.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            p[i], p[j] = p[j], p[i]
+
+    perms = {tuple(p) for p in subset}
+    is_group = (
+        perms
+        and perms <= set(elements)
+        and all(tuple(p[x] for x in q) in perms for p in perms for q in perms)
+    )
+    if not is_group:
+        with pytest.raises(GroupNotSubgroup):
+            SymGroup(m, subset)
+        return
+    G = SymGroup(m, subset)
+    assert G.images() == tuple(sorted(p[0] for p in perms))
+    assert G.elements == tuple(sorted(perms))
