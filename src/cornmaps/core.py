@@ -196,10 +196,10 @@ class FlagMap:
     def flags(self) -> range:
         return range(self.n_flags)
 
-    def _memo(self, key, producer):
+    def _memo(self, key, producer, *args):
         cache = self._cache
         if key not in cache:
-            cache[key] = producer()
+            cache[key] = producer(*args)
         return cache[key]
 
     # -- cells ------------------------------------------------------------

@@ -100,12 +100,11 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
     """The corner of ``m`` spanned by two darts at a common vertex.
 
     Each corner is built once per map: the first request validates the
-    darts and stores the corner in a table memoized on ``m`` and keyed by
-    the sorted dart pair; later requests in either order return that same
-    object, which is safe to share as corners are frozen.  Raises
-    :class:`InvalidCorner` for anything but a pair and for darts that span
-    no corner, and :class:`UnknownCell` for an id that is not a dart of
-    ``m``.
+    darts and stores the corner under its number (:func:`_corner_numbering`);
+    later requests in either order return that same object, which is safe
+    to share as corners are frozen.  Raises :class:`InvalidCorner` for
+    anything but a pair and for darts that span no corner, and
+    :class:`UnknownCell` for an id that is not a dart of ``m``.
     """
     try:
         d1, d2 = darts
@@ -114,17 +113,41 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
     if not (isinstance(d1, int) and isinstance(d2, int)):
         bad = d2 if isinstance(d1, int) else d1
         raise UnknownCell(f"no dart cell with id {bad!r}")
-    table = _corner_table(m)
-    corner = table.get((d1, d2) if d1 < d2 else (d2, d1))
-    if corner is None:
+    a, b = (d1, d2) if d1 < d2 else (d2, d1)
+    first, rank, table = _corner_numbering(m)
+    try:
+        corner = table[first[a] + rank[b]]
+    except IndexError:
+        corner = None
+    if corner is None or corner.darts != (a, b):  # a number is a pair's only at one vertex
         corner = _build_corner(m, d1, d2)
-        table[corner.darts] = corner
+        table[first[a] + rank[b]] = corner
     return corner
 
 
-def _corner_table(m: FlagMap) -> dict:
-    """The corners of ``m`` built so far, by sorted dart pair."""
-    return m._memo(("corners",), dict)
+def _corner_numbering(m: FlagMap) -> tuple[list, list, list]:
+    """``(first, rank, table)``: numbers for the corners of ``m`` in key order.
+
+    The pairs of distinct darts at a vertex, vertex by vertex and then in
+    ascending order, follow :meth:`Corner.key`; pair ``(a, b)``, ``a < b``,
+    is number ``first[a] + rank[b]``, ``rank`` being a dart's position
+    among the sorted darts at its vertex (a pair on one edge is no corner).
+    ``table`` holds the corners built so far by number.  Memoized on ``m``.
+    """
+    return m._memo(("corner_numbers",), _number_corners, m)
+
+
+def _number_corners(m: FlagMap) -> tuple[list, list, list]:
+    first = [0] * m.n_flags
+    rank = [0] * m.n_flags
+    count = 0
+    for vcell in cells(m, VERTEX):
+        darts = sorted(rotation_at_vertex(m, vcell.id))
+        for i, d in enumerate(darts):
+            rank[d] = i
+            first[d] = count - i - 1
+            count += len(darts) - 1 - i
+    return first, rank, [None] * count
 
 
 def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
@@ -150,17 +173,10 @@ def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
     s = (p2 - p1) % q
     width = min(s, q - s)
     straight = 2 * s == q
-    if straight:
-        interior = frozenset()
-    else:
-        if s <= q - s:
-            start, count = p1, s
-        else:
-            start, count = p2, q - s
-        interior = frozenset(wedges[(start + t) % q] for t in range(count))
-    boundary = frozenset(
-        wedges[i % q] for i in (p1 - 1, p1, p2 - 1, p2)
-    )
+    # the short side runs from p1 when it is the side of s, else from p2
+    start = p1 if 2 * s < q else p2
+    interior = frozenset(wedges[(start + t) % q] for t in range(0 if straight else width))
+    boundary = frozenset(wedges[i % q] for i in (p1 - 1, p1, p2 - 1, p2))
     return Corner(
         vertex=v,
         darts=tuple(sorted((d1, d2))),
@@ -192,21 +208,15 @@ def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
 
     def build():
         out = []
-        seen = set()
         for vcell in cells(m, VERTEX):
             v = vcell.id
             q = valence(m, v)
             if j > q // 2:
-                raise WidthOutOfRange(
-                    f"width {j} exceeds half the valence {q} at vertex {v}"
-                )
+                raise WidthOutOfRange(f"width {j} exceeds half the valence {q} at vertex {v}")
             rotation = rotation_at_vertex(m, v)
-            for i in range(q):
-                pair = tuple(sorted((rotation[i], rotation[(i + j) % q])))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                out.append(corner_from_darts(m, pair))
+            # a straight corner would come twice around its vertex
+            for i in range(q // 2 if 2 * j == q else q):
+                out.append(corner_from_darts(m, (rotation[i], rotation[(i + j) % q])))
         out.sort(key=Corner.key)
         return tuple(out)
 
@@ -277,27 +287,86 @@ def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
     return CoverReport(True, None, None)
 
 
-@dataclass(frozen=True, eq=False)
-class Corneration:
-    """A dart-exact set of corners of one map."""
+def _require_cover(m: FlagMap, corners, error=CornerationMismatch, what="not a corneration"):
+    """Raise ``error`` unless the corners cover every dart of ``m`` exactly once."""
+    report = is_corneration(m, corners)
+    if not report.ok:
+        raise error(f"{what}: {report.reason} at dart {report.witness}")
 
-    map: FlagMap
-    corners: frozenset
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
+    """The corner of ``m`` equal to each of ``corners``; :class:`InvalidCorner`
+    or :class:`UnknownCell` for one that is not a corner of ``m``."""
+    first, rank, table = _corner_numbering(m)
+    out = []
+    for c in corners:
+        try:  # a number is only meaningful for two darts at one vertex
+            own = table[first[c.darts[0]] + rank[c.darts[1]]]
+        except (IndexError, TypeError):
+            own = None
+        if own is not c:
+            own = corner_from_darts(m, c.darts)
+            if own != c:
+                raise InvalidCorner(f"{c} is not a corner of the map")
+        out.append(own)
+    return out
+
+
+def _corner_bits(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
+    """The :class:`Corneration` bit of each corner of ``m``."""
+    first, rank, table = _corner_numbering(m)
+    top = len(table) - 1
+    return [1 << top - (first[a] + rank[b]) for a, b in (c.darts for c in corners)]
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+class Corneration:
+    """A dart-exact set of corners of one map, stored as one int.
+
+    Bit ``n-1-i`` is set for the corner numbered ``i`` of the map's ``n``
+    (:func:`_corner_numbering`), so the first corner in key order holds the
+    highest bit.  All cornerations of a map have #darts/2 corners, so of
+    two of them the larger int has the smaller :meth:`key`.  :attr:`corners`,
+    a frozenset of the map's own corners, is decoded on first read.
+    ``Corneration(m, corners)`` raises :class:`CornerationMismatch` for an
+    item that is not a corner of ``m``.
+    """
+
+    __slots__ = ("map", "_mask", "_corners", "_by_dart")
+
+    def __init__(self, map: FlagMap, corners: Iterable[Corner]):
+        try:
+            own = set(_own_corners(map, corners))
+        except (AttributeError, InvalidCorner, UnknownCell) as exc:
+            raise CornerationMismatch(f"not a corner of the map: {exc.args[0]}") from None
+        self.map, self._mask = map, sum(_corner_bits(map, own))
+        self._corners = self._by_dart = None
 
     @classmethod
     def from_corners(cls, m: FlagMap, corners: Iterable[Corner]) -> "Corneration":
-        return cls(m, frozenset(corners))
+        return cls(m, corners)
+
+    @classmethod
+    def _of_mask(cls, m: FlagMap, mask: int) -> "Corneration":
+        """The corneration of ``m``'s built corners whose bits are ``mask``."""
+        L = cls.__new__(cls)
+        L.map, L._mask = m, mask
+        L._corners = L._by_dart = None
+        return L
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Corneration)
-            and self.map == other.map
-            and self.corners == other.corners
-        )
+        return isinstance(other, Corneration) and self._mask == other._mask and self.map == other.map
 
     def __hash__(self):
-        return hash((self.map.n_flags, frozenset(c.key() for c in self.corners)))
+        return hash(self._mask)
+
+    @property
+    def corners(self) -> frozenset:
+        if self._corners is None:
+            self._corners = frozenset(self.sorted_corners())
+        return self._corners
 
     @property
     def width(self) -> Optional[int]:
@@ -306,22 +375,20 @@ class Corneration:
         return widths.pop() if len(widths) == 1 else None
 
     def sorted_corners(self) -> list[Corner]:
-        return sorted(self.corners, key=Corner.key)
+        table = _corner_numbering(self.map)[2]
+        # digit i of the n-digit binary form is bit n-1-i, the corner numbered i
+        digits = format(self._mask, f"0{len(table)}b").encode().translate(_BINARY_DIGITS)
+        return list(itertools.compress(table, digits))
 
     def key(self) -> tuple:
         return tuple(c.key() for c in self.sorted_corners())
 
     def corner_of_dart(self, d: int) -> Corner:
         """The corner holding dart ``d``; :class:`UnknownCell` if none does."""
-        cache = self._cache
-        if "by_dart" not in cache:
-            by = {}
-            for c in self.corners:
-                for dart in c.darts:
-                    by[dart] = c
-            cache["by_dart"] = by
+        if self._by_dart is None:
+            self._by_dart = {dart: c for c in self.corners for dart in c.darts}
         try:
-            return cache["by_dart"][d]
+            return self._by_dart[d]
         except KeyError:
             raise UnknownCell(f"no corner of the corneration holds dart {d!r}") from None
 
@@ -336,15 +403,14 @@ class Corneration:
         return frozenset(out)
 
     def __len__(self):
-        return len(self.corners)
+        return self._mask.bit_count()
 
     def __iter__(self):
         return iter(self.sorted_corners())
 
     def __str__(self):
         j = self.width
-        jtxt = "mixed" if j is None else str(j)
-        return f"corneration<{len(self.corners)} corners, width {jtxt}>"
+        return f"corneration<{len(self)} corners, width {'mixed' if j is None else j}>"
 
 
 @dataclass(frozen=True)
@@ -365,11 +431,7 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     exactly two opposite dart cycles which are merged by edge set.
     """
     m = L.map
-    report = is_corneration(m, L.corners)
-    if not report.ok:
-        raise CornerationMismatch(
-            f"not a corneration: {report.reason} at dart {report.witness}"
-        )
+    _require_cover(m, L.corners)
     edge_of = m.cell_index(EDGE)
     darts = [c.id for c in cells(m, DART)]
 
@@ -439,9 +501,7 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
     if covered != {c.id for c in cells(m, EDGE)}:
         raise InvalidCircuits("circuits do not cover every edge")
     L = Corneration.from_corners(m, corners)
-    report = is_corneration(m, L.corners)
-    if not report.ok:
-        raise InternalInvariantError(f"circuit corners are not a corneration: {report.reason}")
+    _require_cover(m, L.corners, InternalInvariantError, "circuit corners")
     return L
 
 
@@ -459,16 +519,10 @@ def j_complement(L: Corneration) -> Corneration:
         raise NonUniformValence("the complement needs a uniform valence")
     if 2 * j == q:
         raise StraightHasNoComplement("straight cornerations have no width complement")
-    chosen = {c.key() for c in L.corners}
-    complement = [c for c in all_j_corners(L.map, j) if c.key() not in chosen]
-    K = Corneration.from_corners(L.map, complement)
-    report = is_corneration(L.map, K.corners)
-    if not report.ok:
-        given = is_corneration(L.map, L.corners)
-        if not given.ok:
-            raise CornerationMismatch(
-                f"not a corneration: {given.reason} at dart {given.witness}"
-            )
+    # every corner of L is a j-corner, so the complement flips L's bits
+    K = Corneration._of_mask(L.map, sum(_corner_bits(L.map, all_j_corners(L.map, j))) ^ L._mask)
+    if not is_corneration(L.map, K.corners).ok:
+        _require_cover(L.map, L.corners)
         raise InternalInvariantError("width complement failed to cover darts")
     return K
 
@@ -666,12 +720,10 @@ def enumerate_invariant_cornerations(
     exactly once.  Rows sharing no column chain fall into independent
     blocks (one per vertex under the trivial group), each solved once by
     :func:`_block_covers`; the cornerations are the product of the blocks'
-    covers.  Each block cover carries an int with bit ``n-1-i`` set for
-    its corner index ``i`` (``n`` corners in key order); blocks own
-    disjoint bits, so a corneration's int is the sum over its blocks.
-    Every corneration has the same number of corners, so descending ints
-    are ascending :meth:`Corneration.key`: the first index where two
-    sorted index lists differ is their highest differing bit.
+    covers.  Each block cover carries the :class:`Corneration` bits of its
+    corners; blocks own disjoint bits, so a corneration's int is the sum
+    over its blocks, and descending ints are ascending
+    :meth:`Corneration.key`.  No corner set is built here.
     """
     _require_symmetry_group(m, H)
     q = uniform_valence(m)
@@ -725,28 +777,14 @@ def enumerate_invariant_cornerations(
             row_orbits.append(orbit)
             row_cols.append(cols)
 
-    # a union reuses the corners' stored hashes; a lone row's set is kept
-    # as it is, as a union would copy it into a larger table
-    union = frozenset().union
-    row_sets = [frozenset(corners[ci] for ci in orbit) for orbit in row_orbits]
-    top = len(corners) - 1
-    block_keys, block_pieces = [], []
-    for solutions in _block_covers(row_cols, len(dart_orbits)):
-        block_keys.append(
-            [sum(1 << top - ci for ri in s for ci in row_orbits[ri]) for s in solutions]
-        )
-        block_pieces.append([
-            row_sets[s[0]] if len(s) == 1 else union(*map(row_sets.__getitem__, s))
-            for s in solutions
-        ])
-    # blocks own disjoint bits, so a sum of their keys is the key of the whole
-    keys = list(map(sum, itertools.product(*block_keys)))
-    combos = list(itertools.product(*block_pieces))
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    return [
-        Corneration(m, c[0] if len(c) == 1 else union(*c))
-        for c in map(combos.__getitem__, order)
+    bit = _corner_bits(m, corners)
+    block_keys = [
+        [sum(bit[ci] for ri in s for ci in row_orbits[ri]) for s in solutions]
+        for solutions in _block_covers(row_cols, len(dart_orbits))
     ]
+    # blocks own disjoint bits, so a sum of their masks is the mask of the whole
+    masks = sorted(map(sum, itertools.product(*block_keys)), reverse=True)
+    return [Corneration._of_mask(m, mask) for mask in masks]
 
 
 def _block_covers(row_cols: Sequence[int], n_cols: int) -> list[list[tuple[int, ...]]]:
@@ -954,10 +992,11 @@ def enumerate_transitive_cornerations(
     # so the first H to yield L is its stabilizer
     for H in subgroups_up_to_index(A, index_bound, element_bound):
         for L in enumerate_invariant_cornerations(m, H, j):
-            found.setdefault(L.key(), (L, H))
+            found.setdefault(L._mask, (L, H))
     records = []
-    for key in sorted(found):
-        L, aut_L = found[key]
+    # descending masks are ascending keys, and no duplicate decodes a corner
+    for mask in sorted(found, reverse=True):
+        L, aut_L = found[mask]
         transitive = is_transitive_on_corners(aut_L, L)
         symmetric = transitive and len(orbits_on(aut_L, DART)) == 1
         records.append(TransitiveCornerationRecord(L, aut_L, transitive, symmetric))
@@ -1015,9 +1054,7 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
     out = []
     for flag_value in (True, False):
         L = Corneration.from_corners(m, piles[flag_value])
-        report = is_corneration(m, L.corners)
-        if not report.ok:
-            raise InternalInvariantError(f"color class is not a corneration: {report.reason}")
+        _require_cover(m, L.corners, InternalInvariantError, "color class")
         out.append(L)
     return tuple(out)
 
@@ -1038,14 +1075,9 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     m = L.map
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:
-            raise CornerationMismatch(
-                "target map does not share darts with the corneration"
-            )
-        corners = [corner_from_darts(target, c.darts) for c in L.corners]
-        moved = Corneration.from_corners(target, corners)
-        report = is_corneration(target, moved.corners)
-        if not report.ok:
-            raise InternalInvariantError("petrie transfer broke the dart cover")
+            raise CornerationMismatch("target map does not share darts with the corneration")
+        moved = Corneration.from_corners(target, L.corners)
+        _require_cover(target, moved.corners, InternalInvariantError, "petrie transfer")
         return moved
 
     result = target
@@ -1076,8 +1108,6 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     out = []
     for ci, component in enumerate(result.maps):
         moved = Corneration.from_corners(component, piles[ci])
-        report = is_corneration(component, moved.corners)
-        if not report.ok:
-            raise InternalInvariantError("hole transfer broke the dart cover")
+        _require_cover(component, moved.corners, InternalInvariantError, "hole transfer")
         out.append(moved)
     return out

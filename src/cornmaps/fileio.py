@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import FlagMap, Skeleton, validate
-from .cornerations import Corneration, corner_from_darts, is_corneration
+from .cornerations import Corneration, _require_cover, corner_from_darts
 from .errors import CornerationMismatch, InvalidMapError, MapFormatError
 from .splitgraph import SplitGraph
 from .symtype import Diagram
@@ -111,9 +111,7 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
     if lines and lines[0].startswith("map "):
         label = lines[0][4:].strip()
         if m.name and label != m.name:
-            raise CornerationMismatch(
-                f"corneration file names map {label!r}, got {m.name!r}"
-            )
+            raise CornerationMismatch(f"corneration file names map {label!r}, got {m.name!r}")
         lines = lines[1:]
     if not lines or not lines[0].startswith("j "):
         raise MapFormatError("missing 'j <width>' line")
@@ -139,20 +137,14 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
         except ValueError as exc:
             raise CornerationMismatch(str(exc)) from exc
     L = Corneration.from_corners(m, corners)
-    report = is_corneration(m, L.corners)
-    if not report.ok:
-        raise CornerationMismatch(
-            f"not a corneration: {report.reason} at dart {report.witness}"
-        )
+    _require_cover(m, L.corners)
     if declared != "mixed":
         try:
             j = int(declared)
         except ValueError as exc:
             raise MapFormatError(f"malformed width {declared!r}") from exc
         if L.width != j:
-            raise CornerationMismatch(
-                f"declared width {j} but corners have width {L.width}"
-            )
+            raise CornerationMismatch(f"declared width {j} but corners have width {L.width}")
     return L
 
 

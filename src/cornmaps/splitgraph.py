@@ -17,18 +17,16 @@ from .cornerations import (
     Corner,
     Corneration,
     _corner_perms,
-    _corner_table,
     _dart_action,
     _moved,
+    _own_corners,
     all_j_corners,
-    corner_from_darts,
     corner_of_wedge,
     j_complement,
 )
 from .errors import (
     CornerationMismatch,
     InternalInvariantError,
-    InvalidCorner,
     KIntersectsL,
     KNotInvariant,
     NotTransitive,
@@ -82,25 +80,31 @@ class SplitGraph:
         return adj
 
     def degrees(self) -> dict:
-        return {v: len(nbrs) for v, nbrs in self.adjacency().items()}
+        degs = dict.fromkeys(self.vertices, 0)
+        for a, b in self.edges:
+            degs[a] += 1
+            degs[b] += 1
+        return degs
 
     def regular_valence(self) -> Optional[int]:
         degs = set(self.degrees().values())
         return degs.pop() if len(degs) == 1 else None
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
         adj = self.adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(self.vertices)
+        return not adj or len(_reach(adj, self.vertices[0], adj)) == len(adj)
+
+
+def _reach(adj: dict, start, allowed) -> set:
+    """The vertices reachable from ``start`` through vertices in ``allowed``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
@@ -110,13 +114,13 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     order, each dart gets the number of its L-corner and the map edge of
     that corner's other dart, and edges are gathered as number pairs
     before the graph is built in one pass.  Each K-corner is looked up in
-    the map's corner table (:func:`corner_from_darts`), so one that is not
+    the map's corner table (:func:`_own_corners`), so one that is not
     a corner of ``L.map`` raises :class:`UnknownCell` or
     :class:`InvalidCorner`, and an ``L`` that leaves a dart uncovered
     raises :class:`CornerationMismatch`.
     """
     m = L.map
-    vertices = tuple(sorted(c.key() for c in L.corners))
+    vertices = L.key()
     edge_of = m.cell_index(EDGE)
     slot = {}  # dart -> number of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
@@ -148,17 +152,11 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
             f"not a corneration: uncovered dart {missing.args[0]}"
         ) from None
 
-    table = _corner_table(m)
-    for k in K:
-        own = table.get(k.darts)
-        if own is not k:
-            own = corner_from_darts(m, k.darts)
-            if own.vertex != k.vertex:
-                raise InvalidCorner(f"{k} is not a corner of the map")
+    for own in _own_corners(m, K):
         d1, d2 = own.darts
         s1, s2 = slot[d1], slot[d2]
         if s1 == s2:
-            raise KIntersectsL(f"{k} belongs to the corneration")
+            raise KIntersectsL(f"{own} belongs to the corneration")
         pair = (s1, s2) if s1 < s2 else (s2, s1)
         if pair in found:
             found[pair][2].append(own.key())
@@ -232,16 +230,7 @@ def is_locally_connected(S: SplitGraph) -> tuple[bool, Optional[int]]:
         by_vertex.setdefault(key[0], []).append(key)
     for v in sorted(by_vertex):
         local = set(by_vertex[v])
-        start = by_vertex[v][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in local and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != local:
+        if _reach(adj, by_vertex[v][0], local) != local:
             return False, v
     return True, None
 

@@ -45,9 +45,9 @@ class SymGroup:
     builds the permutations on demand.
 
     ``SymGroup(m, perms)`` is checked once, when built: each element must
-    be a permutation of the flags, their images of flag 0 must be closed
-    under each of them, and each must commute with r0, r1 and r2, or
-    :class:`GroupNotSubgroup` is raised.  Only the images are kept.
+    be a permutation of the flags given as ints, their images of flag 0
+    must be closed under each of them, and each must commute with r0, r1
+    and r2, or :class:`GroupNotSubgroup` is raised.  Only the images are kept.
     Groups returned by :func:`automorphism_group` and
     :meth:`subgroup_from_images` are symmetries by construction.
     """
@@ -59,9 +59,10 @@ class SymGroup:
         if not perms:
             raise GroupNotSubgroup("a group needs at least the identity")
         flags = set(map.flags())
-        if any(len(p) != map.n_flags or set(p) != flags for p in perms):
+        ints = all(type(x) is int for p in perms for x in p)
+        if not ints or any(len(p) != map.n_flags or set(p) != flags for p in perms):
             raise GroupNotSubgroup(
-                f"an element is not a permutation of the {map.n_flags} flags"
+                f"an element is not a permutation of the {map.n_flags} flags as ints"
             )
         images = {p[0] for p in perms}
         if not all(images.issuperset(p[x] for x in images) for p in perms):

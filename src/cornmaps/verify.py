@@ -36,6 +36,7 @@ from .core import (
     face_bipartition,
     face_boundary_edges,
     face_length,
+    rotation_at_vertex,
     skeleton,
     uniform_valence,
     validate,
@@ -574,20 +575,15 @@ def _mixed_cover_spotchecks(ctx: SuiteContext):
 
 def _all_cornerations_mixed(m: FlagMap):
     """Every corneration of ``m``: the product of per-vertex exact covers."""
-    per_vertex = []
-    for vc in cells(m, VERTEX):
-        covers = _vertex_covers_all_widths(m, vc.id)
-        per_vertex.append(covers)
-    out = []
-    for combo in itertools.product(*per_vertex):
-        corners = [c for part in combo for c in part]
-        out.append(corn.Corneration.from_corners(m, corners))
-    return out
+    per_vertex = [_vertex_covers_all_widths(m, vc.id) for vc in cells(m, VERTEX)]
+    return [
+        corn.Corneration.from_corners(m, itertools.chain(*combo))
+        for combo in itertools.product(*per_vertex)
+    ]
 
 
 def _vertex_covers_all_widths(m: FlagMap, v: int):
-    from .core import rotation_at_vertex
-
+    """Every exact cover of the darts at ``v`` by its corners, each once."""
     rotation = rotation_at_vertex(m, v)
     q = len(rotation)
     corners_at_v = []
@@ -609,14 +605,7 @@ def _vertex_covers_all_widths(m: FlagMap, v: int):
                 extend(remaining - set(c.darts), chosen + [c])
 
     extend(set(rotation), [])
-    seen = set()
-    unique = []
-    for cover in covers:
-        key = tuple(sorted(c.key() for c in cover))
-        if key not in seen:
-            seen.add(key)
-            unique.append(cover)
-    return unique
+    return covers
 
 
 def claim_face_configurations(ctx: SuiteContext):

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -33,6 +35,7 @@ from cornmaps.errors import (
     WidthMismatch,
     WidthOutOfRange,
 )
+from cornmaps.fileio import parse_corneration, write_corneration
 from cornmaps.operators import hole, opposite, petrie
 from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
 from cornmaps.verify import _all_cornerations_mixed
@@ -572,6 +575,72 @@ def test_enumerate_trivial_group_antiprism5_in_key_order():
     assert {L.key() for L in out} == oracle
 
 
+def swept(m):
+    """The cornerations of the transitive sweeps of ``m`` at every width."""
+    widths = range(1, uniform_valence(m) // 2 + 1)
+    return [r.corneration for j in widths for r in corn.enumerate_transitive_cornerations(m, j)]
+
+
+@pytest.mark.parametrize(
+    "build,enumerate_,count",
+    [
+        (lambda: build_torus_grid(4, 4), swept, 9),
+        (lambda: opposite(build_torus_grid(4, 4)), swept, 33),
+        (
+            lambda: build_antiprism(5),
+            lambda m: corn.enumerate_invariant_cornerations(m, trivial_group(m), 1),
+            1024,
+        ),
+    ],
+    ids=["torus44 sweep", "opp44 sweep", "antiprism5 trivial"],
+)
+def test_construction_paths_agree(build, enumerate_, count):
+    """Enumerated, rebuilt from corners and parsed cornerations are equal,
+    with the same hash, and decode to the map's own corners in key order."""
+    m = build()
+    found = enumerate_(m)
+    assert len(found) == count
+    for L in found:
+        assert L.key() == tuple(sorted(c.key() for c in L.corners))
+        for corners in (L.corners, L.sorted_corners()[::-1] * 2):
+            again = corn.Corneration.from_corners(m, corners)
+            assert again == L and hash(again) == hash(L)
+        assert parse_corneration(write_corneration(L), m) == L
+        assert all(c is corn.corner_from_darts(m, c.darts) for c in L.corners)
+    assert len(set(found)) == len(found)
+
+
+def test_from_corners_rejects_items_that_are_no_corner_of_the_map(torus44):
+    big, L = build_torus_grid_corneration(6, 6)
+    beyond = [c for c in L.corners if max(c.darts) >= torus44.n_flags]
+    # darts of torus 4x4, but at two vertices there
+    (spread,) = [c for c in corn.all_j_corners(opposite(torus44), 2) if c.darts == (0, 40)]
+    own = corn.all_j_corners(torus44, 1)[0]
+    moved = dataclasses.replace(own, vertex=own.vertex + 8)
+    for bad in (beyond[:1], beyond, [spread], [own, moved], [own, own.darts]):
+        with pytest.raises(CornerationMismatch):
+            corn.Corneration.from_corners(torus44, bad)
+        with pytest.raises(CornerationMismatch):
+            corn.Corneration(torus44, bad)
+    assert corn.Corneration.from_corners(big, beyond).corners == frozenset(beyond)
+
+
+def test_enumerated_cornerations_are_compact():
+    """A corneration keeps its map and one int, not a set of its corners:
+    under 400 bytes each (a frozenset of 20 corners alone takes 2,264)."""
+    m = build_antiprism(5)
+    H = trivial_group(m)
+    corn.enumerate_invariant_cornerations(m, H, 1)  # builds the map's tables
+    tracemalloc.start()
+    try:
+        found = corn.enumerate_invariant_cornerations(m, H, 1)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 1024
+    assert retained / len(found) < 400
+
+
 def test_enumerate_depth_is_not_bounded_by_the_corner_count():
     # 1152 straight corners, each forced: more than Python's recursion limit
     m = build_torus_grid(24, 24)
@@ -668,6 +737,15 @@ def test_transitive_records(torus44):
             assert r.transitive
     symmetric = [r for r in records if r.symmetric]
     assert len(symmetric) == 4
+
+
+def test_transitive_records_come_once_each_in_key_order(opp44):
+    counts = []
+    for j in range(1, 5):
+        keys = [r.corneration.key() for r in corn.enumerate_transitive_cornerations(opp44, j)]
+        assert keys == sorted(set(keys))
+        counts.append(len(keys))
+    assert sum(counts) == 33 and max(counts) > 1
 
 
 # -- symmetric construction -----------------------------------------------------

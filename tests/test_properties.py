@@ -4,7 +4,7 @@ import hypothesis.strategies as hst
 import pytest
 from hypothesis import assume, given, settings
 
-from cornmaps.builders import from_rotation_system
+from cornmaps.builders import build_torus_grid, from_rotation_system
 from cornmaps.core import (
     CELL_KINDS,
     cells,
@@ -172,3 +172,17 @@ def test_user_groups_are_checked_when_built(data, draws):
     G = SymGroup(m, subset)
     assert G.images() == tuple(sorted(p[0] for p in perms))
     assert G.elements == tuple(sorted(perms))
+
+
+def test_user_group_entries_must_be_ints():
+    """Entries equal to flags but not ints (1.0, True) are no permutation."""
+    m = build_torus_grid(2, 2)
+    identity = list(range(m.n_flags))
+    for bad in (
+        [float(x) for x in identity],
+        identity[:-1] + [float(identity[-1])],
+        [0, True] + identity[2:],
+    ):
+        with pytest.raises(GroupNotSubgroup):
+            SymGroup(m, [bad])
+    assert SymGroup(m, [identity]).images() == (0,)

@@ -403,6 +403,26 @@ def test_split_matches_the_key_oracle(transitive_cases):
     assert built > 100
 
 
+def test_degrees_count_the_edge_pairs(transitive_cases, monkeypatch):
+    """Degrees come in vertex order, equal the sizes of the adjacency sets,
+    and are counted without building those sets."""
+    graphs = []
+    for _, r, q, j in transitive_cases[::4]:
+        kinds = sg.predicted_valences(q, j)
+        graphs += [sg.build_construction(r.corneration, kind) for kind in kinds]
+    expected = [{v: len(nbrs) for v, nbrs in S.adjacency().items()} for S in graphs]
+    valences = [set(d.values()) for d in expected]
+
+    def no_adjacency(self):
+        raise AssertionError("degrees built the adjacency sets")
+
+    monkeypatch.setattr(sg.SplitGraph, "adjacency", no_adjacency)
+    assert len(graphs) > 20
+    for S, degs, vals in zip(graphs, expected, valences):
+        assert list(S.degrees().items()) == list(degs.items())
+        assert S.regular_valence() == (min(vals) if len(vals) == 1 else None)
+
+
 def orbit_under(actions, start, move):
     orbit = {start}
     queue = [start]
