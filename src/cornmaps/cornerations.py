@@ -374,11 +374,13 @@ class Corneration:
         widths = {c.width for c in self.corners}
         return widths.pop() if len(widths) == 1 else None
 
+    def _digits(self) -> bytes:
+        n = len(_corner_numbering(self.map)[2])
+        # byte i, of the n-digit binary form, is bit n-1-i: 1 for corner number i
+        return format(self._mask, f"0{n}b").encode().translate(_BINARY_DIGITS)
+
     def sorted_corners(self) -> list[Corner]:
-        table = _corner_numbering(self.map)[2]
-        # digit i of the n-digit binary form is bit n-1-i, the corner numbered i
-        digits = format(self._mask, f"0{len(table)}b").encode().translate(_BINARY_DIGITS)
-        return list(itertools.compress(table, digits))
+        return list(itertools.compress(_corner_numbering(self.map)[2], self._digits()))
 
     def key(self) -> tuple:
         return tuple(c.key() for c in self.sorted_corners())
@@ -709,6 +711,24 @@ def _moved(action: Sequence[int], darts: tuple) -> tuple:
     return (a, b) if a < b else (b, a)
 
 
+def _pair_action(A: SymGroup) -> tuple[list, ...]:
+    """Per generator of ``A``, a list from each pair number of :func:`_corner_numbering`
+    to the number of its image pair, read off :func:`_dart_action`.  Memoized on
+    the group, and each list on the map by the generator's image of flag 0."""
+    if "pair_action" not in A._cache:
+        first, rank, _ = _corner_numbering(A.map)
+        tables = A.map._memo(("pair_action",), dict)
+        todo = [(g[0], a) for g, a in zip(A.generators, _dart_action(A)) if g[0] not in tables]
+        # pairs in number order: vertex by vertex, then ascending
+        rotations = (sorted(rotation_at_vertex(A.map, v.id)) for v in cells(A.map, VERTEX))
+        pairs = todo and [p for darts in rotations for p in itertools.combinations(darts, 2)]
+        for h, action in todo:
+            moved = ((action[a], action[b]) for a, b in pairs)
+            tables[h] = [first[x] + rank[y] if x < y else first[y] + rank[x] for x, y in moved]
+        A._cache["pair_action"] = tuple(tables[g[0]] for g in A.generators)
+    return A._cache["pair_action"]
+
+
 def enumerate_invariant_cornerations(
     m: FlagMap, H: SymGroup, j: int
 ) -> list[Corneration]:
@@ -729,8 +749,8 @@ def enumerate_invariant_cornerations(
     q = uniform_valence(m)
     if q is None:
         raise NonUniformValence("corneration enumeration needs a uniform valence")
-    if not 1 <= j <= q // 2:
-        raise WidthOutOfRange(f"width must satisfy 1 <= j <= {q // 2}, got {j}")
+    if not (isinstance(j, int) and 1 <= j <= q // 2):
+        raise WidthOutOfRange(f"width must satisfy 1 <= j <= {q // 2}, got {j!r}")
     if q % 2 != 0:
         return []
 
@@ -932,28 +952,31 @@ def _corner_perms(G: SymGroup, pairs: Sequence[tuple]) -> list[list[int]]:
 def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
     """The setwise stabilizer of ``L`` inside the group ``A``.
 
-    Orbit and stabilizer: the orbit of L's corner set under the generators
-    of ``A`` is walked with a transversal, and the stabilizer is spanned by
-    the Schreier generators.  The cost follows the orbit length and the
-    stabilizer order, not the order of ``A``; ``L`` need not be invariant
-    under any part of ``A``.
+    Orbit and stabilizer: the orbit of L's corner numbers under one pair
+    table per generator of ``A`` (:func:`_pair_action`) is walked with a
+    transversal, and the Schreier generators span the stabilizer.  The cost
+    follows the orbit length and the stabilizer order, not |A|; ``L`` need
+    not be invariant under any part of ``A``.  :class:`CornerationMismatch`
+    for a non-corneration, :class:`GroupNotSubgroup` for one of another map.
     """
-    gens = list(zip(A.generators, _dart_action(A)))
-    start = frozenset(c.darts for c in L.corners)
-    transversal = {start: 0}  # corner set -> image of an element sending L to it
+    if not isinstance(L, Corneration):
+        raise CornerationMismatch(f"not a corneration: {L!r}")
+    _require_symmetry_group(L.map, A)
+    gens = list(zip(A.generators, _pair_action(A)))
+    start = frozenset(itertools.compress(itertools.count(), L._digits()))
+    transversal = {start: 0}  # number set -> image of an element sending L to it
     orbit = [start]
     schreier = set()
-    for pairs in orbit:
-        t = transversal[pairs]
-        for g, action in gens:
-            moved = frozenset(_moved(action, p) for p in pairs)
+    for numbers in orbit:
+        t = transversal[numbers]
+        for g, table in gens:
+            moved = frozenset(map(table.__getitem__, numbers))
             st = g[t]  # t then g sends L to moved; undoing moved's t fixes L
-            if moved in transversal:
-                # unchecked arithmetic: st and every transversal image lie in A
-                schreier.add(A._apply(A._inverse(transversal[moved]), st))
-            else:
+            if moved not in transversal:
                 transversal[moved] = st
                 orbit.append(moved)
+            elif transversal[moved] != st:  # else the identity; both images lie in A
+                schreier.add(A._apply(A._inverse(transversal[moved]), st))
     return A.subgroup_from_images(_generating_images(A, schreier)[1])
 
 

@@ -27,7 +27,7 @@ from .core import (
     _normalize_kind,
     _rotation_table,
 )
-from .errors import GroupNotSubgroup, GroupTooLarge, UnknownCell
+from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge, UnknownCell
 from .operators import _propagate
 
 
@@ -432,6 +432,8 @@ def subgroups_up_to_index(
     number of cosets used.  New cosets are numbered in order of first
     appearance, so every subgroup comes out exactly once.
     """
+    if not isinstance(k, int):
+        raise DegenerateParameters(f"the index bound must be an int, got {k!r}")
     if G.order > element_bound:
         raise GroupTooLarge(
             f"group of order {G.order} exceeds the bound {element_bound}; "

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from cornmaps.cli import main
@@ -120,3 +124,14 @@ def test_usage_error_exit_code():
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "info", "/nonexistent/nowhere.map")
     assert code == 2
+
+
+def test_verify_suite_report_matches_the_benchmark_summary(capsys):
+    """The suite report, its elapsed times stripped, against the benchmark's
+    expected ``verify-suite`` summary (read only)."""
+    expected = json.loads(
+        (Path(__file__).parent.parent / "bench" / "expected" / "verify-suite.json").read_text()
+    )
+    code, out, _ = run(capsys, "verify", "suite")
+    report = re.sub(r", \d+\.\d+s\)", ")", out)
+    assert {"exit_code": code, "report": report} == expected

@@ -23,6 +23,7 @@ from cornmaps.core import (
 from cornmaps.errors import (
     CircuitTooShort,
     CornerationMismatch,
+    DegenerateParameters,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
     InvalidCircuits,
@@ -70,6 +71,17 @@ def test_all_j_corners_counts(cube, torus44, opp44):
         corn.all_j_corners(cube, 2)
     with pytest.raises(WidthOutOfRange):
         corn.all_j_corners(torus44, 0)
+
+
+def test_bounds_that_are_no_ints_raise_library_errors(torus44):
+    A = automorphism_group(torus44)
+    for k in ("2", 2.5):
+        with pytest.raises(DegenerateParameters):
+            subgroups_up_to_index(A, k)
+    with pytest.raises(WidthOutOfRange):
+        corn.enumerate_transitive_cornerations(torus44, "1")
+    assert [len(subgroups_up_to_index(A, k)) for k in (-1, 0, 1, 2)] == [0, 0, 1, 8]
+    assert len(corn.enumerate_transitive_cornerations(torus44, 1)) == 8
 
 
 def test_corner_fields(opp44):

@@ -35,7 +35,11 @@ from cornmaps.cornerations import (
     enumerate_invariant_cornerations,
     enumerate_transitive_cornerations,
 )
-from cornmaps.errors import GroupDoesNotPreserveCorneration, GroupNotSubgroup
+from cornmaps.errors import (
+    CornerationMismatch,
+    GroupDoesNotPreserveCorneration,
+    GroupNotSubgroup,
+)
 from cornmaps.operators import _propagate, opposite, petrie
 from cornmaps.symmetry import (
     SymGroup,
@@ -501,6 +505,67 @@ def test_stabilizer_of_a_partial_corner_set():
     L = enumerate_invariant_cornerations(m, A, 1)[0]
     part = Corneration.from_corners(m, L.sorted_corners()[:3])
     assert corneration_stabilizer(A, part).images() == oracle_stabilizer(A, part)
+
+
+def pairs_in_number_order(m):
+    first, rank, table = cornerations._corner_numbering(m)
+    pairs = [None] * len(table)
+    for v in cells(m, VERTEX):
+        darts = sorted(_rotation_table(m)[v.id][1])
+        for i, a in enumerate(darts):
+            for b in darts[i + 1 :]:
+                pairs[first[a] + rank[b]] = (a, b)
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "m",
+    [build_theta(4), build_antiprism(3), relabel(build_antiprism(3), 5)],
+    ids=["theta4", "antiprism3", "antiprism3~5"],
+)
+def test_stabilizers_of_every_mixed_corneration_match_the_element_filter(m):
+    """Every corneration of the spot-check maps, under Aut and the trivial group."""
+    pairs = pairs_in_number_order(m)
+    if m.name.endswith("~5"):  # the pair numbers do not follow the flag labels
+        assert pairs != sorted(pairs)
+    A = automorphism_group(m)
+    trivial = SymGroup(m, [tuple(m.flags())])
+    assert trivial.generator_images() == () and len(trivial.generators) == 1
+    found = _all_cornerations_mixed(m)
+    assert len(found) in (9, 729)
+    for L in found:
+        assert corneration_stabilizer(A, L).images() == oracle_stabilizer(A, L)
+        assert corneration_stabilizer(trivial, L).images() == oracle_stabilizer(trivial, L)
+
+
+def test_stabilizers_move_corner_numbers_through_one_table_per_generator(monkeypatch):
+    calls = []
+
+    def counting(action, darts):
+        calls.append(darts)
+        return (0, 0)
+
+    monkeypatch.setattr(cornerations, "_moved", counting)
+    m = build_antiprism(3)
+    A = automorphism_group(m)
+    found = _all_cornerations_mixed(m)
+    assert len(found) == 729
+    orders = {corneration_stabilizer(A, L).order for L in found}
+    assert calls == [] and len(orders) > 1
+    tables = m._cache[("pair_action",)]
+    assert sorted(tables) == sorted(g[0] for g in A.generators) and len(A.generators) > 1
+    assert all(sorted(t) == list(range(len(t))) for t in tables.values())
+
+
+def test_stabilizer_rejects_cornerations_of_other_maps():
+    A = automorphism_group(build_torus_grid(4, 4))
+    for other in (build_torus_grid(6, 6), build_torus_grid(2, 2), build_antiprism(8)):
+        L = next(r.corneration for r in enumerate_transitive_cornerations(other, 1) if r.transitive)
+        with pytest.raises(GroupNotSubgroup):
+            corneration_stabilizer(A, L)
+    for L in ("x", None):
+        with pytest.raises(CornerationMismatch):
+            corneration_stabilizer(A, L)
 
 
 @pytest.mark.parametrize(
