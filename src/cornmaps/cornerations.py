@@ -32,7 +32,6 @@ from .errors import (
     CircuitTooShort,
     CornerationMismatch,
     GroupDoesNotPreserveCorneration,
-    GroupNotSubgroup,
     InternalInvariantError,
     InvalidCircuits,
     InvalidCorner,
@@ -54,6 +53,7 @@ from .symmetry import (
     orbits_on,
     subgroups_up_to_index,
     _generating_images,
+    _require_group,
 )
 
 CONVEX = "Convex"
@@ -312,11 +312,16 @@ def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
     return out
 
 
-def _corner_bits(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
-    """The :class:`Corneration` bit of each corner of ``m``."""
-    first, rank, table = _corner_numbering(m)
-    top = len(table) - 1
-    return [1 << top - (first[a] + rank[b]) for a, b in (c.darts for c in corners)]
+def _pair_numbers(m: FlagMap, pairs: Iterable[tuple]) -> list[int]:
+    """The number (:func:`_corner_numbering`) of each sorted dart pair."""
+    first, rank, _ = _corner_numbering(m)
+    return [first[a] + rank[b] for a, b in pairs]
+
+
+def _mask_of(m: FlagMap, numbers: Iterable[int]) -> int:
+    """The :class:`Corneration` int of the corners of ``m`` with these numbers."""
+    top = len(_corner_numbering(m)[2]) - 1
+    return sum(1 << top - n for n in numbers)
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -341,7 +346,7 @@ class Corneration:
             own = set(_own_corners(map, corners))
         except (AttributeError, InvalidCorner, UnknownCell) as exc:
             raise CornerationMismatch(f"not a corner of the map: {exc.args[0]}") from None
-        self.map, self._mask = map, sum(_corner_bits(map, own))
+        self.map, self._mask = map, _mask_of(map, _pair_numbers(map, (c.darts for c in own)))
         self._corners = self._by_dart = None
 
     @classmethod
@@ -522,9 +527,11 @@ def j_complement(L: Corneration) -> Corneration:
     if 2 * j == q:
         raise StraightHasNoComplement("straight cornerations have no width complement")
     # every corner of L is a j-corner, so the complement flips L's bits
-    K = Corneration._of_mask(L.map, sum(_corner_bits(L.map, all_j_corners(L.map, j))) ^ L._mask)
-    if not is_corneration(L.map, K.corners).ok:
-        _require_cover(L.map, L.corners)
+    m = L.map
+    every = _pair_numbers(m, (c.darts for c in all_j_corners(m, j)))
+    K = Corneration._of_mask(m, _mask_of(m, every) ^ L._mask)
+    if not is_corneration(m, K.corners).ok:
+        _require_cover(m, L.corners)
         raise InternalInvariantError("width complement failed to cover darts")
     return K
 
@@ -682,51 +689,36 @@ def face_patterns(L: Corneration) -> FacePatternReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_symmetry_group(m: FlagMap, H: SymGroup) -> None:
-    if H.map is not m and H.map != m:
-        raise GroupNotSubgroup("the group belongs to a different map")
-
-
-def _dart_action(G: SymGroup) -> tuple[tuple[int, ...], ...]:
-    """Per generator of ``G``, a table from each flag to the dart of its image.
-
-    A corner's darts fix its vertex, so a corner moves as its sorted dart
-    pair by two lookups (:func:`_moved`).  Memoized on the group; each
-    table is memoized on the map by generator, as subgroups share them.
-    """
-    cache = G._cache
-    if "dart_action" not in cache:
-        dart_of = G.map.cell_index(DART)
-        tables = G.map._memo(("dart_action",), dict)
-        for g in G.generators:
-            if g not in tables:
-                tables[g] = tuple(map(dart_of.__getitem__, g))
-        cache["dart_action"] = tuple(tables[g] for g in G.generators)
-    return cache["dart_action"]
-
-
-def _moved(action: Sequence[int], darts: tuple) -> tuple:
-    """The sorted dart pair of a corner's image under one generator."""
-    a, b = action[darts[0]], action[darts[1]]
-    return (a, b) if a < b else (b, a)
-
-
-def _pair_action(A: SymGroup) -> tuple[list, ...]:
-    """Per generator of ``A``, a list from each pair number of :func:`_corner_numbering`
-    to the number of its image pair, read off :func:`_dart_action`.  Memoized on
-    the group, and each list on the map by the generator's image of flag 0."""
-    if "pair_action" not in A._cache:
-        first, rank, _ = _corner_numbering(A.map)
-        tables = A.map._memo(("pair_action",), dict)
-        todo = [(g[0], a) for g, a in zip(A.generators, _dart_action(A)) if g[0] not in tables]
+def _pair_action(G: SymGroup) -> tuple[list, ...]:
+    """Per generator g of ``G``, a list from each pair number of :func:`_corner_numbering`
+    to the number of its image: pair ``(a, b)`` goes to the pair of the darts of
+    ``g[a]`` and ``g[b]``.  The library's only group action on corners.  Memoized
+    on the group, and each list on the map by the generator's image of flag 0."""
+    if "pair_action" not in G._cache:
+        m = G.map
+        first, rank, _ = _corner_numbering(m)
+        dart_of = m.cell_index(DART)
+        tables = m._memo(("pair_action",), dict)
+        todo = [g for g in G.generators if g[0] not in tables]
         # pairs in number order: vertex by vertex, then ascending
-        rotations = (sorted(rotation_at_vertex(A.map, v.id)) for v in cells(A.map, VERTEX))
+        rotations = (sorted(rotation_at_vertex(m, v.id)) for v in cells(m, VERTEX))
         pairs = todo and [p for darts in rotations for p in itertools.combinations(darts, 2)]
-        for h, action in todo:
-            moved = ((action[a], action[b]) for a, b in pairs)
-            tables[h] = [first[x] + rank[y] if x < y else first[y] + rank[x] for x, y in moved]
-        A._cache["pair_action"] = tuple(tables[g[0]] for g in A.generators)
-    return A._cache["pair_action"]
+        for g in todo:
+            moved = ((dart_of[g[a]], dart_of[g[b]]) for a, b in pairs)
+            tables[g[0]] = [first[x] + rank[y] if x < y else first[y] + rank[x] for x, y in moved]
+        G._cache["pair_action"] = tuple(tables[g[0]] for g in G.generators)
+    return G._cache["pair_action"]
+
+
+def _require_width(m: FlagMap, j) -> int:
+    """The uniform valence q of ``m``, unless it is mixed or ``j`` is no int
+    in ``1..q // 2`` (:class:`NonUniformValence`, :class:`WidthOutOfRange`)."""
+    q = uniform_valence(m)
+    if q is None:
+        raise NonUniformValence("corneration enumeration needs a uniform valence")
+    if not (isinstance(j, int) and 1 <= j <= q // 2):
+        raise WidthOutOfRange(f"width must satisfy 1 <= j <= {q // 2}, got {j!r}")
+    return q
 
 
 def enumerate_invariant_cornerations(
@@ -745,29 +737,15 @@ def enumerate_invariant_cornerations(
     over its blocks, and descending ints are ascending
     :meth:`Corneration.key`.  No corner set is built here.
     """
-    _require_symmetry_group(m, H)
-    q = uniform_valence(m)
-    if q is None:
-        raise NonUniformValence("corneration enumeration needs a uniform valence")
-    if not (isinstance(j, int) and 1 <= j <= q // 2):
-        raise WidthOutOfRange(f"width must satisfy 1 <= j <= {q // 2}, got {j!r}")
-    if q % 2 != 0:
+    _require_group(H, m)
+    if _require_width(m, j) % 2 != 0:
         return []
 
     corners = all_j_corners(m, j)
-    corner_pos = {c.darts: i for i, c in enumerate(corners)}
-    darts = [c.id for c in cells(m, DART)]
-    dart_pos = {d: i for i, d in enumerate(darts)}
-
-    gen_corner_perms = []
-    gen_dart_perms = []
-    for action in _dart_action(H):
-        gen_corner_perms.append([corner_pos[_moved(action, c.darts)] for c in corners])
-        gen_dart_perms.append([dart_pos[action[d]] for d in darts])
-
-    corner_orbits = orbits(len(corners), gen_corner_perms)
-    dart_orbits = orbits(len(darts), gen_dart_perms)
-    dart_orbit_of = [0] * len(darts)
+    numbers = _pair_numbers(m, (c.darts for c in corners))
+    corner_orbits = orbits(len(corners), _corner_perms(H, numbers))
+    dart_orbits = orbits_on(H, DART)
+    dart_orbit_of = [0] * m.n_flags
     for oi, orbit in enumerate(dart_orbits):
         for d in orbit:
             dart_orbit_of[d] = oi
@@ -778,7 +756,7 @@ def enumerate_invariant_cornerations(
         ok = True
         for ci in orbit:
             for d in corners[ci].darts:
-                col = dart_orbit_of[dart_pos[d]]
+                col = dart_orbit_of[d]
                 cover[col] = cover.get(col, 0) + 1
                 if cover[col] > len(dart_orbits[col]):
                     ok = False
@@ -797,9 +775,8 @@ def enumerate_invariant_cornerations(
             row_orbits.append(orbit)
             row_cols.append(cols)
 
-    bit = _corner_bits(m, corners)
     block_keys = [
-        [sum(bit[ci] for ri in s for ci in row_orbits[ri]) for s in solutions]
+        [_mask_of(m, (numbers[ci] for ri in s for ci in row_orbits[ri])) for s in solutions]
         for solutions in _block_covers(row_cols, len(dart_orbits))
     ]
     # blocks own disjoint bits, so a sum of their masks is the mask of the whole
@@ -926,24 +903,28 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     """Orbit partition of a corner set under the induced action of ``G``.
 
     Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves a
-    corner out of the set.
+    corner out of the set, or for a corner of another map.
     """
+    _require_group(G)
     pool = sorted({c.darts: c for c in corners}.values(), key=Corner.key)
-    perms = _corner_perms(G, [c.darts for c in pool])
+    try:
+        own = _own_corners(G.map, pool)
+    except (InvalidCorner, UnknownCell):
+        raise GroupDoesNotPreserveCorneration("a corner is not one of the group's map") from None
+    perms = _corner_perms(G, _pair_numbers(G.map, (c.darts for c in own)))
     return [[pool[i] for i in orbit] for orbit in orbits(len(pool), perms)]
 
 
-def _corner_perms(G: SymGroup, pairs: Sequence[tuple]) -> list[list[int]]:
-    """Per generator of ``G``, the positions in ``pairs`` of its images.
+def _corner_perms(G: SymGroup, numbers: Sequence[int]) -> list[list[int]]:
+    """Per generator of ``G``, the positions in ``numbers`` of its images.
 
-    ``pairs`` are distinct sorted dart pairs of corners.  Raises
-    :class:`GroupDoesNotPreserveCorneration` when ``G`` moves a pair out
-    of the list.
+    ``numbers`` are distinct corner numbers of ``G``'s map.  Raises
+    :class:`GroupDoesNotPreserveCorneration` when ``G`` moves one off the list.
     """
-    pos = {p: i for i, p in enumerate(pairs)}
+    pos = {n: i for i, n in enumerate(numbers)}
     try:
-        return [[pos[_moved(action, p)] for p in pairs] for action in _dart_action(G)]
-    except (KeyError, IndexError):  # a pair off the list, or a dart off the map
+        return [[pos[table[n]] for n in numbers] for table in _pair_action(G)]
+    except KeyError:
         raise GroupDoesNotPreserveCorneration(
             "the corner set is not invariant under the group"
         ) from None
@@ -961,7 +942,7 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
     """
     if not isinstance(L, Corneration):
         raise CornerationMismatch(f"not a corneration: {L!r}")
-    _require_symmetry_group(L.map, A)
+    _require_group(A, L.map)
     gens = list(zip(A.generators, _pair_action(A)))
     start = frozenset(itertools.compress(itertools.count(), L._digits()))
     transversal = {start: 0}  # number set -> image of an element sending L to it
@@ -985,7 +966,11 @@ def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
 
     Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves ``L``.
     """
-    return len(corner_orbits(G, L.corners)) == 1
+    _require_group(G)
+    if L.map is not G.map and L.map != G.map:  # its numbers are another map's
+        return len(corner_orbits(G, L.corners)) == 1
+    numbers = list(itertools.compress(itertools.count(), L._digits()))
+    return len(orbits(len(numbers), _corner_perms(G, numbers))) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -1006,8 +991,9 @@ def enumerate_transitive_cornerations(
     stabilizer, whose index is at most 4, so the sweep finds all of them.
     Each distinct corneration is returned once with its setwise stabilizer
     and transitivity flags (transitive on its corners, transitive on all
-    darts).
+    darts).  The valence and width are checked before any search.
     """
+    _require_width(m, j)
     A = automorphism_group(m)
     found: dict = {}
     # the subgroups come by decreasing order, and every H that leaves L

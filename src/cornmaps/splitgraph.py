@@ -17,9 +17,9 @@ from .cornerations import (
     Corner,
     Corneration,
     _corner_perms,
-    _dart_action,
-    _moved,
     _own_corners,
+    _pair_action,
+    _pair_numbers,
     all_j_corners,
     corner_of_wedge,
     j_complement,
@@ -33,7 +33,7 @@ from .errors import (
     UnknownConstruction,
     WidthOutOfRange,
 )
-from .symmetry import SymGroup
+from .symmetry import SymGroup, _require_group
 
 OLD = "old"
 NEW = "new"
@@ -110,26 +110,26 @@ def _reach(adj: dict, start, allowed) -> set:
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     """The split graph of ``L`` and a disjoint corner set ``K``.
 
-    Built from dart tables: the corners of ``L`` are numbered once in key
-    order, each dart gets the number of its L-corner and the map edge of
-    that corner's other dart, and edges are gathered as number pairs
-    before the graph is built in one pass.  Each K-corner is looked up in
-    the map's corner table (:func:`_own_corners`), so one that is not
-    a corner of ``L.map`` raises :class:`UnknownCell` or
-    :class:`InvalidCorner`, and an ``L`` that leaves a dart uncovered
-    raises :class:`CornerationMismatch`.
+    The corners of ``L`` are listed once in key order (their positions,
+    not the map's corner numbers), each dart gets the position of its
+    L-corner and the map edge of that corner's other dart, and edges are
+    gathered as position pairs before the graph is built in one pass.
+    Each K-corner is looked up in the map's corner table
+    (:func:`_own_corners`), so one that is not a corner of ``L.map``
+    raises :class:`UnknownCell` or :class:`InvalidCorner`, and an ``L``
+    that leaves a dart uncovered raises :class:`CornerationMismatch`.
     """
     m = L.map
     vertices = L.key()
     edge_of = m.cell_index(EDGE)
-    slot = {}  # dart -> number of the L-corner covering it
+    slot = {}  # dart -> position of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
     for i, (_, (a, b)) in enumerate(vertices):
         slot[a] = slot[b] = i
         far[a] = edge_of[b]
         far[b] = edge_of[a]
 
-    # sorted number pair -> (the pair as first met, old tokens, new tokens);
+    # sorted position pair -> (the pair as first met, old tokens, new tokens);
     # each frozenset key is built in the order first met, as the iteration
     # order of a two-key frozenset can follow it
     found: dict = {}
@@ -241,22 +241,22 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     Checks that ``G`` preserves the corneration and ``K`` setwise, that
     its induced action maps split-graph edges to edges, and that it is
     transitive on the vertices.  This certifies vertex-transitivity
-    without computing the full automorphism group of the graph.  The
-    vertices are numbered once, each generator acts on the numbers as a
-    permutation, and edges are tested as number pairs.
+    without computing the full automorphism group of the graph.  Each
+    generator moves the vertices and K by their corner numbers through its
+    pair table (:func:`_pair_action`); edges are tested as vertex pairs.
     """
-    perms = _corner_perms(G, [darts for _, darts in S.vertices])
+    m = S.map
+    _require_group(G, m)
+    perms = _corner_perms(G, _pair_numbers(m, (darts for _, darts in S.vertices)))
     if len(orbits(S.n_vertices, perms)) != 1:
         raise NotTransitive("the group is not transitive on the corneration")
-    K = list(K)
-    k_pairs = {c.darts for c in K}
+    k_numbers = set(_pair_numbers(m, (c.darts for c in _own_corners(m, K))))
     number = {key: i for i, key in enumerate(S.vertices)}
     ends = [(number[a], number[b]) for a, b in S.edges]
     edge_set = {(a, b) if a < b else (b, a) for a, b in ends}
-    for action, perm in zip(_dart_action(G), perms):
-        for c in K:
-            if _moved(action, c.darts) not in k_pairs:
-                raise KNotInvariant("the new-corner set is not group-invariant")
+    for table, perm in zip(_pair_action(G), perms):
+        if not k_numbers.issuperset(map(table.__getitem__, k_numbers)):
+            raise KNotInvariant("the new-corner set is not group-invariant")
         for a, b in ends:
             x, y = perm[a], perm[b]
             if ((x, y) if x < y else (y, x)) not in edge_set:

@@ -209,6 +209,15 @@ class SymGroup:
     __repr__ = __str__
 
 
+def _require_group(G, m: Optional[FlagMap] = None) -> None:
+    """Raise :class:`GroupNotSubgroup` unless ``G`` is a :class:`SymGroup`,
+    and one of ``m`` when a map is given."""
+    if not isinstance(G, SymGroup):
+        raise GroupNotSubgroup(f"not a symmetry group: {G!r}")
+    if m is not None and G.map is not m and G.map != m:
+        raise GroupNotSubgroup("the group belongs to a different map")
+
+
 def _commutes_with_involutions(m: FlagMap, elements: Iterable[Perm]) -> bool:
     rs = m.involutions()
     for p in elements:
@@ -385,6 +394,7 @@ def orbits_on(G: SymGroup, what: str) -> tuple[tuple[int, ...], ...]:
     ``what`` is ``"flags"`` or a cell kind; cells are identified by their
     ids and the induced action sends a cell to the cell of its image flag.
     """
+    _require_group(G)
     aliases = {
         "flags": "flags",
         "flag": "flags",
@@ -402,9 +412,7 @@ def orbits_on(G: SymGroup, what: str) -> tuple[tuple[int, ...], ...]:
     index = G.map.cell_index(what)
     ids = sorted(c.id for c in cells(G.map, what))
     id_pos = {c: i for i, c in enumerate(ids)}
-    perms = []
-    for g in G.generators:
-        perms.append(tuple(id_pos[index[g[c]]] for c in ids))
+    perms = [[id_pos[index[g[c]]] for c in ids] for g in G.generators]
     parts = orbits(len(ids), perms)
     return tuple(tuple(ids[i] for i in part) for part in parts)
 
@@ -432,6 +440,7 @@ def subgroups_up_to_index(
     number of cosets used.  New cosets are numbered in order of first
     appearance, so every subgroup comes out exactly once.
     """
+    _require_group(G)
     if not isinstance(k, int):
         raise DegenerateParameters(f"the index bound must be an int, got {k!r}")
     if G.order > element_bound:
@@ -504,6 +513,7 @@ def is_half_reflexible(m: FlagMap, G: SymGroup) -> bool:
     when the face's flags lie in a single G-orbit, because cells are
     blocks of the action.
     """
+    _require_group(G, m)
     if G.order == m.n_flags:
         return False
     orbit_of = flag_orbit_index(G)
@@ -571,6 +581,7 @@ def local_action_group(G: SymGroup, v: int) -> LocalAction:
     offsets keep their parity under any renumbering of the rotation, so
     the tags do not depend on the choice of starting dart.
     """
+    _require_group(G)
     m = G.map
     table = _rotation_table(m)
     if v not in table:

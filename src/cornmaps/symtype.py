@@ -15,7 +15,6 @@ from typing import Iterable, Optional
 from .core import VERTEX, FlagMap, cells
 from .cornerations import (
     Corneration,
-    _require_symmetry_group,
     face_patterns,
     is_transitive_on_corners,
 )
@@ -26,7 +25,7 @@ from .errors import (
     NotTransitive,
     NotWedgeCorneration,
 )
-from .symmetry import HC, HD, QD, SymGroup, flag_orbit_index, local_action_group
+from .symmetry import HC, HD, QD, SymGroup, _require_group, flag_orbit_index, local_action_group
 
 BOX = "B"
 OVAL = "O"
@@ -277,7 +276,7 @@ def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:
     """
     if L.width != 1:
         raise NotWedgeCorneration("symmetry-type graphs are built over wedge cornerations")
-    _require_symmetry_group(m, G)
+    _require_group(G, m)
     orbit_of = flag_orbit_index(G)
     reps = sorted(set(orbit_of))
     node_of = {rep: i for i, rep in enumerate(reps)}

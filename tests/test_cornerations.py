@@ -29,6 +29,7 @@ from cornmaps.errors import (
     InvalidCircuits,
     InvalidCorner,
     NoHalfReflexiveGroup,
+    NonUniformValence,
     NotWedgeCorneration,
     StraightCornerHasNoSide,
     StraightHasNoComplement,
@@ -585,6 +586,20 @@ def test_enumerate_trivial_group_antiprism5_in_key_order():
     assert out == sorted(out, key=corn.Corneration.key)
     oracle = {L.key() for L in _all_cornerations_mixed(m) if L.width == 1}
     assert {L.key() for L in out} == oracle
+
+
+@pytest.mark.parametrize("index_bound", [0, 4])
+def test_transitive_enumeration_checks_the_width_before_any_search(
+    index_bound, asymmetric_map, cube
+):
+    m = build_torus_grid(4, 4)  # fresh, so its memo shows whether Aut ran
+    for j in ("1", 99, 0, 3):
+        with pytest.raises(WidthOutOfRange):
+            corn.enumerate_transitive_cornerations(m, j, index_bound)
+    assert ("aut",) not in m._cache
+    with pytest.raises(NonUniformValence):
+        corn.enumerate_transitive_cornerations(asymmetric_map, 99, index_bound)
+    assert corn.enumerate_transitive_cornerations(cube, 1, index_bound) == []
 
 
 def swept(m):

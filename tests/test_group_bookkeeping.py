@@ -538,23 +538,66 @@ def test_stabilizers_of_every_mixed_corneration_match_the_element_filter(m):
         assert corneration_stabilizer(trivial, L).images() == oracle_stabilizer(trivial, L)
 
 
-def test_stabilizers_move_corner_numbers_through_one_table_per_generator(monkeypatch):
-    calls = []
+def test_stabilizers_move_corner_numbers_through_one_table_per_generator():
+    """Stabilizers and sweeps keep, on the map, one pair table per distinct
+    generator image, each a permutation of the pair numbers, and no table
+    of dart images."""
 
-    def counting(action, darts):
-        calls.append(darts)
-        return (0, 0)
+    def tables_of(m, groups):
+        tables = m._cache[("pair_action",)]
+        assert ("dart_action",) not in m._cache
+        assert sorted(tables) == sorted({g[0] for G in groups for g in G.generators})
+        assert all(sorted(t) == list(range(len(t))) for t in tables.values())
+        return tables
 
-    monkeypatch.setattr(cornerations, "_moved", counting)
     m = build_antiprism(3)
     A = automorphism_group(m)
     found = _all_cornerations_mixed(m)
     assert len(found) == 729
     orders = {corneration_stabilizer(A, L).order for L in found}
-    assert calls == [] and len(orders) > 1
-    tables = m._cache[("pair_action",)]
-    assert sorted(tables) == sorted(g[0] for g in A.generators) and len(A.generators) > 1
-    assert all(sorted(t) == list(range(len(t))) for t in tables.values())
+    assert len(orders) > 1 and len(tables_of(m, [A])) == len(A.generators) > 1
+
+    m = opposite(build_torus_grid(4, 4))
+    for j in (1, 2, 3):
+        assert enumerate_transitive_cornerations(m, j)
+    assert len(tables_of(m, subgroups_up_to_index(automorphism_group(m), 4))) > 10
+
+
+@pytest.mark.parametrize(
+    "m",
+    [build_theta(4), build_antiprism(3), relabel(build_antiprism(3), 5), build_antiprism(4)],
+    ids=["theta4", "antiprism3", "antiprism3~5", "antiprism4"],
+)
+def test_invariant_cornerations_match_the_generator_filter(m):
+    """Under every subgroup of index <= 4, at every width: the enumeration
+    is, keys and order, the cornerations of that width whose sorted dart
+    pairs every generator keeps in the set."""
+    dart_of = m.cell_index(DART)
+    found = _all_cornerations_mixed(m)
+    pair_sets = [frozenset(c.darts for c in L.corners) for L in found]
+    kept_by = {}  # generator image -> positions in found of the cornerations it keeps
+
+    def kept(g):
+        if g[0] not in kept_by:
+            moved = {}
+            for pairs in pair_sets:
+                for a, b in pairs:
+                    x, y = dart_of[g[a]], dart_of[g[b]]
+                    moved[a, b] = (x, y) if x < y else (y, x)
+            kept_by[g[0]] = {
+                i for i, pairs in enumerate(pair_sets) if {moved[p] for p in pairs} == pairs
+            }
+        return kept_by[g[0]]
+
+    q = uniform_valence(m)
+    subgroups = subgroups_up_to_index(automorphism_group(m), 4)
+    for H in subgroups:
+        invariant = set.intersection(*map(kept, H.generators))
+        for j in range(1, q // 2 + 1):
+            expected = sorted(found[i].key() for i in invariant if found[i].width == j)
+            got = [L.key() for L in enumerate_invariant_cornerations(m, H, j)]
+            assert got == expected, (H.images(), j)
+    assert len(subgroups) > 1 and len(found) in (9, 729, 6561)
 
 
 def test_stabilizer_rejects_cornerations_of_other_maps():

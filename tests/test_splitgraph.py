@@ -341,19 +341,35 @@ def split_oracle(L, K):
     return sg.SplitGraph(m, L, tuple(sorted(l_keys)), packed)
 
 
+def dart_actions(G):
+    """Per generator of ``G``, the dart of each flag's image."""
+    dart_of = G.map.cell_index(DART)
+    return [tuple(dart_of[x] for x in g) for g in G.generators]
+
+
+def move_pair(action, darts):
+    """The sorted dart pair of a corner's image under one generator."""
+    a, b = action[darts[0]], action[darts[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def vertex_transitive_oracle(S, G, K):
-    """The witness with a key dict and frozensets per generator."""
+    """The witness with a key dict and frozensets per generator, moving
+    sorted dart pairs by the generators' own flag images."""
     L = S.base
-    if not corn.is_transitive_on_corners(G, L):
+    key_of = {c.darts: c.key() for c in L.corners}
+    actions = dart_actions(G)
+    if any(move_pair(action, p) not in key_of for action in actions for p in key_of):
+        raise GroupDoesNotPreserveCorneration("the group moves the corneration")
+    if len(orbit_under(actions, min(key_of), move_pair)) != len(key_of):
         raise NotTransitive("the group is not transitive on the corneration")
     K = list(K)
     k_pairs = {c.darts for c in K}
-    key_of = {c.darts: c.key() for c in L.corners}
-    for action in corn._dart_action(G):
+    for action in actions:
         for c in K:
-            if corn._moved(action, c.darts) not in k_pairs:
+            if move_pair(action, c.darts) not in k_pairs:
                 raise KNotInvariant("the new-corner set is not group-invariant")
-        image = {c.key(): key_of[corn._moved(action, c.darts)] for c in L.corners}
+        image = {c.key(): key_of[move_pair(action, c.darts)] for c in L.corners}
         for pair in S.edges:
             a, b = tuple(pair)
             if frozenset((image[a], image[b])) not in S.edges:
@@ -444,12 +460,12 @@ def test_vertex_transitive_reads_every_generator(transitive_cases):
         if not label.startswith("opp6x6"):
             continue
         L = r.corneration
-        actions = corn._dart_action(r.aut)
+        actions = dart_actions(r.aut)
         key_of = {c.darts: c.key() for c in L.corners}
 
         def move_edge(action, pair):
             a, b = tuple(pair)
-            return frozenset((key_of[corn._moved(action, a[1])], key_of[corn._moved(action, b[1])]))
+            return frozenset((key_of[move_pair(action, a[1])], key_of[move_pair(action, b[1])]))
 
         for kind in sg.predicted_valences(q, j):
             K = list(_K_BUILDERS[kind](L))
@@ -460,7 +476,7 @@ def test_vertex_transitive_reads_every_generator(transitive_cases):
                 gone = orbit_under(rest, edge, move_edge)
                 edges = {p: prov for p, prov in S.edges.items() if p not in gone}
                 cut = sg.SplitGraph(S.map, L, S.vertices, edges)
-                gone_k = orbit_under(rest, K[0].darts, corn._moved)
+                gone_k = orbit_under(rest, K[0].darts, move_pair)
                 fewer = [c for c in K if c.darts not in gone_k]
                 for S2, K2 in ((cut, K), (S, fewer)):
                     got = witness_outcome(sg.verify_vertex_transitive, S2, r.aut, K2)

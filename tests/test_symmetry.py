@@ -1,5 +1,8 @@
 import pytest
 
+import cornmaps.cornerations as corn
+import cornmaps.splitgraph as sg
+import cornmaps.symtype as st
 from cornmaps.core import FlagMap, cells, compose
 from cornmaps.errors import (
     GroupNotSubgroup,
@@ -227,3 +230,40 @@ def test_automorphism_group_rejects_invalid_flag_system():
 def test_empty_group_rejected(cube):
     with pytest.raises(GroupNotSubgroup):
         SymGroup(cube, ())
+
+
+# each public function taking a group, called on torus 4x4 with ``G`` in
+# the group's place; ``L`` is a transitive wedge corneration, ``S`` its
+# complement split graph and ``K`` the complement's corners
+GROUP_TAKERS = {
+    "corneration_stabilizer": lambda m, L, S, K, G: corn.corneration_stabilizer(G, L),
+    "is_transitive_on_corners": lambda m, L, S, K, G: corn.is_transitive_on_corners(G, L),
+    "corner_orbits": lambda m, L, S, K, G: corn.corner_orbits(G, L.corners),
+    "enumerate_invariant_cornerations": (
+        lambda m, L, S, K, G: corn.enumerate_invariant_cornerations(m, G, 1)
+    ),
+    "classify": lambda m, L, S, K, G: st.classify(m, G, L),
+    "symmetry_type_graph": lambda m, L, S, K, G: st.symmetry_type_graph(m, G, L),
+    "verify_vertex_transitive": lambda m, L, S, K, G: sg.verify_vertex_transitive(S, G, K),
+    "orbits_on": lambda m, L, S, K, G: orbits_on(G, "darts"),
+    "subgroups_up_to_index": lambda m, L, S, K, G: subgroups_up_to_index(G, 2),
+    "local_action_group": lambda m, L, S, K, G: local_action_group(G, cells(m, "vertex")[0].id),
+    "is_half_reflexible": lambda m, L, S, K, G: is_half_reflexible(m, G),
+}
+
+
+@pytest.fixture(scope="module")
+def group_taker_args(torus44):
+    L = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    K = corn.j_complement(L).corners
+    return torus44, L, sg.split(L, K), K
+
+
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+@pytest.mark.parametrize("name", list(GROUP_TAKERS))
+def test_group_arguments_must_be_symmetry_groups(group_taker_args, name, bad):
+    call = GROUP_TAKERS[name]
+    G = corn.corneration_stabilizer(automorphism_group(group_taker_args[0]), group_taker_args[1])
+    call(*group_taker_args, G)  # the arguments are otherwise good
+    with pytest.raises(GroupNotSubgroup):
+        call(*group_taker_args, bad)
