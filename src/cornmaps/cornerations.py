@@ -691,23 +691,27 @@ def face_patterns(L: Corneration) -> FacePatternReport:
 
 def _pair_action(G: SymGroup) -> tuple[list, ...]:
     """Per generator g of ``G``, a list from each pair number of :func:`_corner_numbering`
-    to the number of its image: pair ``(a, b)`` goes to the pair of the darts of
-    ``g[a]`` and ``g[b]``.  The library's only group action on corners.  Memoized
-    on the group, and each list on the map by the generator's image of flag 0."""
+    to the number of its image: pair ``(a, b)`` goes to the darts of ``g[a]`` and ``g[b]``.
+    The only group action on corners.  Memoized on the group, and each list on the
+    map by the generator's image of flag 0; the pair list (:func:`_corner_pairs`) once per map."""
     if "pair_action" not in G._cache:
         m = G.map
         first, rank, _ = _corner_numbering(m)
         dart_of = m.cell_index(DART)
         tables = m._memo(("pair_action",), dict)
         todo = [g for g in G.generators if g[0] not in tables]
-        # pairs in number order: vertex by vertex, then ascending
-        rotations = (sorted(rotation_at_vertex(m, v.id)) for v in cells(m, VERTEX))
-        pairs = todo and [p for darts in rotations for p in itertools.combinations(darts, 2)]
+        pairs = todo and m._memo(("corner_pairs",), _corner_pairs, m)
         for g in todo:
             moved = ((dart_of[g[a]], dart_of[g[b]]) for a, b in pairs)
             tables[g[0]] = [first[x] + rank[y] if x < y else first[y] + rank[x] for x, y in moved]
         G._cache["pair_action"] = tuple(tables[g[0]] for g in G.generators)
     return G._cache["pair_action"]
+
+
+def _corner_pairs(m: FlagMap) -> list[tuple[int, int]]:
+    """The dart pairs of :func:`_corner_numbering` in number order."""
+    rotations = (sorted(rotation_at_vertex(m, v.id)) for v in cells(m, VERTEX))
+    return [p for darts in rotations for p in itertools.combinations(darts, 2)]
 
 
 def _require_width(m: FlagMap, j) -> int:
@@ -908,11 +912,10 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     _require_group(G)
     pool = sorted({c.darts: c for c in corners}.values(), key=Corner.key)
     try:
-        own = _own_corners(G.map, pool)
+        numbers = _pair_numbers(G.map, (c.darts for c in _own_corners(G.map, pool)))
     except (InvalidCorner, UnknownCell):
         raise GroupDoesNotPreserveCorneration("a corner is not one of the group's map") from None
-    perms = _corner_perms(G, _pair_numbers(G.map, (c.darts for c in own)))
-    return [[pool[i] for i in orbit] for orbit in orbits(len(pool), perms)]
+    return [[pool[i] for i in orbit] for orbit in orbits(len(pool), _corner_perms(G, numbers))]
 
 
 def _corner_perms(G: SymGroup, numbers: Sequence[int]) -> list[list[int]]:
@@ -962,13 +965,14 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
 
 
 def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
-    """Whether ``G`` has one orbit on the corners of ``L``.
+    """Whether ``G`` has one orbit on the corners of ``L``, read off its mask.
 
-    Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves ``L``.
+    Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves ``L``
+    or ``L`` belongs to another map.
     """
     _require_group(G)
     if L.map is not G.map and L.map != G.map:  # its numbers are another map's
-        return len(corner_orbits(G, L.corners)) == 1
+        raise GroupDoesNotPreserveCorneration("the corneration belongs to a different map")
     numbers = list(itertools.compress(itertools.count(), L._digits()))
     return len(orbits(len(numbers), _corner_perms(G, numbers))) == 1
 

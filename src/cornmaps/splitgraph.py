@@ -245,12 +245,11 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     generator moves the vertices and K by their corner numbers through its
     pair table (:func:`_pair_action`); edges are tested as vertex pairs.
     """
-    m = S.map
-    _require_group(G, m)
-    perms = _corner_perms(G, _pair_numbers(m, (darts for _, darts in S.vertices)))
+    _require_group(G, S.map)
+    perms = _corner_perms(G, _pair_numbers(S.map, (darts for _, darts in S.vertices)))
     if len(orbits(S.n_vertices, perms)) != 1:
         raise NotTransitive("the group is not transitive on the corneration")
-    k_numbers = set(_pair_numbers(m, (c.darts for c in _own_corners(m, K))))
+    k_numbers = set(_pair_numbers(S.map, (c.darts for c in _own_corners(S.map, K))))
     number = {key: i for i, key in enumerate(S.vertices)}
     ends = [(number[a], number[b]) for a, b in S.edges]
     edge_set = {(a, b) if a < b else (b, a) for a, b in ends}

@@ -729,6 +729,17 @@ def test_transitivity_rejects_corners_of_a_larger_map(torus44):
         corn.is_transitive_on_corners(automorphism_group(torus44), far)
 
 
+def test_transitivity_rejects_another_map_whose_corners_also_fit(torus44):
+    """A corner of torus 4x5 whose darts also span a corner of torus 4x4 is
+    still another map's corner: no answer is read off the wrong map."""
+    big, L = build_torus_grid_corneration(4, 5)
+    near = [c for c in L.corners if max(c.darts) < torus44.n_flags]
+    one = corn.Corneration.from_corners(big, near[:1])
+    trivial = automorphism_group(torus44).subgroup_from_images([0])
+    with pytest.raises(GroupDoesNotPreserveCorneration, match="different map"):
+        corn.is_transitive_on_corners(trivial, one)
+
+
 def test_corner_action_is_built_once_per_group(opp44, monkeypatch):
     L = corn.symmetric_cornerations_from_coloring(opp44, 1)[0]
     G = corn.corneration_stabilizer(automorphism_group(opp44), L)

@@ -538,10 +538,13 @@ def test_stabilizers_of_every_mixed_corneration_match_the_element_filter(m):
         assert corneration_stabilizer(trivial, L).images() == oracle_stabilizer(trivial, L)
 
 
-def test_stabilizers_move_corner_numbers_through_one_table_per_generator():
+def test_stabilizers_move_corner_numbers_through_one_table_per_generator(monkeypatch):
     """Stabilizers and sweeps keep, on the map, one pair table per distinct
     generator image, each a permutation of the pair numbers, and no table
-    of dart images."""
+    of dart images; the map's pair list is built once."""
+    built = []
+    real_pairs = cornerations._corner_pairs
+    monkeypatch.setattr(cornerations, "_corner_pairs", lambda m: built.append(m) or real_pairs(m))
 
     def tables_of(m, groups):
         tables = m._cache[("pair_action",)]
@@ -561,6 +564,7 @@ def test_stabilizers_move_corner_numbers_through_one_table_per_generator():
     for j in (1, 2, 3):
         assert enumerate_transitive_cornerations(m, j)
     assert len(tables_of(m, subgroups_up_to_index(automorphism_group(m), 4))) > 10
+    assert len(built) == 2 and built[1] is m
 
 
 @pytest.mark.parametrize(
