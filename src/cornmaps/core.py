@@ -367,8 +367,8 @@ def _cell_by_id(m: FlagMap, kind: str, cid: int) -> Cell:
 
 def uniform_valence(m: FlagMap) -> Optional[int]:
     """The common valence of all vertices, or None for mixed valences."""
-    qs = {valence(m, v.id) for v in cells(m, VERTEX)}
-    return qs.pop() if len(qs) == 1 else None
+    qs = m._memo(("valences",), lambda: {len(v) // 2 for v in cells(m, VERTEX)})
+    return next(iter(qs)) if len(qs) == 1 else None
 
 
 def euler_and_genus(m: FlagMap) -> EulerData:

@@ -50,9 +50,10 @@ from .symmetry import (
     automorphism_group,
     flag_orbit_index,
     is_face_reflexible,
-    orbits_on,
     subgroups_up_to_index,
     _generating_images,
+    _node_of_flag,
+    _orbit_classes,
     _require_group,
 )
 
@@ -300,6 +301,8 @@ def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
     first, rank, table = _corner_numbering(m)
     out = []
     for c in corners:
+        if not isinstance(c, Corner):
+            raise InvalidCorner(f"not a corner: {c!r}")
         try:  # a number is only meaningful for two darts at one vertex
             own = table[first[c.darts[0]] + rank[c.darts[1]]]
         except (IndexError, TypeError):
@@ -420,6 +423,12 @@ class Corneration:
         return f"corneration<{len(self)} corners, width {'mixed' if j is None else j}>"
 
 
+def _require_corneration(L) -> None:
+    """Raise :class:`CornerationMismatch` unless ``L`` is a :class:`Corneration`."""
+    if not isinstance(L, Corneration):
+        raise CornerationMismatch(f"not a corneration: {L!r}")
+
+
 @dataclass(frozen=True)
 class CircuitDecomposition:
     """A partition of the edge set into circuits."""
@@ -437,6 +446,7 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     walk continues from that edge's far end.  Every circuit is traced by
     exactly two opposite dart cycles which are merged by edge set.
     """
+    _require_corneration(L)
     m = L.map
     _require_cover(m, L.corners)
     edge_of = m.cell_index(EDGE)
@@ -518,6 +528,7 @@ def j_complement(L: Corneration) -> Corneration:
     Raises :class:`CornerationMismatch` when ``L`` is not a corneration
     and its complement covers no dart set exactly.
     """
+    _require_corneration(L)
     j = L.width
     if j is None:
         raise WidthMismatch("the complement needs a uniform corneration")
@@ -626,6 +637,7 @@ def face_patterns(L: Corneration) -> FacePatternReport:
     configuration (1) bipartite A/E, (2) all B, (3) C with E, (4) all D
     follows the classification of faces meeting a transitive corneration.
     """
+    _require_corneration(L)
     m = L.map
     if L.width != 1:
         raise NotWedgeCorneration("face patterns are defined for width-1 cornerations")
@@ -731,61 +743,77 @@ def enumerate_invariant_cornerations(
     """All j-uniform cornerations invariant under ``H``, in key order.
 
     Exact cover on orbits: rows are H-orbits of j-corners, columns are
-    H-orbits of darts; a row covers each column a constant number of
-    times, and a corneration is a row selection covering every column
-    exactly once.  Rows sharing no column chain fall into independent
-    blocks (one per vertex under the trivial group), each solved once by
-    :func:`_block_covers`; the cornerations are the product of the blocks'
-    covers.  Each block cover carries the :class:`Corneration` bits of its
-    corners; blocks own disjoint bits, so a corneration's int is the sum
-    over its blocks, and descending ints are ascending
-    :meth:`Corneration.key`.  No corner set is built here.
+    H-orbits of darts, both classes of nodes of the quotient of the flags
+    by ``H`` (:func:`_orbit_classes`); a row covers each column a constant
+    number of times, and a corneration is a row selection covering every
+    column exactly once.  Rows sharing no column chain fall into
+    independent blocks, each solved once by :func:`_block_covers`; the
+    cornerations are the product of the blocks' covers.  Only then are
+    flags looked up, to give each row the :class:`Corneration` bits of its
+    corners; the bits of a product are the sum of its blocks', and
+    descending ints are ascending :meth:`Corneration.key`.
     """
     _require_group(H, m)
-    if _require_width(m, j) % 2 != 0:
-        return []
+    return [Corneration._of_mask(m, mask) for mask in _invariant_covers(m, H, j)[0]]
 
-    corners = all_j_corners(m, j)
-    numbers = _pair_numbers(m, (c.darts for c in corners))
-    corner_orbits = orbits(len(corners), _corner_perms(H, numbers))
-    dart_orbits = orbits_on(H, DART)
-    dart_orbit_of = [0] * m.n_flags
-    for oi, orbit in enumerate(dart_orbits):
-        for d in orbit:
-            dart_orbit_of[d] = oi
 
+def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, int]:
+    """The masks of :func:`enumerate_invariant_cornerations`, those that are
+    one row, and the number of columns."""
+    q = _require_width(m, j)
+    if q % 2 != 0:
+        return [], set(), 0
+    dart_orbits, corner_orbits = _orbit_classes(H, j, 2 * j == q)
+    col_of = {node: col for col, orbit in enumerate(dart_orbits) for node in orbit}
+    # a node has |H| flags, each on one dart of its corner, and a column
+    # |H| / 2 darts per node; a straight corner has two flags per dart
+    per_node = 1 if 2 * j == q else 2
     row_orbits, row_cols = [], []
     for orbit in corner_orbits:
         cover = {}
-        ok = True
-        for ci in orbit:
-            for d in corners[ci].darts:
-                col = dart_orbit_of[d]
-                cover[col] = cover.get(col, 0) + 1
-                if cover[col] > len(dart_orbits[col]):
-                    ok = False
-        if not ok:
+        for node in orbit:
+            cover[col_of[node]] = cover.get(col_of[node], 0) + per_node
+        if any(total > len(dart_orbits[col]) for col, total in cover.items()):
             continue
-        cols = 0
-        for col, total in cover.items():
-            multiplicity, rem = divmod(total, len(dart_orbits[col]))
-            if rem != 0:
-                raise InternalInvariantError("orbit coverage is not constant on a dart orbit")
-            if multiplicity > 1:
-                ok = False
-                break
-            cols |= 1 << col
-        if ok:
-            row_orbits.append(orbit)
-            row_cols.append(cols)
+        if any(total < len(dart_orbits[col]) for col, total in cover.items()):
+            raise InternalInvariantError("orbit coverage is not constant on a dart orbit")
+        row_orbits.append(orbit)
+        row_cols.append(sum(1 << col for col in cover))
 
-    block_keys = [
-        [_mask_of(m, (numbers[ci] for ri in s for ci in row_orbits[ri])) for s in solutions]
-        for solutions in _block_covers(row_cols, len(dart_orbits))
-    ]
-    # blocks own disjoint bits, so a sum of their masks is the mask of the whole
+    covers = _block_covers(row_cols, len(dart_orbits))
+    if not all(covers):
+        return [], set(), len(dart_orbits)
+    row_of = {node: ri for ri, orbit in enumerate(row_orbits) for node in orbit}
+    numbers = [[] for _ in row_orbits]
+    node_of = _node_of_flag(H)
+    for number, f in _corner_flags(m, j).items():
+        if node_of[f] in row_of:
+            numbers[row_of[node_of[f]]].append(number)
+    row_masks = [_mask_of(m, row) for row in numbers]
+    block_keys = [[sum(map(row_masks.__getitem__, s)) for s in solutions] for solutions in covers]
     masks = sorted(map(sum, itertools.product(*block_keys)), reverse=True)
-    return [Corneration._of_mask(m, mask) for mask in masks]
+    one_row = {row_masks[s[0]] for s in covers[0] if len(s) == 1} if len(covers) == 1 else set()
+    return masks, one_row, len(dart_orbits)
+
+
+def _corner_flags(m: FlagMap, j: int) -> dict[int, int]:
+    """Corner number to a flag on each j-corner's first dart from which j
+    turns (r1, r2) reach its other dart; memoized.  Builds the corners,
+    which masks decode to."""
+
+    def build():
+        first, rank, _ = _corner_numbering(m)
+        dart_of = m.cell_index(DART)
+        flag_of = {}
+        for c in all_j_corners(m, j):
+            a, b = c.darts
+            f = a
+            for _ in range(j):
+                f = m.r2[m.r1[f]]
+            flag_of[first[a] + rank[b]] = a if dart_of[f] == b else m.r2[a]
+        return flag_of
+
+    return m._memo(("corner_flags", j), build)
 
 
 def _block_covers(row_cols: Sequence[int], n_cols: int) -> list[list[tuple[int, ...]]]:
@@ -907,9 +935,13 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     """Orbit partition of a corner set under the induced action of ``G``.
 
     Raises :class:`GroupDoesNotPreserveCorneration` when ``G`` moves a
-    corner out of the set, or for a corner of another map.
+    corner out of the set, or for a corner of another map;
+    :class:`InvalidCorner` for an item that is no :class:`Corner`.
     """
     _require_group(G)
+    corners = list(corners)
+    if not all(isinstance(c, Corner) for c in corners):
+        raise InvalidCorner("not a corner")
     pool = sorted({c.darts: c for c in corners}.values(), key=Corner.key)
     try:
         numbers = _pair_numbers(G.map, (c.darts for c in _own_corners(G.map, pool)))
@@ -943,8 +975,7 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
     not be invariant under any part of ``A``.  :class:`CornerationMismatch`
     for a non-corneration, :class:`GroupNotSubgroup` for one of another map.
     """
-    if not isinstance(L, Corneration):
-        raise CornerationMismatch(f"not a corneration: {L!r}")
+    _require_corneration(L)
     _require_group(A, L.map)
     gens = list(zip(A.generators, _pair_action(A)))
     start = frozenset(itertools.compress(itertools.count(), L._digits()))
@@ -971,6 +1002,7 @@ def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
     or ``L`` belongs to another map.
     """
     _require_group(G)
+    _require_corneration(L)
     if L.map is not G.map and L.map != G.map:  # its numbers are another map's
         raise GroupDoesNotPreserveCorneration("the corneration belongs to a different map")
     numbers = list(itertools.compress(itertools.count(), L._digits()))
@@ -1004,15 +1036,16 @@ def enumerate_transitive_cornerations(
     # invariant lies in Stab(L), itself of index <= index_bound and listed:
     # so the first H to yield L is its stabilizer
     for H in subgroups_up_to_index(A, index_bound, element_bound):
-        for L in enumerate_invariant_cornerations(m, H, j):
-            found.setdefault(L._mask, (L, H))
-    records = []
+        masks, one_row, n_dart_orbits = _invariant_covers(m, H, j)
+        for mask in masks:
+            if mask not in found:
+                transitive = mask in one_row
+                found[mask] = (H, transitive, transitive and n_dart_orbits == 1)
     # descending masks are ascending keys, and no duplicate decodes a corner
+    records = []
     for mask in sorted(found, reverse=True):
-        L, aut_L = found[mask]
-        transitive = is_transitive_on_corners(aut_L, L)
-        symmetric = transitive and len(orbits_on(aut_L, DART)) == 1
-        records.append(TransitiveCornerationRecord(L, aut_L, transitive, symmetric))
+        L = Corneration._of_mask(m, mask)
+        records.append(TransitiveCornerationRecord(L, *found[mask]))
     return records
 
 
@@ -1085,6 +1118,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     j-corner into a 1-corner of the component containing its vertex; the
     result is one corneration per component.
     """
+    _require_corneration(L)
     m = L.map
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:

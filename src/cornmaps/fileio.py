@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import FlagMap, Skeleton, validate
-from .cornerations import Corneration, _require_cover, corner_from_darts
+from .cornerations import Corneration, _require_corneration, _require_cover, corner_from_darts
 from .errors import CornerationMismatch, InvalidMapError, MapFormatError
 from .splitgraph import SplitGraph
 from .symtype import Diagram
@@ -92,6 +92,7 @@ def parse_map(text: str) -> FlagMap:
 
 
 def write_corneration(L: Corneration) -> str:
+    _require_corneration(L)
     lines = ["cornfile 1"]
     if L.map.name:
         lines.append(f"map {L.map.name}")

@@ -20,6 +20,7 @@ from .cornerations import (
     _own_corners,
     _pair_action,
     _pair_numbers,
+    _require_corneration,
     all_j_corners,
     corner_of_wedge,
     j_complement,
@@ -119,6 +120,7 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     raises :class:`UnknownCell` or :class:`InvalidCorner`, and an ``L``
     that leaves a dart uncovered raises :class:`CornerationMismatch`.
     """
+    _require_corneration(L)
     m = L.map
     vertices = L.key()
     edge_of = m.cell_index(EDGE)
@@ -171,6 +173,7 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
 
 
 def _uniform_width(L: Corneration) -> tuple[int, int]:
+    _require_corneration(L)
     j = L.width
     q = uniform_valence(L.map)
     if j is None or q is None:
@@ -384,6 +387,7 @@ def cubic_filter(m: FlagMap, L: Corneration) -> CubicReport:
     parallel-edge deficits in the old edges).  Raises
     :class:`CornerationMismatch` when ``L`` is not a corneration of ``m``.
     """
+    _require_corneration(L)
     if L.map is not m and L.map != m:
         raise CornerationMismatch("the corneration belongs to a different map")
     j, q = _uniform_width(L)

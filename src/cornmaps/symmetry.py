@@ -233,7 +233,7 @@ def _flag_words(m: FlagMap) -> tuple:
     ``(words, steps, inverse)``.  ``words[f]`` holds the involutions that
     carry flag 0 to ``f``, in the order they are applied; a symmetry with
     image h sends f to ``words[f]`` applied to h.  ``steps`` lists the tree
-    edges ``(f, r, parent)``, ``f = r[parent]``, in breadth-first order.
+    edges ``(f, i, parent)``, ``f = r_i[parent]``, in breadth-first order.
     ``inverse`` is filled by :meth:`SymGroup._inverse`.
     """
 
@@ -244,11 +244,11 @@ def _flag_words(m: FlagMap) -> tuple:
         steps = []
         queue = [0]
         for x in queue:
-            for r in m.involutions():
+            for i, r in enumerate(m.involutions()):
                 y = r[x]
                 if words[y] is None:
                     words[y] = words[x] + (r,)
-                    steps.append((y, r, x))
+                    steps.append((y, i, x))
                     queue.append(y)
         return words, steps, {}
 
@@ -262,9 +262,10 @@ def _element(m: FlagMap, h: int) -> Perm:
     """
     table = m._memo(("elements",), dict)
     if h not in table:
+        rs = m.involutions()
         image = [h] * m.n_flags
-        for y, r, x in _flag_words(m)[1]:
-            image[y] = r[image[x]]
+        for y, i, x in _flag_words(m)[1]:
+            image[y] = rs[i][image[x]]
         table[h] = tuple(image)
     return table[h]
 
@@ -438,7 +439,10 @@ def subgroups_up_to_index(
     branch when ``x g`` already carries another label.  Each completed
     scan gives the subgroup ``{x : label(x) = 0}``, whose index is the
     number of cosets used.  New cosets are numbered in order of first
-    appearance, so every subgroup comes out exactly once.
+    appearance, so every subgroup comes out exactly once.  Each subgroup
+    keeps the coset table of its scan, the action of ``G``'s generators on
+    its cosets, and its flag orbits are read off that table
+    (:func:`_orbit_graph`), never off the flags.
     """
     _require_group(G)
     if not isinstance(k, int):
@@ -454,22 +458,11 @@ def subgroups_up_to_index(
     if cache_key in G._cache:
         return G._cache[cache_key]
 
-    gens = G.generators
-    # (x, generator, x g, whether this edge reaches x g first), in BFS order;
     # which elements are labelled before an edge does not depend on the
     # branch, so backtracking only has to undo table entries
-    edges = []
-    reached = {0}
-    queue = [0]
-    for x in queue:
-        for gi, p in enumerate(gens):
-            y = p[x]
-            edges.append((x, gi, y, y not in reached))
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
+    edges = _cayley_edges(G)
     label = [0] * G.map.n_flags
-    table = [[None] * len(gens) for _ in range(k)]
+    table = [[None] * len(G.generators) for _ in range(k)]
     found = []
 
     def scan(e: int, n_cosets: int) -> None:
@@ -484,7 +477,9 @@ def subgroups_up_to_index(
                 return
             e += 1
         else:
-            found.append([f for f in G.images() if label[f] == 0])
+            H = G.subgroup_from_images(f for f in G.images() if label[f] == 0)
+            H._cache["cosets"] = (G, tuple(map(tuple, table[:n_cosets])))
+            found.append(H)
             return
         row = table[label[x]]
         hit = {r[gi] for r in table[:n_cosets]}
@@ -495,10 +490,108 @@ def subgroups_up_to_index(
         row[gi] = None
 
     scan(0, 1)
-    out = [G.subgroup_from_images(images) for images in found]
-    out.sort(key=lambda H: (-H.order, H.images()))
-    G._cache[cache_key] = out
-    return out
+    found.sort(key=lambda H: (-H.order, H.images()))
+    G._cache[cache_key] = found
+    return found
+
+
+def _cayley_edges(G: SymGroup) -> list[tuple]:
+    """``(x, generator index, x g, first)`` per element x of ``G``, breadth-first
+    from the identity; the edges marked ``first`` form a spanning tree."""
+    gens = G.generators
+    edges = []
+    reached = {0}
+    queue = [0]
+    for x in queue:
+        for gi, p in enumerate(gens):
+            y = p[x]
+            edges.append((x, gi, y, y not in reached))
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return edges
+
+
+def _orbit_graph(H: SymGroup) -> tuple[list, list, list]:
+    """r0, r1 and r2 on the flag orbits of ``H``: the symmetry type graph of
+    the map under ``H`` (Orbanić, Pellicer and Weiss, *Map operations and
+    k-orbit maps*, JCTA 2010).  Memoized on ``H``.
+
+    Node 0 holds flag 0, and each node |H| flags.  A subgroup of index k
+    found by :func:`subgroups_up_to_index` in G reads the graph off its
+    coset table: a flag e(f_o), e in G and f_o the least flag of its
+    G-orbit o, lies in node ``o k + label(e^-1)``, and r_i sends node
+    ``o k + c`` to ``o' k + label(b^-1 y_c)``, where ``r_i f_o = b(f_o')``
+    and y_c is labelled c; the word of b^-1 (:func:`_voltages`) walks the
+    table from c.  Other groups number their orbits by least flag.
+    """
+    cache = H._cache
+    if "orbit_graph" in cache:
+        return cache["orbit_graph"]
+    if "cosets" in cache:
+        G, cosets = cache["cosets"]
+        rs = [[] for _ in range(3)]
+        for r, moves in zip(rs, _voltages(G)):
+            for o, word in moves:
+                image = range(len(cosets))
+                for gi in word:
+                    image = [cosets[c][gi] for c in image]
+                r.extend(o * len(cosets) + c for c in image)
+    else:
+        orbit_of = flag_orbit_index(H)
+        reps = sorted(set(orbit_of))
+        node = {rep: i for i, rep in enumerate(reps)}
+        rs = [[node[orbit_of[r[rep]]] for rep in reps] for r in H.map.involutions()]
+    cache["orbit_graph"] = rs
+    return rs
+
+
+def _voltages(G: SymGroup) -> list[list]:
+    """``(o', word of b^-1)`` per involution r_i and G-orbit o, where
+    ``r_i f_o = b(f_o')`` (see :func:`_orbit_graph`); a word lists generator
+    indices along the tree of :func:`_cayley_edges`, the first applied first
+    (Gross and Tucker, *Topological Graph Theory*, 1987, ch. 2).  Memoized."""
+    if "voltages" not in G._cache:
+        orbit_of = flag_orbit_index(G)
+        reps = sorted(set(orbit_of))
+        parent = {y: (x, gi) for x, gi, y, first in _cayley_edges(G) if first}
+        words = _flag_words(G.map)[0]
+        G._cache["voltages"] = out = []
+        for r in G.map.involutions():
+            out.append([])
+            for x in (r[rep] for rep in reps):
+                # b^-1 sends x to f_o', so its image is the word of x, read
+                # backwards, applied to f_o'
+                h = orbit_of[x]
+                for s in reversed(words[x]):
+                    h = s[h]
+                word = []
+                while h:
+                    h, gi = parent[h]
+                    word.insert(0, gi)
+                out[-1].append((reps.index(orbit_of[x]), word))
+    return G._cache["voltages"]
+
+
+def _orbit_classes(H: SymGroup, j: int, straight: bool) -> tuple[list, list]:
+    """The H-orbits of darts and of j-corners, as classes of nodes of
+    :func:`_orbit_graph`: under r2, and under r2 (r1 r2)^j, r1 first, which
+    moves a flag to the flag of its corner on the other dart (and under r2
+    for a straight corner)."""
+    r0, r1, r2 = _orbit_graph(H)
+    turn = range(len(r0))
+    for _ in range(j):
+        turn = [r2[r1[node]] for node in turn]
+    return orbits(len(r0), [r2]), orbits(len(r0), [[r2[node] for node in turn]] + [r2] * straight)
+
+
+def _node_of_flag(H: SymGroup) -> list[int]:
+    """The node of :func:`_orbit_graph` of each flag, one lookup per flag."""
+    rs = _orbit_graph(H)
+    node = [0] * H.map.n_flags
+    for y, i, x in _flag_words(H.map)[1]:
+        node[y] = rs[i][node[x]]
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 from .core import VERTEX, FlagMap, cells
 from .cornerations import (
     Corneration,
+    _require_corneration,
     face_patterns,
     is_transitive_on_corners,
 )
@@ -274,6 +275,7 @@ def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:
     of ``L``.  The group must preserve ``L``, otherwise the shape of some
     orbit is ill-defined.
     """
+    _require_corneration(L)
     if L.width != 1:
         raise NotWedgeCorneration("symmetry-type graphs are built over wedge cornerations")
     _require_group(G, m)

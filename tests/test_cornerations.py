@@ -39,7 +39,9 @@ from cornmaps.errors import (
 )
 from cornmaps.fileio import parse_corneration, write_corneration
 from cornmaps.operators import hole, opposite, petrie
+from cornmaps.splitgraph import cubic_filter, graph_A, split, verify_vertex_transitive
 from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
+from cornmaps.symtype import classify, symmetry_type_graph
 from cornmaps.verify import _all_cornerations_mixed
 
 
@@ -856,3 +858,37 @@ def test_transfer_disconnected_hole(torus44):
     for component, ml in zip(result.maps, moved):
         assert corn.is_corneration(component, ml.corners).ok
         assert ml.width == 1
+
+
+# -- arguments that are no corneration --------------------------------------------
+
+def vertex_transitivity_of_a_non_corner(m, A):
+    L = corn.symmetric_cornerations_from_coloring(m, 1)[0]
+    return verify_vertex_transitive(graph_A(L), corn.corneration_stabilizer(A, L), ["x"])
+
+
+NON_CORNERATION_CALLS = {
+    "is_transitive_on_corners": lambda m, A: corn.is_transitive_on_corners(A, "x"),
+    "corner_orbits": lambda m, A: corn.corner_orbits(A, ["x"]),
+    "classify": lambda m, A: classify(m, A, None),
+    "symmetry_type_graph": lambda m, A: symmetry_type_graph(m, A, None),
+    "split": lambda m, A: split(None, corn.all_j_corners(m, 1)),
+    "j_complement": lambda m, A: corn.j_complement(None),
+    "circuits_of": lambda m, A: corn.circuits_of("x"),
+    "face_patterns": lambda m, A: corn.face_patterns(None),
+    "transfer": lambda m, A: corn.transfer(None, m),
+    "write_corneration": lambda m, A: write_corneration(None),
+    "cubic_filter": lambda m, A: cubic_filter(m, None),
+    "graph_A": lambda m, A: graph_A(None),
+    "verify_vertex_transitive": vertex_transitivity_of_a_non_corner,
+}
+CORNER_LIST_CALLS = ("corner_orbits", "verify_vertex_transitive")
+
+
+@pytest.mark.parametrize("name", NON_CORNERATION_CALLS)
+def test_calls_on_a_non_corneration_raise_library_errors(torus44, name):
+    """An item of a corner list that is no corner is an InvalidCorner, any
+    other argument that is no corneration a CornerationMismatch."""
+    error = InvalidCorner if name in CORNER_LIST_CALLS else CornerationMismatch
+    with pytest.raises(error):
+        NON_CORNERATION_CALLS[name](torus44, automorphism_group(torus44))

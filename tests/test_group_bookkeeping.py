@@ -5,18 +5,21 @@ element of a group: the automorphism group by propagating from every
 flag, the generator rule by recomputing an orbit for each candidate,
 index-2 kernels from all pairwise commutators, the whole subgroup
 lattice closed one element at a time, the stabilizer of a corneration as
-a filter over all elements, and corner orbits walked breadth-first with
-each corner's image key.  The library's versions must reproduce them
-exactly, generator tuples included.
+a filter over all elements, corner orbits walked breadth-first with each
+corner's image key, and invariant cornerations as exact covers built on
+the flags.  The library's versions must reproduce them exactly, generator
+tuples included.
 """
 
 import functools
+import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from cornmaps import cornerations, symmetry
+from cornmaps import core, cornerations, symmetry
 from cornmaps.builders import build_antiprism, build_theta, build_torus_grid
 from cornmaps.core import (
     DART,
@@ -26,14 +29,18 @@ from cornmaps.core import (
     _rotation_table,
     cells,
     face_bipartition,
+    orbits,
     uniform_valence,
 )
 from cornmaps.cornerations import (
     Corneration,
+    all_j_corners,
+    corner_from_darts,
     corner_orbits,
     corneration_stabilizer,
     enumerate_invariant_cornerations,
     enumerate_transitive_cornerations,
+    is_transitive_on_corners,
 )
 from cornmaps.errors import (
     CornerationMismatch,
@@ -44,8 +51,10 @@ from cornmaps.operators import _propagate, opposite, petrie
 from cornmaps.symmetry import (
     SymGroup,
     automorphism_group,
+    flag_orbit_index,
     is_face_reflexible,
     local_action_group,
+    orbits_on,
     subgroups_up_to_index,
 )
 from cornmaps.verify import SuiteContext, _all_cornerations_mixed
@@ -234,6 +243,30 @@ def oracle_corner_orbits(G, corners):
         remaining -= orbit
         out.append(sorted(orbit))
     return out
+
+
+def oracle_invariant_keys(m, H, j):
+    """Keys of the H-invariant j-cornerations, in key order, from an exact
+    cover built on the flags: corner orbits under H's corner permutations,
+    dart orbits from ``orbits_on``, and the darts of each corner orbit."""
+    if uniform_valence(m) % 2:
+        return []
+    corners = all_j_corners(m, j)
+    numbers = cornerations._pair_numbers(m, (c.darts for c in corners))
+    corner_orbit_list = orbits(len(corners), cornerations._corner_perms(H, numbers))
+    dart_orbits = orbits_on(H, DART)
+    col_of = {d: col for col, orbit in enumerate(dart_orbits) for d in orbit}
+    rows, row_cols = [], []
+    for orbit in corner_orbit_list:
+        cover = Counter(col_of[d] for ci in orbit for d in corners[ci].darts)
+        if all(total == len(dart_orbits[col]) for col, total in cover.items()):
+            rows.append(orbit)
+            row_cols.append(sum(1 << col for col in cover))
+    blocks = cornerations._block_covers(row_cols, len(dart_orbits))
+    return sorted(
+        tuple(sorted(corners[ci].key() for s in choice for ri in s for ci in rows[ri]))
+        for choice in itertools.product(*blocks)
+    )
 
 
 # -- maps --------------------------------------------------------------------
@@ -469,6 +502,8 @@ def test_subgroup_search_takes_any_number_of_generators():
 
 
 def test_stabilizers_match_element_filter_on_sweeps(maps):
+    """The sweep's stabilizers, and its transitivity flags read off its
+    covers, against the element filter and the flag-level checks."""
     checked = 0
     for name, m in maps.items():
         q = uniform_valence(m)
@@ -480,6 +515,8 @@ def test_stabilizers_match_element_filter_on_sweeps(maps):
         for j in widths:
             for r in enumerate_transitive_cornerations(m, j):
                 assert r.aut.images() == oracle_stabilizer(A, r.corneration), name
+                assert r.transitive == is_transitive_on_corners(r.aut, r.corneration), name
+                assert r.symmetric == (r.transitive and len(orbits_on(r.aut, DART)) == 1)
                 checked += 1
     assert checked > 100
 
@@ -560,11 +597,7 @@ def test_stabilizers_move_corner_numbers_through_one_table_per_generator(monkeyp
     orders = {corneration_stabilizer(A, L).order for L in found}
     assert len(orders) > 1 and len(tables_of(m, [A])) == len(A.generators) > 1
 
-    m = opposite(build_torus_grid(4, 4))
-    for j in (1, 2, 3):
-        assert enumerate_transitive_cornerations(m, j)
-    assert len(tables_of(m, subgroups_up_to_index(automorphism_group(m), 4))) > 10
-    assert len(built) == 2 and built[1] is m
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
@@ -742,3 +775,113 @@ def test_sweep_trusts_subgroups_of_the_automorphism_group(check_calls):
     assert all(H.is_map_symmetry_group() for H in subgroups_up_to_index(A, 4))
     assert all(r.aut.is_map_symmetry_group() for r in records)
     assert check_calls == []
+
+
+# -- the sweep on each subgroup's quotient ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def quotient_maps():
+    """Four flag-transitive maps, one of them relabelled, and three antiprisms
+    with four Aut-orbits of flags, so a node's orbit part is exercised."""
+    t = build_torus_grid(4, 4)
+    ms = {"torus4x4": t, "torus4x4~3": relabel(t, 3), "opp4x4": opposite(t)}
+    ms.update((f"antiprism{n}", build_antiprism(n)) for n in (4, 5, 6))
+    return ms
+
+
+def quotient_groups(m):
+    """The subgroups of index <= 4 of Aut, and of each index-2 subgroup of Aut
+    with a generator that is no involution (so a voltage of the quotient need
+    not be one), read off their coset tables; then the same groups built
+    from their images alone, read off their flag orbits."""
+    A = automorphism_group(m)
+    searched = list(subgroups_up_to_index(A, 4))
+    for G in subgroups_up_to_index(A, 2)[1:]:
+        if any(symmetry._orders(G)[g] > 2 for g in G.generator_images()):
+            searched += subgroups_up_to_index(G, 4)
+    return searched + [A.subgroup_from_images(H.images()) for H in searched]
+
+
+def test_quotient_maps_exercise_the_orbit_part(quotient_maps):
+    for name, m in quotient_maps.items():
+        orbits_of_aut = len(set(flag_orbit_index(automorphism_group(m))))
+        assert orbits_of_aut == (4 if name.startswith("antiprism") else 1), name
+    assert uniform_valence(quotient_maps["opp4x4"]) // 2 > 1
+
+
+def test_invariant_cornerations_match_the_flag_level_oracle(quotient_maps):
+    """Keys and order, under every subgroup of index <= 4, at every width."""
+    for name, m in quotient_maps.items():
+        for H in quotient_groups(m):
+            for j in range(1, uniform_valence(m) // 2 + 1):
+                got = [L.key() for L in enumerate_invariant_cornerations(m, H, j)]
+                assert got == oracle_invariant_keys(m, H, j), (name, H.images(), j)
+
+
+def test_quotient_classes_expand_to_the_orbits_on_flags(quotient_maps):
+    """Nodes, r2-classes and corner classes of the quotient, expanded to ids,
+    are the H-orbits of flags, darts and j-corners."""
+
+    def as_ids(classes, node_of, id_of_flag):
+        ids = {}
+        for f, node in enumerate(node_of):
+            ids.setdefault(node, set()).add(id_of_flag(f))
+        return {frozenset().union(*(ids[n] for n in c)) for c in classes}
+
+    for name, m in quotient_maps.items():
+        q = uniform_valence(m)
+        dart_of = m.cell_index(DART)
+        for H in quotient_groups(m):
+            node_of = symmetry._node_of_flag(H)
+            nodes = [[n] for n in set(node_of)]
+            orbit_of = flag_orbit_index(H)
+            assert as_ids(nodes, node_of, int) == {
+                frozenset(f for f in m.flags() if orbit_of[f] == o) for o in set(orbit_of)
+            }, name
+            for j in range(1, q // 2 + 1):
+
+                def corner_of(f):
+                    g = f
+                    for _ in range(j):
+                        g = m.r2[m.r1[g]]
+                    return corner_from_darts(m, (dart_of[f], dart_of[g])).key()
+
+                darts, corners = symmetry._orbit_classes(H, j, 2 * j == q)
+                assert as_ids(darts, node_of, dart_of.__getitem__) == {
+                    frozenset(o) for o in orbits_on(H, DART)
+                }, (name, j)
+                assert as_ids(corners, node_of, corner_of) == {
+                    frozenset(c.key() for c in o) for o in corner_orbits(H, all_j_corners(m, j))
+                }, (name, j)
+
+
+def test_sweep_work_does_not_grow_with_the_map(monkeypatch):
+    """Group elements, pair tables and orbit computations inside the sweep
+    are counted on two tori whose flags differ fourfold: the counts are
+    equal, and no subgroup builds a pair table."""
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(symmetry, "_element")
+    count(cornerations, "_pair_action")
+    for module in (core, symmetry, cornerations):
+        count(module, "orbits")
+    seen = []
+    for n in (8, 16):
+        m = build_torus_grid(n, n)
+        counts.clear()
+        assert len(enumerate_transitive_cornerations(m, 1)) == 8
+        seen.append(dict(counts))
+        assert ("pair_action",) not in m._cache
+    assert seen[0] == seen[1]
+    assert seen[0]["_element"] > 0 and seen[0]["orbits"] > 0
+    assert "_pair_action" not in seen[0]
