@@ -297,7 +297,12 @@ def _require_cover(m: FlagMap, corners, error=CornerationMismatch, what="not a c
 
 def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
     """The corner of ``m`` equal to each of ``corners``; :class:`InvalidCorner`
-    or :class:`UnknownCell` for one that is not a corner of ``m``."""
+    or :class:`UnknownCell` for one that is not a corner of ``m``, and
+    :class:`InvalidCorner` for ``corners`` that is no iterable."""
+    try:
+        corners = iter(corners)
+    except TypeError:
+        raise InvalidCorner(f"not a corner set: {corners!r}") from None
     first, rank, table = _corner_numbering(m)
     out = []
     for c in corners:

@@ -147,6 +147,10 @@ class KIntersectsL(CornMapsError):
     """The new-corner set of a split graph must be disjoint from L."""
 
 
+class InvalidSplitGraph(CornMapsError, ValueError):
+    """An argument that should be a split graph is not a :class:`SplitGraph`."""
+
+
 class KNotInvariant(CornMapsError):
     """The new-corner set is not invariant under the supplied group."""
 

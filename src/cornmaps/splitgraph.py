@@ -9,10 +9,12 @@ pairs that coincide are merged into one edge with both provenances kept.
 
 from __future__ import annotations
 
+import binascii
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DART, EDGE, FlagMap, cells, orbits, uniform_valence
+from .core import DART, EDGE, VERTEX, FlagMap, cells, orbits, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
@@ -22,12 +24,14 @@ from .cornerations import (
     _pair_numbers,
     _require_corneration,
     all_j_corners,
-    corner_of_wedge,
+    corner_from_darts,
     j_complement,
 )
 from .errors import (
     CornerationMismatch,
+    DegenerateParameters,
     InternalInvariantError,
+    InvalidSplitGraph,
     KIntersectsL,
     KNotInvariant,
     NotTransitive,
@@ -40,7 +44,7 @@ OLD = "old"
 NEW = "new"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeProvenance:
     """Where a split-graph edge comes from: shared map edges, K-corners."""
 
@@ -49,12 +53,7 @@ class EdgeProvenance:
 
     @property
     def kinds(self) -> tuple[str, ...]:
-        out = []
-        if self.old:
-            out.append(OLD)
-        if self.new:
-            out.append(NEW)
-        return tuple(out)
+        return (OLD,) * bool(self.old) + (NEW,) * bool(self.new)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +71,6 @@ class SplitGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
-        for pair in self.edges:
-            a, b = tuple(pair)
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def degrees(self) -> dict:
         degs = dict.fromkeys(self.vertices, 0)
         for a, b in self.edges:
@@ -92,84 +83,104 @@ class SplitGraph:
         return degs.pop() if len(degs) == 1 else None
 
     def is_connected(self) -> bool:
-        adj = self.adjacency()
-        return not adj or len(_reach(adj, self.vertices[0], adj)) == len(adj)
+        return not self.vertices or not any(_disconnected(self, [range(self.n_vertices)]))
 
 
-def _reach(adj: dict, start, allowed) -> set:
-    """The vertices reachable from ``start`` through vertices in ``allowed``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y in allowed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+def _require_split_graph(S) -> None:
+    """Raise :class:`InvalidSplitGraph` unless ``S`` is a :class:`SplitGraph`."""
+    if not isinstance(S, SplitGraph):
+        raise InvalidSplitGraph(f"not a split graph: {S!r}")
 
 
-def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
-    """The split graph of ``L`` and a disjoint corner set ``K``.
+def _position_pairs(S: SplitGraph) -> list[tuple[int, int]]:
+    """Each edge as its (larger, smaller) positions in the vertices, in edge order."""
+    pos = {key: i for i, key in enumerate(S.vertices)}
+    return [(a, b) if a > b else (b, a) for a, b in ((pos[x], pos[y]) for x, y in S.edges)]
 
-    The corners of ``L`` are listed once in key order (their positions,
-    not the map's corner numbers), each dart gets the position of its
-    L-corner and the map edge of that corner's other dart, and edges are
-    gathered as position pairs before the graph is built in one pass.
-    Each K-corner is looked up in the map's corner table
-    (:func:`_own_corners`), so one that is not a corner of ``L.map``
-    raises :class:`UnknownCell` or :class:`InvalidCorner`, and an ``L``
-    that leaves a dart uncovered raises :class:`CornerationMismatch`.
-    """
-    _require_corneration(L)
+
+def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
+    """The runs of positions, in order, that induce a disconnected subgraph."""
+    adj = [[] for _ in S.vertices]
+    for a, b in _position_pairs(S):
+        adj[a].append(b)
+        adj[b].append(a)
+    for run in runs:
+        seen = {run[0]}
+        stack = [run[0]]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in run and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < len(run):
+            yield run
+
+
+def _pass(L: Corneration, k_darts: Iterable[tuple]) -> tuple[list, dict, int]:
+    """The split graph of ``L`` and K (sorted dart pairs) as the corners of ``L``
+    in key order (indices are positions), ``{sorted position pair: (the pair
+    as first met, [map edges], [K dart pairs])}`` with old edges first, and
+    the edges of the least-key corner that form no old edge."""
     m = L.map
-    vertices = L.key()
-    edge_of = m.cell_index(EDGE)
+    corners = L.sorted_corners()
+    edge_of, dart_of = m.cell_index(EDGE), m.cell_index(DART)
     slot = {}  # dart -> position of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
-    for i, (_, (a, b)) in enumerate(vertices):
+    for i, c in enumerate(corners):
+        a, b = c.darts
         slot[a] = slot[b] = i
         far[a] = edge_of[b]
         far[b] = edge_of[a]
-
-    # sorted position pair -> (the pair as first met, old tokens, new tokens);
-    # each frozenset key is built in the order first met, as the iteration
-    # order of a two-key frozenset can follow it
     found: dict = {}
-    dart_of = m.cell_index(DART)
-    try:
-        for ecell in cells(m, EDGE):
-            e = ecell.id
-            d1, d2 = dart_of[e], dart_of[m.r0[e]]
+    deficit = 0
+    ends = ((c.id, dart_of[c.id], dart_of[m.r0[c.id]]) for c in cells(m, EDGE))
+    try:  # each edge of m with its two darts, listed once per map
+        for e, d1, d2 in m._memo(("edge_darts",), list, ends):
             s1, s2 = slot[d1], slot[d2]
             if s1 == s2:
                 raise InternalInvariantError("one corner covered both darts of an edge")
-            if far[d1] != far[d2]:
-                pair = (s1, s2) if s1 < s2 else (s2, s1)
-                if pair in found:
-                    found[pair][1].append(e)
-                else:
-                    found[pair] = ((s1, s2), [e], [])
+            if far[d1] == far[d2]:
+                deficit += s1 == 0 or s2 == 0  # position 0: the least-key corner
+                continue
+            pair = (s1, s2) if s1 < s2 else (s2, s1)
+            found.setdefault(pair, ((s1, s2), [], []))[1].append(e)
     except KeyError as missing:
-        raise CornerationMismatch(
-            f"not a corneration: uncovered dart {missing.args[0]}"
-        ) from None
-
-    for own in _own_corners(m, K):
-        d1, d2 = own.darts
-        s1, s2 = slot[d1], slot[d2]
+        raise CornerationMismatch(f"not a corneration: uncovered dart {missing.args[0]}") from None
+    for darts in k_darts:
+        s1, s2 = slot[darts[0]], slot[darts[1]]
         if s1 == s2:
-            raise KIntersectsL(f"{own} belongs to the corneration")
+            raise KIntersectsL(f"the corner on darts {darts} belongs to the corneration")
         pair = (s1, s2) if s1 < s2 else (s2, s1)
-        if pair in found:
-            found[pair][2].append(own.key())
-        else:
-            found[pair] = ((s1, s2), [], [own.key()])
+        found.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
+    return corners, found, deficit
 
+
+def _pack(L: Corneration, corners: list, found: dict) -> SplitGraph:
+    """The :class:`SplitGraph` of a pass, its corner keys shared by every graph of
+    the map; a frozenset is built in its pair's first-met order, as its iteration can follow it."""
+    keys = L.map._memo(("corner_keys",), dict)
+    vertex_of = L.map.cell_index(VERTEX)
+
+    def key(darts):
+        return keys.get(darts) or keys.setdefault(darts, (vertex_of[darts[0]], darts))
+
+    vertices = tuple(key(c.darts) for c in corners)
     edges = {
-        frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(new))
+        frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(map(key, new)))
         for (a, b), old, new in found.values()
     }
-    return SplitGraph(map=m, base=L, vertices=vertices, edges=edges)
+    return SplitGraph(map=L.map, base=L, vertices=vertices, edges=edges)
+
+
+def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
+    """The split graph of ``L`` and a disjoint corner set ``K``, packed from one
+    :func:`_pass`.  Unlike the constructions, looks each K-corner up in the map's
+    corner table (:class:`UnknownCell` or :class:`InvalidCorner` for one of another
+    map or a ``K`` that is no iterable); :class:`CornerationMismatch` if ``L``
+    leaves a dart uncovered."""
+    _require_corneration(L)
+    k_darts = [c.darts for c in _own_corners(L.map, K)]
+    return _pack(L, *_pass(L, k_darts)[:2])
 
 
 def _uniform_width(L: Corneration) -> tuple[int, int]:
@@ -181,87 +192,90 @@ def _uniform_width(L: Corneration) -> tuple[int, int]:
     return j, q
 
 
+def _k_darts(L: Corneration, kind: str) -> list[tuple[int, int]]:
+    """The new-corner set K of construction ``kind``, as sorted dart pairs."""
+    if kind == "A":
+        return [c.darts for c in j_complement(L).corners]
+    m = L.map
+    if kind == "B":
+        return [c.darts for c in all_j_corners(m, 1)]
+    wedges = set()
+    for c in L.corners:
+        wedges.update(c.interior_boundary_wedges if kind == "Ci" else c.exterior_boundary_wedges)
+    dart_of = m.cell_index(DART)
+    pairs = ((dart_of[w], dart_of[m.r1[w]]) for w in sorted(wedges))
+    return [(a, b) if a < b else (b, a) for a, b in pairs]
+
+
+def new_corners(L: Corneration, kind: str) -> list[Corner]:
+    """The new-corner set K of construction ``kind`` on ``L``, in the order
+    its split graph meets them: the complement of ``L`` (A), all wedges (B),
+    or the interior (Ci) or exterior (Cx) boundary wedges of its corners."""
+    _require_corneration(L)
+    _require_kind(kind)
+    return [corner_from_darts(L.map, darts) for darts in _k_darts(L, kind)]
+
+
+def _construct(L: Corneration, kind: str, widths: str) -> SplitGraph:
+    j, q = _uniform_width(L)
+    if kind not in predicted_valences(q, j):
+        raise WidthOutOfRange(widths)
+    return _pack(L, *_pass(L, _k_darts(L, kind))[:2])
+
+
 def graph_A(L: Corneration) -> SplitGraph:
     """Split against the width complement of ``L`` (widths below q/2)."""
-    j, q = _uniform_width(L)
-    if 2 * j >= q:
-        raise WidthOutOfRange("the complement construction needs a width below q/2")
-    return split(L, j_complement(L).corners)
+    return _construct(L, "A", "the complement construction needs a width below q/2")
 
 
 def graph_B(L: Corneration) -> SplitGraph:
     """Split against the set of all wedges (widths from 2 up to q/2)."""
-    j, q = _uniform_width(L)
-    if not 2 <= j <= q // 2:
-        raise WidthOutOfRange("the wedge construction needs 2 <= width <= q/2")
-    return split(L, all_j_corners(L.map, 1))
-
-
-def _boundary_wedge_corners(L: Corneration, interior: bool) -> list[Corner]:
-    m = L.map
-    wedge_ids = set()
-    for c in L.corners:
-        chosen = c.interior_boundary_wedges if interior else c.exterior_boundary_wedges
-        wedge_ids.update(chosen)
-    return [corner_of_wedge(m, w) for w in sorted(wedge_ids)]
+    return _construct(L, "B", "the wedge construction needs 2 <= width <= q/2")
 
 
 def graph_Ci(L: Corneration) -> SplitGraph:
     """Split against the interior boundary wedges of the corners of ``L``."""
-    j, q = _uniform_width(L)
-    if not 2 <= j < q / 2:
-        raise WidthOutOfRange("the interior construction needs 2 <= width < q/2")
-    return split(L, _boundary_wedge_corners(L, interior=True))
+    return _construct(L, "Ci", "the interior construction needs 2 <= width < q/2")
 
 
 def graph_Cx(L: Corneration) -> SplitGraph:
     """Split against the exterior boundary wedges of the corners of ``L``."""
-    j, q = _uniform_width(L)
-    if not 2 <= j < q / 2:
-        raise WidthOutOfRange("the exterior construction needs 2 <= width < q/2")
-    return split(L, _boundary_wedge_corners(L, interior=False))
+    return _construct(L, "Cx", "the exterior construction needs 2 <= width < q/2")
 
 
 def is_locally_connected(S: SplitGraph) -> tuple[bool, Optional[int]]:
-    """Whether the induced subgraph on the corners at each vertex connects.
-
-    Returns ``(True, None)`` or ``(False, first failing vertex)``.
-    """
-    adj = S.adjacency()
-    by_vertex: dict = {}
-    for key in S.vertices:
-        by_vertex.setdefault(key[0], []).append(key)
-    for v in sorted(by_vertex):
-        local = set(by_vertex[v])
-        if _reach(adj, by_vertex[v][0], local) != local:
-            return False, v
-    return True, None
+    """Whether the induced subgraph on the corners at each vertex connects:
+    ``(True, None)`` or ``(False, first failing vertex)``."""
+    _require_split_graph(S)
+    runs: dict = {}  # vertex -> positions of its corners
+    for i, key in enumerate(S.vertices):
+        runs.setdefault(key[0], []).append(i)
+    bad = next(_disconnected(S, [runs[v] for v in sorted(runs)]), None)
+    return (True, None) if bad is None else (False, S.vertices[bad[0]][0])
 
 
 def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) -> bool:
     """Witness that ``G`` acts on the split graph vertex-transitively.
 
-    Checks that ``G`` preserves the corneration and ``K`` setwise, that
-    its induced action maps split-graph edges to edges, and that it is
-    transitive on the vertices.  This certifies vertex-transitivity
-    without computing the full automorphism group of the graph.  Each
-    generator moves the vertices and K by their corner numbers through its
-    pair table (:func:`_pair_action`); edges are tested as vertex pairs.
+    Checks that ``G`` preserves the corneration and ``K`` setwise, maps
+    edges to edges and is transitive on the vertices, without computing the
+    graph's automorphism group.  Each generator moves the vertices and K by
+    corner number through its pair table (:func:`_pair_action`).
     """
+    _require_split_graph(S)
     _require_group(G, S.map)
     perms = _corner_perms(G, _pair_numbers(S.map, (darts for _, darts in S.vertices)))
     if len(orbits(S.n_vertices, perms)) != 1:
         raise NotTransitive("the group is not transitive on the corneration")
     k_numbers = set(_pair_numbers(S.map, (c.darts for c in _own_corners(S.map, K))))
-    number = {key: i for i, key in enumerate(S.vertices)}
-    ends = [(number[a], number[b]) for a, b in S.edges]
-    edge_set = {(a, b) if a < b else (b, a) for a, b in ends}
+    ends = _position_pairs(S)
+    edge_set = set(ends)
     for table, perm in zip(_pair_action(G), perms):
         if not k_numbers.issuperset(map(table.__getitem__, k_numbers)):
             raise KNotInvariant("the new-corner set is not group-invariant")
         for a, b in ends:
             x, y = perm[a], perm[b]
-            if ((x, y) if x < y else (y, x)) not in edge_set:
+            if ((x, y) if x > y else (y, x)) not in edge_set:
                 return False
     return True
 
@@ -289,35 +303,38 @@ class CubicReport:
         return all(e.matches for e in self.entries)
 
 
-def predicted_new_degrees(q: int, j: int) -> dict:
-    """New-edge degree of each construction for a transitive width-j L.
+def predicted_valences(q: int, j: int, deficit: int = 0) -> dict:
+    """Expected valences of the constructions defined for a transitive
+    width-j L: two old edges less any deficit, plus the new-edge degree.
 
-    Derived from the standard local cornerations.  The complement
-    construction joins a corner to the corners 2j positions away, merging
-    when ``4j = q``.  For odd widths the interior and exterior wedge sets
-    are disjoint and contribute two neighbors each (the exterior pair
-    merging at ``j = q/2 - 1``); for even widths they overlap in the
-    wedges tying the consecutive corner pairs together, which caps the
-    all-wedge degree one below the sum of the two counts.
+    New-edge degrees follow from the standard local cornerations.  The
+    complement construction joins a corner to the corners 2j positions
+    away, merging when ``4j = q``.  For odd widths the interior and
+    exterior wedge sets are disjoint and contribute two neighbors each (the
+    exterior pair merging at ``j = q/2 - 1``); for even widths they overlap
+    in the wedges tying the consecutive corner pairs together, which caps
+    the all-wedge degree one below the sum of the two counts.
     """
-    out = {}
+    if not (isinstance(q, int) and isinstance(j, int)):
+        raise DegenerateParameters(f"the valence and width must be ints, got {q!r}, {j!r}")
+    new = {}
     if 2 * j < q:
-        out["A"] = 1 if 4 * j == q else 2
+        new["A"] = 1 if 4 * j == q else 2
     if 2 <= j <= q // 2:
         if 2 * j == q:
-            out["B"] = 1 if q == 4 else 2
+            new["B"] = 1 if q == 4 else 2
         elif j % 2 == 1:
-            out["B"] = 3 if (q % 4 == 0 and j == q // 2 - 1) else 4
+            new["B"] = 3 if (q % 4 == 0 and j == q // 2 - 1) else 4
         else:
-            out["B"] = 2 if j == 2 else 3
+            new["B"] = 2 if j == 2 else 3
     if 2 <= j < q / 2:
         if j % 2 == 1:
-            out["Ci"] = 2
-            out["Cx"] = 1 if j == q // 2 - 1 else 2
+            new["Ci"] = 2
+            new["Cx"] = 1 if j == q // 2 - 1 else 2
         else:
-            out["Ci"] = 1 if j == 2 else 2
-            out["Cx"] = 2
-    return out
+            new["Ci"] = 1 if j == 2 else 2
+            new["Cx"] = 2
+    return {kind: 2 - deficit + degree for kind, degree in new.items()}
 
 
 def old_degree_deficit(L: Corneration) -> int:
@@ -326,33 +343,17 @@ def old_degree_deficit(L: Corneration) -> int:
     An old edge requires the two corners covering a map edge to share
     exactly that edge; when they share both of their edges (a pair of
     parallel edges spanned the same way at both ends) no old edge forms.
-    For a transitive corneration the count is the same at every corner.
+    Counted at the least-key corner (:func:`_pass`); for a transitive
+    corneration the count is the same at every corner.
     """
-    m = L.map
-    edge_of = m.cell_index(EDGE)
-    dart_of = m.cell_index(DART)
-    c = min(L.corners, key=Corner.key)
-    deficit = 0
-    for d in c.darts:
-        partner = L.corner_of_dart(dart_of[m.r0[d]])
-        if {edge_of[x] for x in partner.darts} == {edge_of[x] for x in c.darts}:
-            deficit += 1
-    return deficit
-
-
-def predicted_valences(q: int, j: int, deficit: int = 0) -> dict:
-    """Expected split-graph valences: two old edges less any deficit,
-    plus the construction's new-edge degree."""
-    return {
-        kind: 2 - deficit + new
-        for kind, new in predicted_new_degrees(q, j).items()
-    }
+    _require_corneration(L)
+    return _pass(L, ())[2]
 
 
 def predicted_local_connectivity(q: int, j: int) -> dict:
     """Expected local connectivity of the four constructions."""
-    import math
-
+    if not (isinstance(q, int) and isinstance(j, int)):
+        raise DegenerateParameters(f"the valence and width must be ints, got {q!r}, {j!r}")
     out = {}
     if 2 * j < q:
         out["A"] = math.gcd(q, j) == 1
@@ -371,43 +372,53 @@ def predicted_local_connectivity(q: int, j: int) -> dict:
 _BUILDERS = {"A": graph_A, "B": graph_B, "Ci": graph_Ci, "Cx": graph_Cx}
 
 
+def _require_kind(kind) -> None:
+    if not (isinstance(kind, str) and kind in _BUILDERS):
+        raise UnknownConstruction(f"unknown construction {kind!r}; expected one of A, B, Ci, Cx")
+
+
 def build_construction(L: Corneration, kind: str) -> SplitGraph:
-    if kind not in _BUILDERS:
-        raise UnknownConstruction(
-            f"unknown construction {kind!r}; expected one of A, B, Ci, Cx"
-        )
+    _require_kind(kind)
     return _BUILDERS[kind](L)
 
 
 def cubic_filter(m: FlagMap, L: Corneration) -> CubicReport:
     """Which of the four constructions are cubic for this corneration.
 
-    Builds every construction defined at the corneration's width and
-    compares the measured valence with the predicted one (accounting for
-    parallel-edge deficits in the old edges).  Raises
-    :class:`CornerationMismatch` when ``L`` is not a corneration of ``m``.
+    Counts the degrees of each construction's position pairs (:func:`_pass`;
+    no graph is packed) against the valence predicted with the deficit of
+    that pass.  :class:`CornerationMismatch` unless ``L`` is one of ``m``.
     """
     _require_corneration(L)
     if L.map is not m and L.map != m:
         raise CornerationMismatch("the corneration belongs to a different map")
     j, q = _uniform_width(L)
-    predictions = predicted_valences(q, j, old_degree_deficit(L))
     entries = []
-    for kind in ("A", "B", "Ci", "Cx"):
-        if kind not in predictions:
-            continue
-        S = build_construction(L, kind)
-        measured = S.regular_valence()
-        predicted = predictions[kind]
-        entries.append(
-            CubicEntry(kind, measured, predicted, measured == 3)
-        )
+    for kind in predicted_valences(q, j):
+        corners, found, deficit = _pass(L, _k_darts(L, kind))
+        degrees = [0] * len(corners)
+        for a, b in found:
+            degrees[a] += 1
+            degrees[b] += 1
+        values = set(degrees)
+        measured = values.pop() if len(values) == 1 else None
+        predicted = predicted_valences(q, j, deficit)[kind]
+        entries.append(CubicEntry(kind, measured, predicted, measured == 3))
     return CubicReport(tuple(entries))
 
 
-def _six_bit_chars(bits: str) -> str:
+# base64 writes the 6-bit groups 0..63 as these characters, graph6 as chr(63 + group)
+_SIX_BIT_GROUPS = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
+def _six_bit_chars(bits) -> str:
     """A bit string, a multiple of 6 long, as characters 63 + each 6-bit group."""
-    return "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
+    pad = -len(bits) % 24  # base64 reads 3 bytes at a time
+    data = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    chars = binascii.b2a_base64(data, newline=False)[: len(bits) // 6]
+    return chars.translate(_SIX_BIT_GROUPS).decode("ascii")
 
 
 def _size_field(n: int) -> str:
@@ -423,45 +434,34 @@ def _size_field(n: int) -> str:
     return "~~" + _six_bit_chars(format(n, "036b"))
 
 
-def _index_edges(S: SplitGraph) -> list[tuple[int, int]]:
-    """Edges as (larger, smaller) positions in the sorted vertices, ascending."""
-    pos = {key: i for i, key in enumerate(S.vertices)}
-    return sorted(tuple(sorted((pos[a] for a in pair), reverse=True)) for pair in S.edges)
-
-
 def to_graph6(S: SplitGraph) -> str:
-    """graph6 encoding of the split graph with canonically sorted vertices.
-
-    The upper triangle of the adjacency matrix, column by column, packed
-    into 6-bit groups (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt).
-    """
+    """graph6 encoding of the split graph with canonically sorted vertices: the
+    upper triangle of the adjacency matrix, column by column, packed into
+    6-bit groups (McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt)."""
+    _require_split_graph(S)
     n = S.n_vertices
     bits = bytearray(b"0" * (-(-n * (n - 1) // 12) * 6))
-    for b, a in _index_edges(S):
+    for b, a in _position_pairs(S):
         bits[b * (b - 1) // 2 + a] = ord("1")
-    return _size_field(n) + _six_bit_chars(bits.decode("ascii"))
+    return _size_field(n) + _six_bit_chars(bits)
 
 
 def to_sparse6(S: SplitGraph) -> str:
-    """sparse6 encoding, for catalogs preferring the sparse format.
-
-    Edges (v, u) with u <= v in ascending order, each as a flag bit (0: same
-    v, 1: next v) and u in k bits, with a jump to v written out when v
-    skips ahead (McKay's formats.txt).
-    """
+    """sparse6 encoding, for catalogs preferring the sparse format: edges
+    (v, u) with u <= v in ascending order, each as a flag bit (0: same v, 1:
+    next v) and u in k bits, with a jump to v written out when v skips ahead."""
+    _require_split_graph(S)
     n = S.n_vertices
     k = max(1, (n - 1).bit_length())
+    code = [format(i, f"0{k}b") for i in range(n)]
     bits = []
     v = 0
-    for b, a in _index_edges(S):
-        if b == v:
-            bits.append("0" + format(a, f"0{k}b"))
-        elif b == v + 1:
-            v = b
-            bits.append("1" + format(a, f"0{k}b"))
+    for b, a in sorted(_position_pairs(S)):
+        if b > v + 1:
+            bits += "1", code[b], "0", code[a]
         else:
-            v = b
-            bits.append("1" + format(b, f"0{k}b") + "0" + format(a, f"0{k}b"))
+            bits += str(b - v), code[a]
+        v = b
     data = "".join(bits)
     pad = -len(data) % 6
     # padding 1s could decode as an edge to vertex n - 1 when n = 2^k

@@ -649,14 +649,6 @@ def claim_face_configurations(ctx: SuiteContext):
     return instances, failures, ""
 
 
-_K_BUILDERS = {
-    "A": lambda L: corn.j_complement(L).corners,
-    "B": lambda L: sg.all_j_corners(L.map, 1),
-    "Ci": lambda L: sg._boundary_wedge_corners(L, interior=True),
-    "Cx": lambda L: sg._boundary_wedge_corners(L, interior=False),
-}
-
-
 def claim_split_graphs(ctx: SuiteContext):
     failures = []
     instances = 0
@@ -703,7 +695,7 @@ def claim_split_graphs(ctx: SuiteContext):
                     and not S.is_connected()
                 ):
                     failures.append(f"{label} {kind}: locally connected but disconnected")
-                K = _K_BUILDERS[kind](L)
+                K = sg.new_corners(L, kind)
                 try:
                     if not sg.verify_vertex_transitive(S, r.aut, K):
                         failures.append(f"{label} {kind}: group action broke an edge")

@@ -10,12 +10,15 @@ import pytest
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
 from cornmaps.builders import build_theta, build_torus_grid
-from cornmaps.core import DART, EDGE, cells, uniform_valence
+from cornmaps.core import DART, EDGE, FlagMap, cells, uniform_valence
 from cornmaps.errors import (
     CornerationMismatch,
+    CornMapsError,
+    DegenerateParameters,
     GroupDoesNotPreserveCorneration,
     InternalInvariantError,
     InvalidCorner,
+    InvalidSplitGraph,
     KIntersectsL,
     KNotInvariant,
     NotTransitive,
@@ -27,7 +30,6 @@ from cornmaps.fileio import write_map
 from cornmaps.operators import opposite
 from cornmaps.symmetry import automorphism_group
 from cornmaps.verify import (
-    _K_BUILDERS,
     FAILED,
     SKIPPED,
     SuiteContext,
@@ -35,6 +37,22 @@ from cornmaps.verify import (
     claim_split_graphs,
     run_claim,
 )
+
+def boundary_wedge_corners(L, interior):
+    """The 1-corner of each interior or exterior boundary wedge of L's corners."""
+    wedges = set()
+    for c in L.corners:
+        wedges.update(c.interior_boundary_wedges if interior else c.exterior_boundary_wedges)
+    return [corn.corner_of_wedge(L.map, w) for w in sorted(wedges)]
+
+
+# each construction's new-corner set K, built apart from the library's pass
+_K_BUILDERS = {
+    "A": lambda L: corn.j_complement(L).corners,
+    "B": lambda L: corn.all_j_corners(L.map, 1),
+    "Ci": lambda L: boundary_wedge_corners(L, interior=True),
+    "Cx": lambda L: boundary_wedge_corners(L, interior=False),
+}
 
 
 def straight(m):
@@ -140,7 +158,7 @@ def test_vertex_transitive_witness(opp44):
     r = transitive_record(opp44, 3)
     L = r.corneration
     S = sg.graph_Cx(L)
-    K = sg._boundary_wedge_corners(L, interior=False)
+    K = sg.new_corners(L, "Cx")
     assert sg.verify_vertex_transitive(S, r.aut, K)
 
 
@@ -419,20 +437,38 @@ def test_split_matches_the_key_oracle(transitive_cases):
     assert built > 100
 
 
+def neighbours(S):
+    """Each vertex's set of neighbours, in vertex order."""
+    adj = {v: set() for v in S.vertices}
+    for pair in S.edges:
+        a, b = tuple(pair)
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def test_new_corners_are_the_k_of_each_construction(transitive_cases):
+    """The witness's K is the oracle's K, in the same order."""
+    for label, r, q, j in transitive_cases:
+        for kind in sg.predicted_valences(q, j):
+            K = sg.new_corners(r.corneration, kind)
+            assert K == list(_K_BUILDERS[kind](r.corneration)), (label, kind)
+
+
 def test_degrees_count_the_edge_pairs(transitive_cases, monkeypatch):
-    """Degrees come in vertex order, equal the sizes of the adjacency sets,
-    and are counted without building those sets."""
+    """Degrees come in vertex order, equal the sizes of the neighbour sets,
+    and are counted without walking the graph on positions."""
     graphs = []
     for _, r, q, j in transitive_cases[::4]:
         kinds = sg.predicted_valences(q, j)
         graphs += [sg.build_construction(r.corneration, kind) for kind in kinds]
-    expected = [{v: len(nbrs) for v, nbrs in S.adjacency().items()} for S in graphs]
+    expected = [{v: len(nbrs) for v, nbrs in neighbours(S).items()} for S in graphs]
     valences = [set(d.values()) for d in expected]
 
-    def no_adjacency(self):
-        raise AssertionError("degrees built the adjacency sets")
+    def no_walk(S):
+        raise AssertionError("degrees walked the position pairs")
 
-    monkeypatch.setattr(sg.SplitGraph, "adjacency", no_adjacency)
+    monkeypatch.setattr(sg, "_position_pairs", no_walk)
     assert len(graphs) > 20
     for S, degs, vals in zip(graphs, expected, valences):
         assert list(S.degrees().items()) == list(degs.items())
@@ -525,3 +561,142 @@ def test_cubic_filter_rejects_a_corneration_of_another_map(torus44):
     with pytest.raises(CornerationMismatch):
         sg.cubic_filter(build_torus_grid(6, 6), L)
     assert sg.cubic_filter(torus44, L).cubic_constructions() == ("B",)
+
+
+# -- arguments of the wrong kind -----------------------------------------------
+
+
+def wedge_case(m):
+    """A split graph of torus 4x4 and a group transitive on its vertices."""
+    L = corn.symmetric_cornerations_from_coloring(m, 1)[0]
+    return L, sg.graph_A(L), corn.corneration_stabilizer(automorphism_group(m), L)
+
+
+WRONG_ARGUMENT_CALLS = {
+    "to_graph6": (InvalidSplitGraph, lambda L, S, G: sg.to_graph6(None)),
+    "to_sparse6": (InvalidSplitGraph, lambda L, S, G: sg.to_sparse6("x")),
+    "is_locally_connected": (InvalidSplitGraph, lambda L, S, G: sg.is_locally_connected(None)),
+    "verify_vertex_transitive graph": (
+        InvalidSplitGraph,
+        lambda L, S, G: sg.verify_vertex_transitive(None, G, []),
+    ),
+    "old_degree_deficit": (CornerationMismatch, lambda L, S, G: sg.old_degree_deficit(None)),
+    "split": (InvalidCorner, lambda L, S, G: sg.split(L, None)),
+    "verify_vertex_transitive K": (
+        InvalidCorner,
+        lambda L, S, G: sg.verify_vertex_transitive(S, G, None),
+    ),
+    "build_construction": (UnknownConstruction, lambda L, S, G: sg.build_construction(L, ["A"])),
+    "predicted_valences": (DegenerateParameters, lambda L, S, G: sg.predicted_valences("x", 1)),
+    "predicted_local_connectivity": (
+        DegenerateParameters,
+        lambda L, S, G: sg.predicted_local_connectivity(8, "x"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ARGUMENT_CALLS)
+def test_wrong_arguments_raise_library_errors(torus44, name):
+    """A non-graph, a non-iterable K, an unhashable kind and a non-int
+    valence or width each raise their own CornMapsError."""
+    error, call = WRONG_ARGUMENT_CALLS[name]
+    assert issubclass(error, CornMapsError)
+    L, S, G = wedge_case(torus44)
+    assert sg.verify_vertex_transitive(S, G, sg.new_corners(L, "A"))  # the arguments work
+    with pytest.raises(error):
+        call(L, S, G)
+
+
+# -- the pass: deficits, degrees and what it leaves unbuilt ---------------------
+
+
+def deficit_oracle(L):
+    """The parallel-edge deficit of the least-key corner, read through the
+    corner of each dart."""
+    m = L.map
+    edge_of = m.cell_index(EDGE)
+    dart_of = m.cell_index(DART)
+    c = min(L.corners, key=corn.Corner.key)
+    deficit = 0
+    for d in c.darts:
+        partner = L.corner_of_dart(dart_of[m.r0[d]])
+        if {edge_of[x] for x in partner.darts} == {edge_of[x] for x in c.darts}:
+            deficit += 1
+    return deficit
+
+
+def relabelled(m, seed):
+    """``m`` with its flags renumbered at random."""
+    new = list(m.flags())
+    random.Random(seed).shuffle(new)
+    images = []
+    for r in m.involutions():
+        image = [0] * m.n_flags
+        for f in m.flags():
+            image[new[f]] = new[r[f]]
+        images.append(image)
+    return FlagMap(m.n_flags, *images, name=f"{m.name}~{seed}")
+
+
+def test_deficit_matches_the_corner_of_dart_definition(transitive_cases):
+    """On the suite and opp(torus 6x6) records, and on records of relabelled
+    maps, whose least-key corner need not hold the first dart of its edges."""
+    cases = [(label, r.corneration) for label, r, _, _ in transitive_cases]
+    for m in (relabelled(opposite(build_torus_grid(4, 4)), 7), relabelled(build_theta(4), 3)):
+        records = corn.enumerate_transitive_cornerations(m, 2)
+        cases += [(m.name, r.corneration) for r in records]
+    seen = set()
+    for label, L in cases:
+        expected = deficit_oracle(L)
+        assert sg.old_degree_deficit(L) == expected, label
+        seen.add(expected)
+    assert {0, 2} <= seen  # parallel-edge deficits occur
+
+
+def test_cubic_filter_measures_the_valences_of_the_graphs(transitive_cases):
+    checked = 0
+    for label, r, q, j in transitive_cases:
+        L = r.corneration
+        report = sg.cubic_filter(L.map, L)
+        assert [e.construction for e in report.entries] == list(sg.predicted_valences(q, j))
+        for entry in report.entries:
+            S = sg.build_construction(L, entry.construction)
+            assert entry.measured_valence == S.regular_valence(), (label, entry)
+            checked += 1
+    assert checked > 100
+
+
+def counting(calls, name, function):
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
+def test_constructions_build_no_graph_or_corner_they_do_not_return(monkeypatch):
+    """cubic_filter packs no graph, and graph_B, graph_Ci and graph_Cx
+    build no corner of K nor look one up in the corner table."""
+    m = opposite(build_torus_grid(6, 6))
+    records = [r for r in corn.enumerate_transitive_cornerations(m, 2) if r.transitive]
+    assert records
+    calls = {}
+    watched = {
+        sg: ("SplitGraph", "EdgeProvenance", "_own_corners"),
+        corn: ("_own_corners", "corner_of_wedge"),
+    }
+    for module, names in watched.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
+    for r in records:
+        sg.cubic_filter(m, r.corneration)
+    assert calls == {}
+    for r in records:
+        for build in (sg.graph_B, sg.graph_Ci, sg.graph_Cx):
+            assert build(r.corneration).n_edges
+    assert set(calls) == {"cornmaps.splitgraph.SplitGraph", "cornmaps.splitgraph.EdgeProvenance"}
+    # the counters see the lookup of a corner set handed in
+    L = records[0].corneration
+    sg.split(L, sg.new_corners(L, "Ci"))
+    assert calls["cornmaps.splitgraph._own_corners"] == 1
