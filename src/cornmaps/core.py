@@ -497,8 +497,8 @@ def rotation_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
     rotation of it describe the same embedding.
     """
     table = _rotation_table(m)
-    if v not in table:
-        raise UnknownCell(f"no vertex cell with id {v}")
+    if not isinstance(v, int) or v not in table:
+        raise UnknownCell(f"no vertex cell with id {v!r}")
     return table[v][1]
 
 
@@ -508,8 +508,8 @@ def wedges_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
     ``wedges[k]`` lies between darts ``k`` and ``k+1`` of the rotation.
     """
     table = _rotation_table(m)
-    if v not in table:
-        raise UnknownCell(f"no vertex cell with id {v}")
+    if not isinstance(v, int) or v not in table:
+        raise UnknownCell(f"no vertex cell with id {v!r}")
     return table[v][2]
 
 

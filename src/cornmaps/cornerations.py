@@ -204,8 +204,8 @@ def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
 
 def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
     """Every corner of width exactly ``j``, in canonical order."""
-    if j < 1:
-        raise WidthOutOfRange(f"corner width must be at least 1, got {j}")
+    if not (isinstance(j, int) and j >= 1):
+        raise WidthOutOfRange(f"corner width must be at least 1, got {j!r}")
 
     def build():
         out = []
@@ -569,36 +569,31 @@ class LocalCorneration:
 
 
 def local_corneration(L: Corneration, v: int) -> LocalCorneration:
-    m = L.map
+    """The corners of ``L`` at vertex ``v``, read off its darts there.
+    :class:`CornerationMismatch` for a non-corneration, :class:`WidthMismatch`
+    for a mixed one and :class:`UnknownCell` for a ``v`` that is no vertex."""
+    _require_corneration(L)
     j = L.width
     if j is None:
         raise WidthMismatch("local classification needs a uniform corneration")
-    rotation = rotation_at_vertex(m, v)
+    rotation = rotation_at_vertex(L.map, v)
     q = len(rotation)
     pos = {d: i for i, d in enumerate(rotation)}
-    pairs = []
-    for c in L.corners:
-        if c.vertex == v:
-            pairs.append(tuple(sorted((pos[c.darts[0]], pos[c.darts[1]]))))
-    pairs = tuple(sorted(pairs))
+    darts = {L.corner_of_dart(d).darts for d in rotation}  # each corner's, twice
+    pairs = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in darts))
     if 2 * j == q:
         return LocalCorneration(v, pairs, OTHER_LOCAL, True)
 
-    odd_target = set(range(0, q, 2))
-    even_target = {i for i in range(q) if i % 4 in (0, 3)}
+    # standard when, read from some start s, the first dart of each pair (the
+    # one +j carries to the other) sits on the target; read backwards they
+    # are mirrored, and each target is a rotation of its mirror image
+    firsts = {a if (b - a) % q == j else b for a, b in pairs}
+    starts = {frozenset((p - s) % q for p in firsts) for s in range(q)}
     classification = OTHER_LOCAL
-    for s in range(q):
-        for direction in (1, -1):
-            bases = set()
-            for a, b in pairs:
-                na = (direction * (a - s)) % q
-                nb = (direction * (b - s)) % q
-                base = na if (nb - na) % q == j else nb
-                bases.add(base)
-            if bases == odd_target:
-                classification = STANDARD_ODD
-            elif q % 4 == 0 and bases == even_target:
-                classification = STANDARD_EVEN
+    if frozenset(range(0, q, 2)) in starts:
+        classification = STANDARD_ODD
+    elif q % 4 == 0 and frozenset(i for i in range(q) if i % 4 in (0, 3)) in starts:
+        classification = STANDARD_EVEN
     return LocalCorneration(v, pairs, classification, False)
 
 
@@ -971,15 +966,19 @@ def _corner_perms(G: SymGroup, numbers: Sequence[int]) -> list[list[int]]:
 
 
 def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
-    """The setwise stabilizer of ``L`` inside the group ``A``.
+    """The setwise stabilizer of ``L`` inside the group ``A``, from the orbit
+    walk of :func:`_orbit_and_stabilizer`: its cost follows the orbit length
+    and the stabilizer order, not |A|, and ``L`` need not be invariant under
+    any part of ``A``.  :class:`CornerationMismatch` for a non-corneration,
+    :class:`GroupNotSubgroup` for one of another map."""
+    return _orbit_and_stabilizer(A, L)[1]
 
-    Orbit and stabilizer: the orbit of L's corner numbers under one pair
-    table per generator of ``A`` (:func:`_pair_action`) is walked with a
-    transversal, and the Schreier generators span the stabilizer.  The cost
-    follows the orbit length and the stabilizer order, not |A|; ``L`` need
-    not be invariant under any part of ``A``.  :class:`CornerationMismatch`
-    for a non-corneration, :class:`GroupNotSubgroup` for one of another map.
-    """
+
+def _orbit_and_stabilizer(A: SymGroup, L: Corneration) -> tuple[list[int], SymGroup]:
+    """``(orbit, stabilizer)``: the masks of L's images under ``A``, L's first,
+    and Stab_A(L).  The orbit of L's corner numbers under one pair table per
+    generator (:func:`_pair_action`) is walked with a transversal, and the
+    Schreier generators span the stabilizer."""
     _require_corneration(L)
     _require_group(A, L.map)
     gens = list(zip(A.generators, _pair_action(A)))
@@ -997,7 +996,8 @@ def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
                 orbit.append(moved)
             elif transversal[moved] != st:  # else the identity; both images lie in A
                 schreier.add(A._apply(A._inverse(transversal[moved]), st))
-    return A.subgroup_from_images(_generating_images(A, schreier)[1])
+    masks = [_mask_of(L.map, numbers) for numbers in orbit]
+    return masks, A.subgroup_from_images(_generating_images(A, schreier)[1])
 
 
 def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
@@ -1073,9 +1073,9 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
         raise NonUniformValence("the construction needs a uniform valence")
     if q % 2 != 0:
         raise WidthOutOfRange("odd valence admits no corneration")
-    if j % 2 == 0 or not 1 <= j < q / 2:
+    if not isinstance(j, int) or j % 2 == 0 or not 1 <= j < q / 2:
         raise WidthOutOfRange(
-            f"symmetric cornerations need an odd width below {q // 2}, got {j}"
+            f"symmetric cornerations need an odd width below {q // 2}, got {j!r}"
         )
     G = is_face_reflexible(m)
     if G is None:

@@ -93,8 +93,8 @@ def hole(m: FlagMap, j: int) -> OperatorResult:
     q = uniform_valence(m)
     if q is None:
         raise NonUniformValence("the hole operator needs a uniform valence")
-    if not 1 <= j < q:
-        raise WidthOutOfRange(f"hole width must satisfy 1 <= j < {q}, got {j}")
+    if not (isinstance(j, int) and 1 <= j < q):
+        raise WidthOutOfRange(f"hole width must satisfy 1 <= j < {q}, got {j!r}")
 
     word = m.r1
     step = compose(m.r2, m.r1)

@@ -26,8 +26,9 @@ from .core import (
     orbits,
     _normalize_kind,
     _rotation_table,
+    rotation_at_vertex,
 )
-from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge, UnknownCell
+from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge
 from .operators import _propagate
 
 
@@ -667,6 +668,10 @@ class LocalAction:
 def local_action_group(G: SymGroup, v: int) -> LocalAction:
     """Stabilizer of ``v`` acting on the dart positions around it.
 
+    The permutations are read off :func:`_vertex_moves`, built once per map
+    and vertex, keeping those whose image of flag 0 lies in ``G``.
+    :class:`UnknownCell` for a ``v`` that is no vertex id.
+
     Tags: HD for the dihedral group of order q generated by the squared
     rotation and the odd reflections, HC for the squared-rotation cyclic
     group alone, QD for the order-q/2 dihedral group whose rotations are
@@ -676,60 +681,50 @@ def local_action_group(G: SymGroup, v: int) -> LocalAction:
     """
     _require_group(G)
     m = G.map
-    table = _rotation_table(m)
-    if v not in table:
-        raise UnknownCell(f"no vertex cell with id {v}")
-    flags, darts, _ = table[v]
+    darts = rotation_at_vertex(m, v)
+    q = len(darts)
+    moves = m._memo(("local_moves", v), _vertex_moves, m, v)
+    kept = {moves[h] for h in G._image_set().intersection(moves)}
+    perms = tuple(sorted(sigma for sigma, _, _, _ in kept))
+    rotations = {s for _, s, rotation, _ in kept if rotation}
+    reflections = {s for _, s, _, reflection in kept if reflection}
+
+    tag = OTHER
+    if q % 2 == 0 and rotations == set(range(0, q, 2)):
+        if reflections == set(range(1, q, 2)):
+            tag = HD
+        elif not reflections:
+            tag = HC
+    elif q % 4 == 0 and rotations == set(range(0, q, 4)):
+        if reflections in ({f for f in range(q) if f % 4 == k} for k in (1, 3)):
+            tag = QD
+    return LocalAction(v, darts, perms, tag)
+
+
+def _vertex_moves(m: FlagMap, v: int) -> dict:
+    """``{h: (sigma, s, rotation, reflection)}`` over the 2q flags x at ``v``:
+    h is the image of flag 0 under the symmetry sending v to x, which moves
+    the rotation positions by sigma, the rotation ``i -> i + s`` for an x of
+    the walk from v, else the reflection ``i -> s - i`` (for q <= 2 both)."""
+    flags, darts, _ = _rotation_table(m)[v]
     q = len(darts)
     pos = {d: i for i, d in enumerate(darts)}
     dart_of = m.cell_index(DART)
-
-    # a stabilizing element sends v to a flag x of v, and has the image
-    # that the word of v, read backwards, carries x to; it sends the k-th
-    # rotation flag (r1 then r2, k times, from v) to the same walk from x
     word = _flag_words(m)[0][v]
-    images = G._image_set()
-    perms = set()
+    shared = m._memo(("local_sigmas",), dict)
+    moves = {}
     for x in flags + tuple(m.r1[f] for f in flags):
         h = x
         for r in reversed(word):
             h = r[h]
-        if h in images:
-            sigma = []
-            for _ in range(q):
-                sigma.append(pos[dart_of[x]])
-                x = m.r2[m.r1[x]]
-            perms.add(tuple(sigma))
-    perms = tuple(sorted(perms))
-
-    rotations = set()
-    reflections = set()
-    unknown = False
-    for sigma in perms:
-        matched = False
-        for s in range(q):
-            if all(sigma[i] == (i + s) % q for i in range(q)):
-                rotations.add(s)
-                matched = True
-        for f in range(q):
-            if all(sigma[i] == (f - i) % q for i in range(q)):
-                reflections.add(f)
-                matched = True
-        if not matched:
-            unknown = True
-
-    tag = OTHER
-    if not unknown and q % 2 == 0:
-        evens = set(range(0, q, 2))
-        odds = set(range(1, q, 2))
-        if rotations == evens and reflections == odds:
-            tag = HD
-        elif rotations == evens and not reflections:
-            tag = HC
-        elif q % 4 == 0:
-            quarters = set(range(0, q, 4))
-            ones = {f for f in range(q) if f % 4 == 1}
-            threes = {f for f in range(q) if f % 4 == 3}
-            if rotations == quarters and reflections in (ones, threes):
-                tag = QD
-    return LocalAction(v, darts, perms, tag)
+        sigma = []
+        for _ in range(q):
+            sigma.append(pos[dart_of[x]])
+            x = m.r2[m.r1[x]]
+        sigma = tuple(sigma)
+        if sigma not in shared:
+            s = sigma[0]
+            rotation = all(sigma[i] == (i + s) % q for i in range(q))
+            shared[sigma] = (sigma, s, rotation, all(sigma[i] == (s - i) % q for i in range(q)))
+        moves[h] = shared[sigma]
+    return moves

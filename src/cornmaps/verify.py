@@ -486,12 +486,9 @@ def claim_local_structure(ctx: SuiteContext):
                 failures.append(f"{label}: stabilizer has index {index}")
             if 2 * j == q:
                 continue
-            tags = set()
-            classifications = set()
-            for vc in cells(m, VERTEX):
-                tags.add(local_action_group(r.aut, vc.id).tag)
-                lc = corn.local_corneration(L, vc.id)
-                classifications.add(lc.classification)
+            vertices = [vc.id for vc in cells(m, VERTEX)]
+            tags = {local_action_group(r.aut, v).tag for v in vertices}
+            classifications = {corn.local_corneration(L, v).classification for v in vertices}
             if len(tags) != 1 or tags - {HD, HC, QD}:
                 failures.append(f"{label}: local action tags {sorted(tags)}")
             if j % 2 == 1:
@@ -539,19 +536,27 @@ def _symmetric_row_letter(m, record, j):
 def _mixed_cover_spotchecks(ctx: SuiteContext):
     """Brute-force every corneration of two tiny maps, mixed widths included.
 
-    Checks that corner-transitive cornerations are uniform, that their
-    stabilizers have index 1, 2 or 4, and that the small-index sweep found
-    every transitive one.
+    Walks them by orbit under the symmetry group A, as each check holds for
+    a whole orbit or for none of it: orbit length times stabilizer order is
+    |A|, corner-transitive cornerations are uniform with stabilizers of
+    index 1, 2 or 4, and the small-index sweep found every transitive one.
     """
     failures = []
     for m in (build_theta(4), build_antiprism(3)):
         A = automorphism_group(m)
-        all_cornerations = _all_cornerations_mixed(m)
-        transitive_keys = set()
-        for L in all_cornerations:
-            aut_L = corn.corneration_stabilizer(A, L)
+        seen, transitive = set(), set()
+        for L in _all_cornerations_mixed(m):
+            if L._mask in seen:
+                continue
+            orbit, aut_L = corn._orbit_and_stabilizer(A, L)
+            seen.update(orbit)
+            if len(orbit) * aut_L.order != A.order:
+                failures.append(
+                    f"{m.name}: orbit of {len(orbit)} cornerations, stabilizer of "
+                    f"order {aut_L.order}, |Aut| = {A.order}"
+                )
             if corn.is_transitive_on_corners(aut_L, L):
-                transitive_keys.add(L.key())
+                transitive.update(orbit)
                 if L.width is None:
                     failures.append(f"{m.name}: transitive corneration with mixed widths")
                 if A.order // aut_L.order not in (1, 2, 4):
@@ -559,16 +564,16 @@ def _mixed_cover_spotchecks(ctx: SuiteContext):
                         f"{m.name}: transitive corneration stabilizer of index "
                         f"{A.order // aut_L.order}"
                     )
-        q = uniform_valence(m)
-        swept = set()
-        for j in range(1, q // 2 + 1):
-            for r in corn.enumerate_transitive_cornerations(m, j):
-                if r.transitive:
-                    swept.add(r.corneration.key())
-        if swept != transitive_keys:
+        swept = {
+            r.corneration._mask
+            for j in range(1, uniform_valence(m) // 2 + 1)
+            for r in corn.enumerate_transitive_cornerations(m, j)
+            if r.transitive
+        }
+        if swept != transitive:
             failures.append(
                 f"{m.name}: sweep found {len(swept)} transitive cornerations, "
-                f"brute force found {len(transitive_keys)}"
+                f"brute force found {len(transitive)}"
             )
     return failures
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 import tracemalloc
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ import cornmaps.cornerations as corn
 from cornmaps.builders import (
     build_antiprism,
     build_antiprism_corneration,
+    build_theta,
     build_torus_grid,
     build_torus_grid_corneration,
 )
@@ -22,6 +24,7 @@ from cornmaps.core import (
 )
 from cornmaps.errors import (
     CircuitTooShort,
+    CornMapsError,
     CornerationMismatch,
     DegenerateParameters,
     GroupDoesNotPreserveCorneration,
@@ -40,9 +43,14 @@ from cornmaps.errors import (
 from cornmaps.fileio import parse_corneration, write_corneration
 from cornmaps.operators import hole, opposite, petrie
 from cornmaps.splitgraph import cubic_filter, graph_A, split, verify_vertex_transitive
-from cornmaps.symmetry import SymGroup, automorphism_group, subgroups_up_to_index
+from cornmaps.symmetry import (
+    SymGroup,
+    automorphism_group,
+    local_action_group,
+    subgroups_up_to_index,
+)
 from cornmaps.symtype import classify, symmetry_type_graph
-from cornmaps.verify import _all_cornerations_mixed
+from cornmaps.verify import _all_cornerations_mixed, _vertex_covers_all_widths
 
 
 def trivial_group(m):
@@ -85,6 +93,34 @@ def test_bounds_that_are_no_ints_raise_library_errors(torus44):
         corn.enumerate_transitive_cornerations(torus44, "1")
     assert [len(subgroups_up_to_index(A, k)) for k in (-1, 0, 1, 2)] == [0, 0, 1, 8]
     assert len(corn.enumerate_transitive_cornerations(torus44, 1)) == 8
+
+
+WRONG_VERTEX_OR_WIDTH_CALLS = {
+    "local_action_group": (UnknownCell, lambda m, L: local_action_group(automorphism_group(m), [1])),
+    "local_corneration": (UnknownCell, lambda m, L: corn.local_corneration(L, [1])),
+    "local_corneration of None": (CornerationMismatch, lambda m, L: corn.local_corneration(None, 0)),
+    "all_j_corners": (WidthOutOfRange, lambda m, L: corn.all_j_corners(m, "x")),
+    "symmetric_cornerations_from_coloring": (
+        WidthOutOfRange,
+        lambda m, L: corn.symmetric_cornerations_from_coloring(m, "x"),
+    ),
+    "hole": (WidthOutOfRange, lambda m, L: hole(m, "x")),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_VERTEX_OR_WIDTH_CALLS)
+def test_unhashable_vertices_and_widths_that_are_no_ints_raise_library_errors(torus44, name):
+    error, call = WRONG_VERTEX_OR_WIDTH_CALLS[name]
+    assert issubclass(error, CornMapsError)
+    L = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    v = cells(torus44, "vertex")[0].id
+    # the same calls with a vertex id and an int width work
+    assert local_action_group(automorphism_group(torus44), v).tag
+    assert corn.local_corneration(L, v).classification == corn.STANDARD_ODD
+    assert corn.all_j_corners(torus44, 1) and hole(torus44, 1).maps
+    with pytest.raises(error) as raised:
+        call(torus44, L)
+    assert raised.type is error
 
 
 def test_corner_fields(opp44):
@@ -429,6 +465,44 @@ def test_local_corneration_standard_even(opp44):
         for vcell in cells(opp44, "vertex"):
             lc = corn.local_corneration(r.corneration, vcell.id)
             assert lc.classification == corn.STANDARD_EVEN
+
+
+def oracle_local_classification(pairs, q, j):
+    """The classification by trying every start s in both directions."""
+    found = corn.OTHER_LOCAL
+    for s in range(q):
+        for direction in (1, -1):
+            bases = set()
+            for a, b in pairs:
+                na, nb = (direction * (a - s)) % q, (direction * (b - s)) % q
+                bases.add(na if (nb - na) % q == j else nb)
+            if bases == set(range(0, q, 2)):
+                found = corn.STANDARD_ODD
+            elif q % 4 == 0 and bases == {i for i in range(q) if i % 4 in (0, 3)}:
+                found = corn.STANDARD_EVEN
+    return found
+
+
+@pytest.mark.parametrize("q", [4, 6, 8, 10])
+def test_local_classification_matches_both_directions_on_every_local_cover(q):
+    """theta(q) has two q-valent vertices: every cover of the first by
+    corners of one width, beside a fixed cover of the second, against the
+    classification read from every start in both directions."""
+    m = build_theta(q)
+    v, w = (vc.id for vc in cells(m, "vertex"))
+    covers = [_vertex_covers_all_widths(m, u) for u in (v, w)]
+    seen = Counter()
+    for j in range(1, q // 2 + 1):
+        # the two vertices have the same covers; none of width 2 for q = 6, 10
+        mine, theirs = ([c for c in cs if {x.width for x in c} == {j}] for cs in covers)
+        for cover in mine:
+            lc = corn.local_corneration(corn.Corneration(m, cover + theirs[0]), v)
+            expected = oracle_local_classification(lc.pairs, q, j)
+            assert lc.classification == (corn.OTHER_LOCAL if 2 * j == q else expected)
+            assert lc.straight == (2 * j == q) and len(lc.pairs) == q // 2
+            seen[lc.classification] += 1
+    assert seen[corn.STANDARD_ODD] and seen[corn.OTHER_LOCAL]
+    assert bool(seen[corn.STANDARD_EVEN]) == (q == 8)  # j = 2 < q / 2 needs q > 4
 
 
 # -- face patterns ------------------------------------------------------------

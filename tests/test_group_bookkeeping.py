@@ -6,9 +6,11 @@ flag, the generator rule by recomputing an orbit for each candidate,
 index-2 kernels from all pairwise commutators, the whole subgroup
 lattice closed one element at a time, the stabilizer of a corneration as
 a filter over all elements, corner orbits walked breadth-first with each
-corner's image key, and invariant cornerations as exact covers built on
-the flags.  The library's versions must reproduce them exactly, generator
-tuples included.
+corner's image key, invariant cornerations as exact covers built on
+the flags, local actions with their tags tried against every rotation and
+reflection, and the brute-force spot check's stabilizer per corneration.
+The library's versions must reproduce them exactly, generator tuples
+included.
 """
 
 import functools
@@ -49,6 +51,11 @@ from cornmaps.errors import (
 )
 from cornmaps.operators import _propagate, opposite, petrie
 from cornmaps.symmetry import (
+    HC,
+    HD,
+    OTHER,
+    QD,
+    LocalAction,
     SymGroup,
     automorphism_group,
     flag_orbit_index,
@@ -57,7 +64,7 @@ from cornmaps.symmetry import (
     orbits_on,
     subgroups_up_to_index,
 )
-from cornmaps.verify import SuiteContext, _all_cornerations_mixed
+from cornmaps.verify import SuiteContext, _all_cornerations_mixed, _mixed_cover_spotchecks
 
 
 # -- oracles -----------------------------------------------------------------
@@ -443,6 +450,88 @@ def test_local_actions_and_face_colorings_match_element_scans(maps):
     assert checked > 500
 
 
+def oracle_tag(perms, q):
+    """The tag by the quadratic rule: each permutation tried against every
+    rotation s and every reflection f of the rotation positions."""
+    rotations, reflections, unknown = set(), set(), False
+    for sigma in perms:
+        matched = False
+        for s in range(q):
+            if all(sigma[i] == (i + s) % q for i in range(q)):
+                rotations.add(s)
+                matched = True
+        for f in range(q):
+            if all(sigma[i] == (f - i) % q for i in range(q)):
+                reflections.add(f)
+                matched = True
+        unknown = unknown or not matched
+    if unknown or q % 2:
+        return OTHER
+    evens = set(range(0, q, 2))
+    if rotations == evens and reflections == set(range(1, q, 2)):
+        return HD
+    if rotations == evens and not reflections:
+        return HC
+    odd_quarters = [{f for f in range(q) if f % 4 == k} for k in (1, 3)]
+    if q % 4 == 0 and rotations == set(range(0, q, 4)) and reflections in odd_quarters:
+        return QD
+    return OTHER
+
+
+def oracle_local_pairs(L, v):
+    """Rotation positions of the corners of ``L`` at ``v``, by a scan of all of them."""
+    pos = {d: i for i, d in enumerate(_rotation_table(L.map)[v][1])}
+    return tuple(sorted(tuple(sorted(map(pos.get, c.darts))) for c in L.corners if c.vertex == v))
+
+
+@pytest.fixture
+def vertex_walks(monkeypatch):
+    walks = Counter()
+    real = symmetry._vertex_moves
+
+    def counting(m, v):
+        walks[id(m), v] += 1
+        return real(m, v)
+
+    monkeypatch.setattr(symmetry, "_vertex_moves", counting)
+    return walks
+
+
+def test_local_actions_match_the_element_scan_and_the_quadratic_tag_rule(maps, vertex_walks):
+    """Every call of the local-structure claim (each transitive record's
+    group below the straight width, at every vertex) and Aut with its
+    index-2 subgroups on every map of at most 288 flags.  Each map's
+    vertex walk runs once, whatever the group."""
+    ctx = SuiteContext()  # maps of its own, so that no vertex table exists yet
+    cases = []
+    for (name, j), records in ctx.sweep_all().items():
+        m = ctx.maps[name]
+        if 2 * j != uniform_valence(m):
+            cases += [(m, r.aut, r.corneration) for r in records if r.transitive]
+    claim_calls = sum(len(cells(m, VERTEX)) for m, _, _ in cases)
+    fresh = dict(ctx.maps)
+    for name, m in maps.items():
+        if name not in fresh and m.n_flags <= 288:
+            fresh[name] = FlagMap(m.n_flags, *m.involutions(), name=m.name)
+    for m in fresh.values():
+        A = automorphism_group(m)
+        cases += [(m, H, None) for H in [A] + subgroups_up_to_index(A, 2)]
+    tags = Counter()
+    for m, G, L in cases:
+        for vertex in cells(m, VERTEX):
+            v = vertex.id
+            rotation = _rotation_table(m)[v][1]
+            perms = oracle_local_permutations(G, v)
+            expected = LocalAction(v, rotation, perms, oracle_tag(perms, len(rotation)))
+            assert local_action_group(G, v) == expected, (m.name, G.images(), v)
+            tags[expected.tag] += 1
+            if L is not None:
+                assert cornerations.local_corneration(L, v).pairs == oracle_local_pairs(L, v)
+    assert claim_calls == 1348 and set(tags) == {HD, HC, QD, OTHER}
+    assert set(vertex_walks.values()) == {1}
+    assert len(vertex_walks) == sum(len(cells(m, VERTEX)) for m in fresh.values())
+
+
 def test_automorphism_group_stores_no_element():
     m = build_torus_grid(24, 24)
     m.require_valid()
@@ -670,6 +759,67 @@ def test_corner_orbits_match_breadth_first_oracle(m):
         else:
             assert [[c.key() for c in o] for o in corner_orbits(A, L.corners)] == expected
     assert moved > 0
+
+
+def oracle_transitive_masks(A, found):
+    """The spot check's per-member loop: each corneration's own stabilizer,
+    then transitivity on its corners."""
+    return {
+        L._mask
+        for L in found
+        if is_transitive_on_corners(corneration_stabilizer(A, L), L)
+    }
+
+
+@pytest.mark.parametrize(
+    "m", [build_theta(4), build_antiprism(3)], ids=["theta4", "antiprism3"]
+)
+def test_orbit_walk_spot_check_matches_the_per_member_loop(m):
+    """Walked once per Aut-orbit, as the spot check does, the orbits are those
+    of the element scan and partition the cornerations; they give every
+    member the order of its own stabilizer and the per-member transitive set."""
+    A = automorphism_group(m)
+    found = _all_cornerations_mixed(m)
+    by_mask = {L._mask: L for L in found}
+    order_of = {}
+    transitive = set()
+    walks = 0
+    for L in found:
+        if L._mask in order_of:
+            continue
+        orbit, S = cornerations._orbit_and_stabilizer(A, L)
+        walks += 1
+        assert orbit[0] == L._mask and order_of.keys().isdisjoint(orbit)
+        images = {frozenset(corner_image_key(m, g, c) for c in L.corners) for g in A.elements}
+        assert {frozenset(c.key() for c in by_mask[x].corners) for x in orbit} == images
+        assert len(orbit) * S.order == A.order
+        order_of.update(dict.fromkeys(orbit, S.order))
+        if is_transitive_on_corners(S, L):
+            transitive.update(orbit)
+    assert order_of.keys() == by_mask.keys() and walks == {9: 4, 729: 38}[len(found)]
+    for L in found:
+        assert order_of[L._mask] == corneration_stabilizer(A, L).order
+        assert order_of[L._mask] == len(oracle_stabilizer(A, L))
+    assert transitive == oracle_transitive_masks(A, found)
+    swept = {
+        r.corneration._mask
+        for j in range(1, uniform_valence(m) // 2 + 1)
+        for r in enumerate_transitive_cornerations(m, j)
+        if r.transitive
+    }
+    assert transitive == swept
+
+
+def test_spot_check_walks_one_stabilizer_per_orbit(monkeypatch):
+    """The spot check passes and computes a stabilizer once per Aut-orbit,
+    not once per corneration (4 orbits on theta(4), 38 on antiprism(3))."""
+    calls = []
+    real = cornerations._orbit_and_stabilizer
+    monkeypatch.setattr(
+        cornerations, "_orbit_and_stabilizer", lambda A, L: calls.append(L) or real(A, L)
+    )
+    assert _mixed_cover_spotchecks(None) == []
+    assert len(calls) == 4 + 38
 
 
 # -- trust by provenance -----------------------------------------------------
