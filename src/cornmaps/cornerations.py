@@ -55,6 +55,7 @@ from .symmetry import (
     _node_of_flag,
     _orbit_classes,
     _require_group,
+    _require_map,
 )
 
 CONVEX = "Convex"
@@ -729,6 +730,7 @@ def _corner_pairs(m: FlagMap) -> list[tuple[int, int]]:
 def _require_width(m: FlagMap, j) -> int:
     """The uniform valence q of ``m``, unless it is mixed or ``j`` is no int
     in ``1..q // 2`` (:class:`NonUniformValence`, :class:`WidthOutOfRange`)."""
+    _require_map(m)
     q = uniform_valence(m)
     if q is None:
         raise NonUniformValence("corneration enumeration needs a uniform valence")
@@ -791,7 +793,11 @@ def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, 
             numbers[row_of[node_of[f]]].append(number)
     row_masks = [_mask_of(m, row) for row in numbers]
     block_keys = [[sum(map(row_masks.__getitem__, s)) for s in solutions] for solutions in covers]
-    masks = sorted(map(sum, itertools.product(*block_keys)), reverse=True)
+    # one addition per partial sum; later blocks vary slowest, so the sort finds long runs
+    masks = [0]
+    for keys in block_keys:
+        masks = [key + s for key in sorted(keys, reverse=True) for s in masks]
+    masks.sort(reverse=True)
     one_row = {row_masks[s[0]] for s in covers[0] if len(s) == 1} if len(covers) == 1 else set()
     return masks, one_row, len(dart_orbits)
 
@@ -997,7 +1003,7 @@ def _orbit_and_stabilizer(A: SymGroup, L: Corneration) -> tuple[list[int], SymGr
             elif transversal[moved] != st:  # else the identity; both images lie in A
                 schreier.add(A._apply(A._inverse(transversal[moved]), st))
     masks = [_mask_of(L.map, numbers) for numbers in orbit]
-    return masks, A.subgroup_from_images(_generating_images(A, schreier)[1])
+    return masks, A.subgroup_from_images(_generating_images(A, schreier, {0})[1])
 
 
 def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
@@ -1068,6 +1074,7 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
     color, and collecting the corners of each color yields two invariant,
     dart-transitively preserved cornerations.
     """
+    _require_map(m)
     q = uniform_valence(m)
     if q is None:
         raise NonUniformValence("the construction needs a uniform valence")

@@ -28,7 +28,7 @@ from .core import (
     _rotation_table,
     rotation_at_vertex,
 )
-from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge
+from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge, MalformedFlagSystem
 from .operators import _propagate
 
 
@@ -160,14 +160,20 @@ class SymGroup:
         The images are walked involutions first, then by decreasing order,
         then ascending; each one that grows the orbit of flag 0 is kept,
         and a kept one that the others span is dropped again (see
-        :func:`_generating_images`).  Nothing computed from a group
-        depends on which generators it gets.
+        :func:`_generating_images`); orders (:func:`_orders`) are walked only
+        when the involutions do not generate the group.  Nothing computed
+        from a group depends on which generators it gets.
         """
         cache = self._cache
         if "gen_images" not in cache:
-            order = _orders(self)
-            candidates = sorted(self.images(), key=lambda h: (order[h] != 2, -order[h], h))
-            cache["gen_images"] = _generating_images(self, candidates)[0]
+            span = {0}
+
+            def candidates():  # lazy: it reads span as _generating_images grows it
+                yield from (h for h in self._images if h not in span and self._apply(h, h) == 0)
+                order = _orders(self)
+                yield from sorted((h for h in self._images if order[h] > 2), key=lambda h: (-order[h], h))
+
+            cache["gen_images"] = _generating_images(self, candidates(), span)[0]
         return cache["gen_images"]
 
     @property
@@ -210,12 +216,20 @@ class SymGroup:
     __repr__ = __str__
 
 
-def _require_group(G, m: Optional[FlagMap] = None) -> None:
-    """Raise :class:`GroupNotSubgroup` unless ``G`` is a :class:`SymGroup`,
-    and one of ``m`` when a map is given."""
+def _require_map(m) -> None:
+    """Raise :class:`MalformedFlagSystem` unless ``m`` is a :class:`FlagMap`."""
+    if not isinstance(m, FlagMap):
+        raise MalformedFlagSystem(f"not a flag map: {m!r}")
+
+
+def _require_group(G, m=...) -> None:
+    """Raise :class:`GroupNotSubgroup` unless ``G`` is a :class:`SymGroup`, and
+    one of ``m`` (checked by :func:`_require_map`) when a map is passed."""
+    if m is not ...:
+        _require_map(m)
     if not isinstance(G, SymGroup):
         raise GroupNotSubgroup(f"not a symmetry group: {G!r}")
-    if m is not None and G.map is not m and G.map != m:
+    if m is not ... and G.map is not m and G.map != m:
         raise GroupNotSubgroup("the group belongs to a different map")
 
 
@@ -283,17 +297,16 @@ def _close_orbit(orbit: set, perms, frontier: list) -> set:
     return orbit
 
 
-def _generating_images(G: SymGroup, candidates: Iterable[int]) -> tuple:
+def _generating_images(G: SymGroup, candidates: Iterable[int], span: set) -> tuple:
     """``(generators, span)`` for the images ``candidates`` of ``G``.
 
     The candidates are walked in order, and each one outside the orbit of
     flag 0 under those kept so far is kept; in a finite group that orbit
-    is the generated subgroup.  A second pass, in the same order, drops
-    each kept image that the other remaining ones already span, so no
-    generator left is redundant.
+    is the generated subgroup, grown in ``span`` from ``{0}`` up to ``G``.
+    A second pass, in the same order, drops each kept image that the
+    other remaining ones already span, so no generator left is redundant.
     """
     m = G.map
-    span = {0}
     kept = []
     perms = []
     for f in candidates:
@@ -301,6 +314,8 @@ def _generating_images(G: SymGroup, candidates: Iterable[int]) -> tuple:
             kept.append(f)
             perms.append(_element(m, f))
             _close_orbit(span, perms, list(span))
+            if len(span) == G.order:
+                break
     for f in tuple(kept):
         others = [_element(m, g) for g in kept if g != f]
         if f in _close_orbit({0}, others, [0]):
@@ -350,6 +365,7 @@ def automorphism_group(m: FlagMap) -> SymGroup:
     flag 0 with the generators found; no element is built.  Raises
     :class:`InvalidMapError` when ``m`` violates the map axioms.
     """
+    _require_map(m)
     m.require_valid()
 
     def build():
@@ -437,17 +453,18 @@ def subgroups_up_to_index(
     graph stands in for the relators.  An open table entry branches over
     the cosets its generator does not hit yet, plus one new coset while
     fewer than ``k`` exist; a defined entry labels ``x g``, or prunes the
-    branch when ``x g`` already carries another label.  Each completed
-    scan gives the subgroup ``{x : label(x) = 0}``, whose index is the
-    number of cosets used.  New cosets are numbered in order of first
-    appearance, so every subgroup comes out exactly once.  Each subgroup
-    keeps the coset table of its scan, the action of ``G``'s generators on
-    its cosets, and its flag orbits are read off that table
+    branch when ``x g`` already carries another label.  Involutions'
+    columns are filled in pairs, so their edges are scanned once.  Each
+    completed scan gives the subgroup ``{x : label(x) = 0}``, whose index
+    is the number of cosets used.  New cosets are numbered in order of
+    first appearance, so every subgroup comes out exactly once.  Each
+    subgroup keeps the coset table of its scan, the action of ``G``'s
+    generators on its cosets, and its flag orbits are read off that table
     (:func:`_orbit_graph`), never off the flags.
     """
     _require_group(G)
-    if not isinstance(k, int):
-        raise DegenerateParameters(f"the index bound must be an int, got {k!r}")
+    if not (isinstance(k, int) and isinstance(element_bound, int)):
+        raise DegenerateParameters(f"the bounds must be ints, got {k!r} and {element_bound!r}")
     if G.order > element_bound:
         raise GroupTooLarge(
             f"group of order {G.order} exceeds the bound {element_bound}; "
@@ -462,12 +479,13 @@ def subgroups_up_to_index(
     # which elements are labelled before an edge does not depend on the
     # branch, so backtracking only has to undo table entries
     edges = _cayley_edges(G)
+    paired = [p[p[0]] == 0 for p in G.generators]
     label = [0] * G.map.n_flags
     table = [[None] * len(G.generators) for _ in range(k)]
     found = []
 
     def scan(e: int, n_cosets: int) -> None:
-        while e < len(edges):
+        for e in range(e, len(edges)):
             x, gi, y, first = edges[e]
             t = table[label[x]][gi]
             if t is None:
@@ -476,18 +494,22 @@ def subgroups_up_to_index(
                 label[y] = t
             elif label[y] != t:
                 return
-            e += 1
         else:
-            H = G.subgroup_from_images(f for f in G.images() if label[f] == 0)
+            H = SymGroup._of_symmetries(G.map, tuple(f for f in G.images() if label[f] == 0))
             H._cache["cosets"] = (G, tuple(map(tuple, table[:n_cosets])))
             found.append(H)
             return
         row = table[label[x]]
+        # in a column filled in pairs, t is hit exactly when t's entry is set
         hit = {r[gi] for r in table[:n_cosets]}
         for t in range(min(n_cosets + 1, k)):
             if t not in hit:
                 row[gi] = t
+                if paired[gi]:
+                    table[t][gi] = label[x]
                 scan(e, max(n_cosets, t + 1))
+                if paired[gi]:
+                    table[t][gi] = None
         row[gi] = None
 
     scan(0, 1)
@@ -498,19 +520,23 @@ def subgroups_up_to_index(
 
 def _cayley_edges(G: SymGroup) -> list[tuple]:
     """``(x, generator index, x g, first)`` per element x of ``G``, breadth-first
-    from the identity; the edges marked ``first`` form a spanning tree."""
-    gens = G.generators
-    edges = []
-    reached = {0}
-    queue = [0]
-    for x in queue:
-        for gi, p in enumerate(gens):
-            y = p[x]
-            edges.append((x, gi, y, y not in reached))
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    return edges
+    from the identity, bar an involution's edge back to an element scanned
+    before x; the edges marked ``first`` form a spanning tree.  Memoized."""
+    if "cayley_edges" not in G._cache:
+        gens = G.generators
+        involution = [p[p[0]] == 0 for p in gens]
+        G._cache["cayley_edges"] = edges = []
+        place = {0: 0}  # element -> its place in the queue
+        queue = [0]
+        for i, x in enumerate(queue):
+            for gi, p in enumerate(gens):
+                y = p[x]
+                if not involution[gi] or place.get(y, i) >= i:
+                    edges.append((x, gi, y, y not in place))
+                if y not in place:
+                    place[y] = len(queue)
+                    queue.append(y)
+    return G._cache["cayley_edges"]
 
 
 def _orbit_graph(H: SymGroup) -> tuple[list, list, list]:

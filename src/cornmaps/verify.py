@@ -10,6 +10,7 @@ command line front end and the acceptance tests both run these claims.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -156,6 +157,12 @@ class SuiteContext:
             for j in range(1, q // 2 + 1):
                 out[(name, j)] = self.sweep(name, j)
         return out
+
+    @functools.cached_property
+    def brute_force(self) -> dict:
+        """theta(3), antiprism(3) and theta(4) by name, each with every corneration of it."""
+        maps = (build_theta(3), build_antiprism(3), build_theta(4))
+        return {m.name: (m, _all_cornerations_mixed(m)) for m in maps}
 
     def half_reflexible_available(self, name: str) -> bool:
         if name not in self._face_reflexible:
@@ -542,10 +549,10 @@ def _mixed_cover_spotchecks(ctx: SuiteContext):
     index 1, 2 or 4, and the small-index sweep found every transitive one.
     """
     failures = []
-    for m in (build_theta(4), build_antiprism(3)):
+    for m, every in (ctx.brute_force["theta4"], ctx.brute_force["antiprism3"]):
         A = automorphism_group(m)
         seen, transitive = set(), set()
-        for L in _all_cornerations_mixed(m):
+        for L in every:
             if L._mask in seen:
                 continue
             orbit, aut_L = corn._orbit_and_stabilizer(A, L)
@@ -720,11 +727,10 @@ def claim_split_graphs(ctx: SuiteContext):
 def claim_oracle_equivalence(ctx: SuiteContext):
     failures = []
     instances = 0
-    for m in (build_theta(3), build_antiprism(3), build_theta(4)):
+    # mixed widths included; an odd valence leaves it empty, as in the library
+    for m, every in ctx.brute_force.values():
         q = uniform_valence(m)
         trivial = SymGroup(m, (tuple(range(m.n_flags)),))
-        # mixed widths included; an odd valence leaves it empty, as in the library
-        every = _all_cornerations_mixed(m)
         top = max(1, q // 2)
         for j in range(1, top + 1):
             instances += 1

@@ -89,6 +89,10 @@ def test_bounds_that_are_no_ints_raise_library_errors(torus44):
     for k in ("2", 2.5):
         with pytest.raises(DegenerateParameters):
             subgroups_up_to_index(A, k)
+        with pytest.raises(DegenerateParameters):
+            subgroups_up_to_index(A, 4, element_bound=k)
+        with pytest.raises(DegenerateParameters):
+            corn.enumerate_transitive_cornerations(torus44, 1, element_bound=k)
     with pytest.raises(WidthOutOfRange):
         corn.enumerate_transitive_cornerations(torus44, "1")
     assert [len(subgroups_up_to_index(A, k)) for k in (-1, 0, 1, 2)] == [0, 0, 1, 8]

@@ -4,7 +4,8 @@ The oracles below are the straightforward algorithms that walk every
 element of a group: the automorphism group by propagating from every
 flag, the generator rule by recomputing an orbit for each candidate,
 index-2 kernels from all pairwise commutators, the whole subgroup
-lattice closed one element at a time, the stabilizer of a corneration as
+lattice closed one element at a time, the coset-table search scanning
+every directed Cayley edge, the stabilizer of a corneration as
 a filter over all elements, corner orbits walked breadth-first with each
 corner's image key, invariant cornerations as exact covers built on
 the flags, local actions with their tags tried against every rotation and
@@ -217,6 +218,58 @@ def oracle_subgroup_lattice(G):
                     grown.append(S)
         frontier = grown
     return set(gens)
+
+
+def oracle_cayley_edges(G):
+    """``(x, generator index, x g, first)`` for every element x and generator
+    g, breadth-first from the identity: both directions of an involution's
+    edge."""
+    edges, reached, queue = [], {0}, [0]
+    for x in queue:
+        for gi, p in enumerate(G.generators):
+            y = p[x]
+            edges.append((x, gi, y, y not in reached))
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return edges
+
+
+def oracle_subgroups(G, k):
+    """``(order, images, coset table)`` of each subgroup of index <= k, by
+    decreasing order, from the coset-table search over every directed edge
+    of :func:`oracle_cayley_edges`: an open entry branches over the cosets
+    its column does not hit, plus one new coset, and sets no other entry."""
+    edges = oracle_cayley_edges(G)
+    label = [0] * G.map.n_flags
+    table = [[None] * len(G.generators) for _ in range(k)]
+    found = []
+
+    def scan(e, n_cosets):
+        while e < len(edges):
+            x, gi, y, first = edges[e]
+            t = table[label[x]][gi]
+            if t is None:
+                break
+            if first:
+                label[y] = t
+            elif label[y] != t:
+                return
+            e += 1
+        else:
+            images = tuple(f for f in G.images() if label[f] == 0)
+            found.append((len(images), images, tuple(map(tuple, table[:n_cosets]))))
+            return
+        row = table[label[x]]
+        hit = {r[gi] for r in table[:n_cosets]}
+        for t in range(min(n_cosets + 1, k)):
+            if t not in hit:
+                row[gi] = t
+                scan(e, max(n_cosets, t + 1))
+        row[gi] = None
+
+    scan(0, 1)
+    return sorted(found, key=lambda s: (-s[0], s[1]))
 
 
 def oracle_stabilizer(A, L):
@@ -590,6 +643,68 @@ def test_subgroup_search_takes_any_number_of_generators():
     ]
 
 
+def test_subgroup_search_matches_the_unpaired_scan():
+    """Subgroups, their order and their coset tables, for k = 1..4, against
+    the scan over both directions of every edge: on Aut of every suite map
+    and of a relabelled torus, on each index-2 subgroup of those with a
+    generator that is no involution (24 of them mix paired and unpaired
+    columns), and on a trivial group, whose one generator is the identity."""
+    groups = []
+    ms = dict(SuiteContext().maps)
+    ms["torus8x8~1"] = relabel(build_torus_grid(8, 8), 1)
+    for m in ms.values():
+        A = automorphism_group(m)
+        groups.append(A)
+        for G in subgroups_up_to_index(A, 2)[1:]:
+            if any(G._apply(g, g) != 0 for g in G.generator_images()):
+                groups.append(G)
+    groups.append(A.subgroup_from_images([0]))
+    mixed = [G for G in groups if len({G._apply(g, g) == 0 for g in G.generator_images()}) == 2]
+    assert len(mixed) >= 24
+    for G in groups:
+        for k in (1, 2, 3, 4):
+            got = [(H.order, H.images(), H._cache["cosets"][1]) for H in subgroups_up_to_index(G, k)]
+            assert got == oracle_subgroups(G, k), (G.map.name, G.order, k)
+
+
+def test_cayley_edges_list_each_undirected_edge_once():
+    """Aut of torus 8x8 has only involutions as generators, so the search
+    scans g |G| / 2 edges, each once, with the same spanning tree."""
+    A = automorphism_group(build_torus_grid(8, 8))
+    gens = A.generators
+    assert all(p[p[0]] == 0 for p in gens)
+    edges = symmetry._cayley_edges(A)
+    assert len(edges) == len(gens) * A.order // 2 == 768
+    undirected = {frozenset((x, p[x])) for x in A.images() for p in gens}
+    assert {frozenset((x, y)) for x, _, y, _ in edges} == undirected
+    assert [e for e in edges if e[3]] == [e for e in oracle_cayley_edges(A) if e[3]]
+    assert symmetry._cayley_edges(A) is edges
+
+
+def test_generators_walk_orders_only_when_involutions_do_not_generate(monkeypatch):
+    """Aut of torus 8x8 is ranked without one order walk; an index-2 subgroup
+    whose involutions do not generate it walks them and still follows the
+    rule oracle."""
+    calls = []
+    real = symmetry._orders
+    monkeypatch.setattr(symmetry, "_orders", lambda G: calls.append(G) or real(G))
+    A = automorphism_group(build_torus_grid(8, 8))
+    gens = A.generator_images()
+    assert calls == []
+    assert gens == oracle_generator_images(A)
+    walked = 0
+    for H in subgroups_up_to_index(A, 2)[1:]:
+        calls.clear()
+        gens = H.generator_images()
+        if any(H._apply(g, g) != 0 for g in gens):
+            walked += 1
+            assert calls == [H]
+        else:
+            assert calls == []
+        assert gens == oracle_generator_images(H)
+    assert walked > 0
+
+
 def test_stabilizers_match_element_filter_on_sweeps(maps):
     """The sweep's stabilizers, and its transitivity flags read off its
     covers, against the element filter and the flag-level checks."""
@@ -818,7 +933,7 @@ def test_spot_check_walks_one_stabilizer_per_orbit(monkeypatch):
     monkeypatch.setattr(
         cornerations, "_orbit_and_stabilizer", lambda A, L: calls.append(L) or real(A, L)
     )
-    assert _mixed_cover_spotchecks(None) == []
+    assert _mixed_cover_spotchecks(SuiteContext()) == []
     assert len(calls) == 4 + 38
 
 

@@ -8,6 +8,7 @@ from cornmaps.errors import (
     GroupNotSubgroup,
     GroupTooLarge,
     InvalidMapError,
+    MalformedFlagSystem,
     UnknownCell,
     UnknownCellKind,
 )
@@ -267,3 +268,30 @@ def test_group_arguments_must_be_symmetry_groups(group_taker_args, name, bad):
     call(*group_taker_args, G)  # the arguments are otherwise good
     with pytest.raises(GroupNotSubgroup):
         call(*group_taker_args, bad)
+
+
+# each public function of the group layer taking a map, called with ``m`` in
+# the map's place; ``L`` is as above and ``G`` its stabilizer
+MAP_TAKERS = {
+    "automorphism_group": lambda m, L, G: automorphism_group(m),
+    "is_reflexible": lambda m, L, G: is_reflexible(m),
+    "is_face_reflexible": lambda m, L, G: is_face_reflexible(m),
+    "is_half_reflexible": lambda m, L, G: is_half_reflexible(m, G),
+    "enumerate_invariant_cornerations": lambda m, L, G: corn.enumerate_invariant_cornerations(m, G, 1),
+    "enumerate_transitive_cornerations": lambda m, L, G: corn.enumerate_transitive_cornerations(m, 1),
+    "symmetric_cornerations_from_coloring": (
+        lambda m, L, G: corn.symmetric_cornerations_from_coloring(m, 1)
+    ),
+    "symmetry_type_graph": lambda m, L, G: st.symmetry_type_graph(m, G, L),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+@pytest.mark.parametrize("name", list(MAP_TAKERS))
+def test_map_arguments_must_be_flag_maps(group_taker_args, name, bad):
+    m, L = group_taker_args[:2]
+    G = corn.corneration_stabilizer(automorphism_group(m), L)
+    call = MAP_TAKERS[name]
+    call(m, L, G)  # the arguments are otherwise good
+    with pytest.raises(MalformedFlagSystem):
+        call(bad, L, G)
