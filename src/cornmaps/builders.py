@@ -112,8 +112,10 @@ def from_rotation_system(rotations, twists=None, name=None) -> FlagMap:
 def _torus_rotations(rows: int, cols: int) -> dict:
     """Rotations of the torus grid; at ``(r, c)`` the edges run east,
     north, west, south."""
-    if rows < 2 or cols < 2:
-        raise DegenerateParameters("torus grid needs rows >= 2 and cols >= 2")
+    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 2 or cols < 2:
+        raise DegenerateParameters(
+            f"torus grid needs int rows >= 2 and cols >= 2, got {rows!r} and {cols!r}"
+        )
     return {
         (r, c): [
             ("h", r, c),
@@ -142,8 +144,8 @@ def build_torus_grid(rows: int, cols: int, name: Optional[str] = None) -> FlagMa
 
 def _antiprism_rotations(n: int) -> dict:
     """Rotations of the n-antiprism: the ring ``u`` first, then ``w``."""
-    if n < 3:
-        raise DegenerateParameters("antiprism needs n >= 3")
+    if not isinstance(n, int) or n < 3:
+        raise DegenerateParameters(f"antiprism needs an int n >= 3, got {n!r}")
     rotations = {}
     for k in range(n):
         rotations[("u", k)] = [("p", k), ("t", k), ("t", (k - 1) % n), ("q", (k - 1) % n)]
@@ -188,8 +190,8 @@ def build_tetrahedron(name: str = "tetrahedron") -> FlagMap:
 
 def build_theta(k: int, name: Optional[str] = None) -> FlagMap:
     """Two vertices joined by ``k`` parallel edges; all faces are 2-gons."""
-    if k < 2:
-        raise DegenerateParameters("a theta map needs at least 2 parallel edges")
+    if not isinstance(k, int) or k < 2:
+        raise DegenerateParameters(f"a theta map needs an int k >= 2 (parallel edges), got {k!r}")
     rotations = {
         "u": [("e", i) for i in reversed(range(k))],
         "w": [("e", i) for i in range(k)],

@@ -48,12 +48,12 @@ from .operators import OperatorResult, petrie
 from .symmetry import (
     SymGroup,
     automorphism_group,
-    flag_orbit_index,
     is_face_reflexible,
     subgroups_up_to_index,
     _generating_images,
     _node_of_flag,
     _orbit_classes,
+    _orbit_graph,
     _require_group,
     _require_map,
 )
@@ -274,9 +274,10 @@ class CoverReport:
 
 
 def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
-    """Whether the corners cover every dart of ``m`` exactly once."""
+    """Whether the corners cover every dart of ``m`` exactly once;
+    :class:`InvalidCorner` for an item that is no :class:`Corner`."""
     count = {c.id: 0 for c in cells(m, DART)}
-    for corner in corners:
+    for corner in _corner_items(corners):
         for d in corner.darts:
             if d not in count:
                 return CoverReport(False, d, "not a dart of the map")
@@ -296,19 +297,26 @@ def _require_cover(m: FlagMap, corners, error=CornerationMismatch, what="not a c
         raise error(f"{what}: {report.reason} at dart {report.witness}")
 
 
-def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
-    """The corner of ``m`` equal to each of ``corners``; :class:`InvalidCorner`
-    or :class:`UnknownCell` for one that is not a corner of ``m``, and
-    :class:`InvalidCorner` for ``corners`` that is no iterable."""
+def _corner_items(corners: Iterable[Corner]):
+    """The items of ``corners``; :class:`InvalidCorner` for one that is no
+    :class:`Corner`, or for ``corners`` that is no iterable."""
     try:
         corners = iter(corners)
     except TypeError:
         raise InvalidCorner(f"not a corner set: {corners!r}") from None
-    first, rank, table = _corner_numbering(m)
-    out = []
     for c in corners:
         if not isinstance(c, Corner):
             raise InvalidCorner(f"not a corner: {c!r}")
+        yield c
+
+
+def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
+    """The corner of ``m`` equal to each of ``corners``; :class:`InvalidCorner`
+    or :class:`UnknownCell` for one that is not a corner of ``m``, and
+    :class:`InvalidCorner` as :func:`_corner_items` raises it."""
+    first, rank, table = _corner_numbering(m)
+    out = []
+    for c in _corner_items(corners):
         try:  # a number is only meaningful for two darts at one vertex
             own = table[first[c.darts[0]] + rank[c.darts[1]]]
         except (IndexError, TypeError):
@@ -497,7 +505,12 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
     if isinstance(decomposition, CircuitDecomposition):
         circuits = decomposition.circuits
     else:
-        circuits = tuple(decomposition)
+        try:
+            circuits = tuple(decomposition)
+        except TypeError:
+            raise InvalidCircuits(f"not a circuit decomposition: {decomposition!r}") from None
+    if not all(isinstance(c, Circuit) for c in circuits):
+        raise InvalidCircuits("an item of the decomposition is not a Circuit")
     vertex_of = m.cell_index(VERTEX)
     edge_of = m.cell_index(EDGE)
     covered = set()
@@ -1094,21 +1107,19 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
             )
         # the Petrie dual keeps the flag numbering, and its symmetries are m's
         G = automorphism_group(m).subgroup_from_images(Gp.images())
-    orbit_of = flag_orbit_index(G)
-    classes = sorted(set(orbit_of))
-    if len(classes) != 2:
+    node = _node_of_flag(G)
+    if len(_orbit_graph(G)[0]) != 2:
         raise InternalInvariantError("a half-reflexible group must have two flag orbits")
-    first = classes[0]
 
     piles = {True: [], False: []}
     for c in all_j_corners(m, j):
         colors = set()
         for w in c.interior_boundary_wedges:
-            colors.add(orbit_of[w])
-            colors.add(orbit_of[m.r1[w]])
+            colors.add(node[w])
+            colors.add(node[m.r1[w]])
         if len(colors) != 1:
             raise InternalInvariantError("interior boundary wedges of an odd corner differ in color")
-        piles[colors.pop() == first].append(c)
+        piles[colors.pop() == 0].append(c)  # node 0 is the color of flag 0
     out = []
     for flag_value in (True, False):
         L = Corneration.from_corners(m, piles[flag_value])
@@ -1140,6 +1151,8 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
         return moved
 
     result = target
+    if not isinstance(result, OperatorResult):
+        raise CornerationMismatch(f"not a map or an operator result: {target!r}")
     if result.source != m:
         raise CornerationMismatch("the operator result belongs to a different map")
     if L.width != result.width:

@@ -22,8 +22,8 @@ from .core import (
     FlagMap,
     Perm,
     cells,
-    face_bipartition,
     orbits,
+    _KIND_GENERATORS,
     _normalize_kind,
     _rotation_table,
     rotation_at_vertex,
@@ -56,6 +56,7 @@ class SymGroup:
     __slots__ = ("map", "_images", "_cache")
 
     def __init__(self, map: FlagMap, elements: Iterable[Perm]):
+        _require_map(map)
         perms = {tuple(p) for p in elements}
         if not perms:
             raise GroupNotSubgroup("a group needs at least the identity")
@@ -395,22 +396,20 @@ def is_reflexible(m: FlagMap) -> bool:
 
 def flag_orbit_index(G: SymGroup) -> tuple[int, ...]:
     """Array mapping each flag to the minimum flag of its G-orbit."""
-    cache = G._cache
-    if "flag_orbits" not in cache:
-        parts = orbits(G.map.n_flags, G.generators)
-        index = [0] * G.map.n_flags
-        for part in parts:
-            for f in part:
-                index[f] = part[0]
-        cache["flag_orbits"] = tuple(index)
-    return cache["flag_orbits"]
+    node = _node_of_flag(G)
+    least = {}
+    for f, x in enumerate(node):
+        least.setdefault(x, f)
+    return tuple(least[x] for x in node)
 
 
 def orbits_on(G: SymGroup, what: str) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of flags or of cells of one kind under ``G``.
 
     ``what`` is ``"flags"`` or a cell kind; cells are identified by their
-    ids and the induced action sends a cell to the cell of its image flag.
+    ids (least flags).  The orbits are classes of nodes of
+    :func:`_orbit_graph` under the involutions that form the kind (none for
+    flags), each listed ascending, in order of their least member.
     """
     _require_group(G)
     aliases = {
@@ -424,15 +423,18 @@ def orbits_on(G: SymGroup, what: str) -> tuple[tuple[int, ...], ...]:
     }
     what = aliases.get(str(what).lower(), what)
     if what == "flags":
-        parts = orbits(G.map.n_flags, G.generators)
-        return tuple(tuple(p) for p in parts)
-    what = _normalize_kind(what)
-    index = G.map.cell_index(what)
-    ids = sorted(c.id for c in cells(G.map, what))
-    id_pos = {c: i for i, c in enumerate(ids)}
-    perms = [[id_pos[index[g[c]]] for c in ids] for g in G.generators]
-    parts = orbits(len(ids), perms)
-    return tuple(tuple(ids[i] for i in part) for part in parts)
+        members, involutions = G.map.flags(), ()
+    else:
+        what = _normalize_kind(what)
+        members, involutions = [c.id for c in cells(G.map, what)], _KIND_GENERATORS[what]
+    rs = _orbit_graph(G)
+    classes = orbits(len(rs[0]), [rs[i] for i in involutions])
+    class_of = {node: k for k, part in enumerate(classes) for node in part}
+    node = _node_of_flag(G)
+    parts: dict = {}
+    for c in members:
+        parts.setdefault(class_of[node[c]], []).append(c)
+    return tuple(map(tuple, parts.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,8 @@ def _cayley_edges(G: SymGroup) -> list[tuple]:
 def _orbit_graph(H: SymGroup) -> tuple[list, list, list]:
     """r0, r1 and r2 on the flag orbits of ``H``: the symmetry type graph of
     the map under ``H`` (Orbanić, Pellicer and Weiss, *Map operations and
-    k-orbit maps*, JCTA 2010).  Memoized on ``H``.
+    k-orbit maps*, JCTA 2010), and the one place a group's orbits are
+    worked out.  Memoized on ``H``.
 
     Node 0 holds flag 0, and each node |H| flags.  A subgroup of index k
     found by :func:`subgroups_up_to_index` in G reads the graph off its
@@ -550,7 +553,8 @@ def _orbit_graph(H: SymGroup) -> tuple[list, list, list]:
     G-orbit o, lies in node ``o k + label(e^-1)``, and r_i sends node
     ``o k + c`` to ``o' k + label(b^-1 y_c)``, where ``r_i f_o = b(f_o')``
     and y_c is labelled c; the word of b^-1 (:func:`_voltages`) walks the
-    table from c.  Other groups number their orbits by least flag.
+    table from c.  Other groups get their flag orbits under their
+    generators, numbered by least flag.
     """
     cache = H._cache
     if "orbit_graph" in cache:
@@ -565,10 +569,12 @@ def _orbit_graph(H: SymGroup) -> tuple[list, list, list]:
                     image = [cosets[c][gi] for c in image]
                 r.extend(o * len(cosets) + c for c in image)
     else:
-        orbit_of = flag_orbit_index(H)
-        reps = sorted(set(orbit_of))
-        node = {rep: i for i, rep in enumerate(reps)}
-        rs = [[node[orbit_of[r[rep]]] for rep in reps] for r in H.map.involutions()]
+        parts = orbits(H.map.n_flags, H.generators)
+        node = [0] * H.map.n_flags
+        for i, part in enumerate(parts):
+            for f in part:
+                node[f] = i
+        rs = [[node[r[part[0]]] for part in parts] for r in H.map.involutions()]
     cache["orbit_graph"] = rs
     return rs
 
@@ -631,41 +637,24 @@ def is_half_reflexible(m: FlagMap, G: SymGroup) -> bool:
 
     The stabilizer of a face is transitive on that face's flags exactly
     when the face's flags lie in a single G-orbit, because cells are
-    blocks of the action.
+    blocks of the action; that holds for every face exactly when r0 and
+    r1, which generate the faces, fix every node of :func:`_orbit_graph`.
     """
     _require_group(G, m)
-    if G.order == m.n_flags:
-        return False
-    orbit_of = flag_orbit_index(G)
-    for face in cells(m, FACE):
-        first = orbit_of[face.flags[0]]
-        if any(orbit_of[f] != first for f in face.flags):
-            return False
-    return True
+    r0, r1, _ = _orbit_graph(G)
+    return len(r0) > 1 and all(r0[x] == x == r1[x] for x in range(len(r0)))
 
 
 def is_face_reflexible(m: FlagMap) -> Optional[SymGroup]:
     """A half-reflexible subgroup of the symmetry group, or None.
 
-    For a reflexible map this is the subgroup preserving the two face
-    color classes, which exists exactly when the map is face-bipartite.
-    Otherwise all subgroups of index at most 2 are scanned.
+    Such a group has two flag orbits, which properly 2-color the faces, so
+    it is the whole symmetry group or, for a reflexible map, a subgroup of
+    index 2: the subgroups of index at most 2 are scanned.  A connected
+    map's proper face 2-coloring is unique up to swap, so at most one
+    subgroup qualifies.
     """
-    A = automorphism_group(m)
-    if A.order == m.n_flags:
-        coloring = face_bipartition(m)
-        if coloring is None:
-            return None
-        face_of = m.cell_index(FACE)
-        f0 = cells(m, FACE)[0].id
-        keep = [
-            h for h in A.images() if coloring[face_of[A._apply(h, f0)]] == coloring[f0]
-        ]
-        G = A.subgroup_from_images(keep)
-        if is_half_reflexible(m, G):
-            return G
-        return None
-    for H in subgroups_up_to_index(A, 2):
+    for H in subgroups_up_to_index(automorphism_group(m), 2):
         if is_half_reflexible(m, H):
             return H
     return None

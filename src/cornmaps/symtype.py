@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import VERTEX, FlagMap, cells
-from .cornerations import (
-    Corneration,
-    _require_corneration,
-    face_patterns,
-    is_transitive_on_corners,
-)
+from .cornerations import Corneration, _require_corneration, face_patterns
 from .errors import (
     GroupDoesNotPreserveCorneration,
     InternalInvariantError,
@@ -26,7 +21,9 @@ from .errors import (
     NotTransitive,
     NotWedgeCorneration,
 )
-from .symmetry import HC, HD, QD, SymGroup, _require_group, flag_orbit_index, local_action_group
+from .symmetry import (
+    HC, HD, QD, SymGroup, _node_of_flag, _orbit_graph, _require_group, local_action_group
+)
 
 BOX = "B"
 OVAL = "O"
@@ -44,15 +41,18 @@ class Diagram:
     sigma: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "shapes", tuple(self.shapes))
+            object.__setattr__(self, "sigma", tuple(tuple(s) for s in self.sigma))
+        except TypeError:
+            raise InvalidDiagram("shapes and sigma must be sequences") from None
         n = len(self.shapes)
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-        object.__setattr__(self, "sigma", tuple(tuple(s) for s in self.sigma))
         if any(shape not in (BOX, OVAL) for shape in self.shapes):
             raise InvalidDiagram("node shapes must be 'B' or 'O'")
         if len(self.sigma) != 3:
             raise InvalidDiagram("a diagram needs involutions for colors 0, 1, 2")
         for s in self.sigma:
-            if len(s) != n or any(not 0 <= s[i] < n for i in range(n)):
+            if len(s) != n or any(type(x) is not int or not 0 <= x < n for x in s):
                 raise InvalidDiagram("edge involution does not match the node count")
             if any(s[s[i]] != i for i in range(n)):
                 raise InvalidDiagram("edge structure of a color must be an involution")
@@ -94,8 +94,16 @@ class Diagram:
         return self.components((0, 1, 2)) == 1
 
 
+def _require_diagram(*diagrams) -> None:
+    """Raise :class:`InvalidDiagram` unless each argument is a :class:`Diagram`."""
+    for d in diagrams:
+        if not isinstance(d, Diagram):
+            raise InvalidDiagram(f"not a diagram: {d!r}")
+
+
 def diagram_isomorphic(a: Diagram, b: Diagram) -> Optional[tuple[int, ...]]:
     """A shape- and color-preserving node bijection, or None."""
+    _require_diagram(a, b)
     if a.n_nodes != b.n_nodes:
         return None
     if sorted(a.shapes) != sorted(b.shapes):
@@ -119,6 +127,7 @@ def satisfies_diagram_constraints(d: Diagram) -> tuple[bool, Optional[str]]:
     are never semiedges, (3) 1-edges join equal shapes, (4) two distinct
     boxes are 1-adjacent, (5) alternating 0-2 walks of length 4 close up.
     """
+    _require_diagram(d)
     n = d.n_nodes
     if n not in (2, 4):
         return False, f"rule 1: diagram has {n} nodes, expected 2 or 4"
@@ -271,36 +280,29 @@ def _match_catalog(derived: list[Diagram]) -> None:
 def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:
     """The quotient of the flag graph by ``G``, shaped by the corneration.
 
-    Nodes are the G-orbits of flags, boxes when their flags sit in wedges
-    of ``L``.  The group must preserve ``L``, otherwise the shape of some
-    orbit is ill-defined.
+    Nodes are the G-orbits of flags (:func:`~cornmaps.symmetry._orbit_graph`),
+    numbered by least flag, and boxes when their flags sit in wedges of
+    ``L``.  The group must preserve ``L``, an ``L`` of ``m``, otherwise the
+    shape of some orbit is ill-defined.
     """
     _require_corneration(L)
     if L.width != 1:
         raise NotWedgeCorneration("symmetry-type graphs are built over wedge cornerations")
     _require_group(G, m)
-    orbit_of = flag_orbit_index(G)
-    reps = sorted(set(orbit_of))
-    node_of = {rep: i for i, rep in enumerate(reps)}
-
+    if L.map is not m and L.map != m:  # its wedges are another map's
+        raise GroupDoesNotPreserveCorneration("the corneration belongs to a different map")
     in_wedges = L.in_wedges()
     wedge_of = m.cell_index("wedge")
-    in_flag = [wedge_of[f] in in_wedges for f in m.flags()]
-    shapes = []
-    for rep in reps:
-        values = {in_flag[f] for f in m.flags() if orbit_of[f] == rep}
-        if len(values) != 1:
+    inside = {}  # node -> whether its flags sit in wedges of L, by least flag
+    for f, node in enumerate(_node_of_flag(G)):
+        box = wedge_of[f] in in_wedges
+        if inside.setdefault(node, box) != box:
             raise GroupDoesNotPreserveCorneration(
-                f"orbit of flag {rep} mixes wedges inside and outside the corneration"
+                f"orbit of flag {f} mixes wedges inside and outside the corneration"
             )
-        shapes.append(BOX if values.pop() else OVAL)
-
-    sigma = []
-    for c in range(3):
-        r = m.r(c)
-        sigma.append(tuple(node_of[orbit_of[r[rep]]] for rep in reps))
-    d = Diagram(tuple(shapes), tuple(sigma))
-    return d
+    number = {node: i for i, node in enumerate(inside)}
+    sigma = tuple(tuple(number[r[node]] for node in inside) for r in _orbit_graph(G))
+    return Diagram(tuple(BOX if box else OVAL for box in inside.values()), sigma)
 
 
 @dataclass(frozen=True)
@@ -317,13 +319,18 @@ class ClassificationResult:
 def classify(m: FlagMap, G: SymGroup, L: Corneration) -> ClassificationResult:
     """Match a transitive wedge corneration against the twelve rows.
 
-    Orbit counts come from the quotient's subdiagram components, the
-    pattern letters from the faces of ``L`` and the local type from the
-    vertex stabilizer; the full attribute tuple picks a unique row.
+    Transitivity, and orbit counts as subdiagram components, come from the
+    quotient (:func:`symmetry_type_graph`, whose errors come first): a
+    corner of ``L`` is its wedge, whose two flags lie in a box b and in
+    sigma1(b), so G is transitive on the corners exactly when the boxes are
+    {b, sigma1(b)}, else :class:`NotTransitive`.  The pattern letters come
+    from the faces of ``L`` and the local type from the vertex stabilizer;
+    the full attribute tuple picks a unique row.
     """
-    if not is_transitive_on_corners(G, L):
-        raise NotTransitive("classification needs a group transitive on the corners")
     diagram = symmetry_type_graph(m, G, L)
+    boxes = [node for node, shape in enumerate(diagram.shapes) if shape == BOX]
+    if set(boxes) != {boxes[0], diagram.sigma[1][boxes[0]]}:
+        raise NotTransitive("classification needs a group transitive on the corners")
     v, e, f = diagram_orbit_counts(diagram)
     patterns = face_patterns(L).letters
     v0 = min(c.id for c in cells(m, VERTEX))

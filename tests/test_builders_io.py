@@ -3,6 +3,7 @@ import pytest
 from cornmaps.builders import (
     build_antiprism,
     build_antiprism_corneration,
+    build_theta,
     build_torus_grid,
     build_torus_grid_corneration,
     from_rotation_system,
@@ -56,6 +57,22 @@ def test_torus_grid_small_sides():
         build_torus_grid(1, 5)
     with pytest.raises(DegenerateParameters):
         build_torus_grid(4, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_torus_grid("a", 2),
+        lambda: build_torus_grid(4, 2.0),
+        lambda: build_antiprism(None),
+        lambda: build_theta(None),
+        lambda: build_theta("3"),
+    ],
+    ids=["torus-str", "torus-float", "antiprism-None", "theta-None", "theta-str"],
+)
+def test_sizes_that_are_no_ints_raise_degenerate_parameters(build):
+    with pytest.raises(DegenerateParameters, match="int"):
+        build()
 
 
 def test_antiprism_counts():

@@ -940,8 +940,12 @@ def test_transfer_disconnected_hole(torus44):
 
 # -- arguments that are no corneration --------------------------------------------
 
+def a_wedge_corneration(m):
+    return corn.symmetric_cornerations_from_coloring(m, 1)[0]
+
+
 def vertex_transitivity_of_a_non_corner(m, A):
-    L = corn.symmetric_cornerations_from_coloring(m, 1)[0]
+    L = a_wedge_corneration(m)
     return verify_vertex_transitive(graph_A(L), corn.corneration_stabilizer(A, L), ["x"])
 
 
@@ -955,18 +959,33 @@ NON_CORNERATION_CALLS = {
     "circuits_of": lambda m, A: corn.circuits_of("x"),
     "face_patterns": lambda m, A: corn.face_patterns(None),
     "transfer": lambda m, A: corn.transfer(None, m),
+    "transfer to None": lambda m, A: corn.transfer(a_wedge_corneration(m), None),
+    "transfer to str": lambda m, A: corn.transfer(a_wedge_corneration(m), "x"),
+    "is_corneration of None": lambda m, A: corn.is_corneration(m, None),
+    "is_corneration of an int": lambda m, A: corn.is_corneration(m, [1]),
+    "corneration_of None": lambda m, A: corn.corneration_of(m, None),
+    "corneration_of an int": lambda m, A: corn.corneration_of(m, [1]),
     "write_corneration": lambda m, A: write_corneration(None),
     "cubic_filter": lambda m, A: cubic_filter(m, None),
     "graph_A": lambda m, A: graph_A(None),
     "verify_vertex_transitive": vertex_transitivity_of_a_non_corner,
 }
-CORNER_LIST_CALLS = ("corner_orbits", "verify_vertex_transitive")
+# the calls whose bad argument stands for corners or circuits
+OTHER_ERRORS = {
+    "corner_orbits": InvalidCorner,
+    "verify_vertex_transitive": InvalidCorner,
+    "is_corneration of None": InvalidCorner,
+    "is_corneration of an int": InvalidCorner,
+    "corneration_of None": InvalidCircuits,
+    "corneration_of an int": InvalidCircuits,
+}
 
 
 @pytest.mark.parametrize("name", NON_CORNERATION_CALLS)
 def test_calls_on_a_non_corneration_raise_library_errors(torus44, name):
-    """An item of a corner list that is no corner is an InvalidCorner, any
-    other argument that is no corneration a CornerationMismatch."""
-    error = InvalidCorner if name in CORNER_LIST_CALLS else CornerationMismatch
+    """A corner list or item that is no corner is an InvalidCorner, circuits
+    that are none InvalidCircuits, any other argument that is no corneration
+    (or no transfer target) a CornerationMismatch."""
+    error = OTHER_ERRORS.get(name, CornerationMismatch)
     with pytest.raises(error):
         NON_CORNERATION_CALLS[name](torus44, automorphism_group(torus44))

@@ -26,8 +26,10 @@ from cornmaps import core, cornerations, symmetry
 from cornmaps.builders import build_antiprism, build_theta, build_torus_grid
 from cornmaps.core import (
     DART,
+    EDGE,
     FACE,
     VERTEX,
+    WEDGE,
     FlagMap,
     _rotation_table,
     cells,
@@ -49,6 +51,7 @@ from cornmaps.errors import (
     CornerationMismatch,
     GroupDoesNotPreserveCorneration,
     GroupNotSubgroup,
+    NotTransitive,
 )
 from cornmaps.operators import _propagate, opposite, petrie
 from cornmaps.symmetry import (
@@ -61,10 +64,12 @@ from cornmaps.symmetry import (
     automorphism_group,
     flag_orbit_index,
     is_face_reflexible,
+    is_half_reflexible,
     local_action_group,
     orbits_on,
     subgroups_up_to_index,
 )
+from cornmaps.symtype import BOX, OVAL, Diagram, classify, symmetry_type_graph
 from cornmaps.verify import SuiteContext, _all_cornerations_mixed, _mixed_cover_spotchecks
 
 
@@ -305,16 +310,66 @@ def oracle_corner_orbits(G, corners):
     return out
 
 
+def oracle_flag_orbit_index(G):
+    """Each flag's least orbit-mate, from the orbits under G's generators as
+    flag permutations."""
+    index = [0] * G.map.n_flags
+    for part in orbits(G.map.n_flags, G.generators):
+        for f in part:
+            index[f] = part[0]
+    return tuple(index)
+
+
+def oracle_orbits_on(G, kind):
+    """The G-orbits of flags, or of the cells of ``kind`` under one
+    permutation of cell ids per generator."""
+    if kind == "flags":
+        return tuple(map(tuple, orbits(G.map.n_flags, G.generators)))
+    index = G.map.cell_index(kind)
+    ids = [c.id for c in cells(G.map, kind)]
+    pos = {c: i for i, c in enumerate(ids)}
+    perms = [[pos[index[g[c]]] for c in ids] for g in G.generators]
+    return tuple(tuple(ids[i] for i in part) for part in orbits(len(ids), perms))
+
+
+def oracle_is_half_reflexible(m, G):
+    """Not flag-transitive, and each face's flags in one flag orbit."""
+    orbit_of = oracle_flag_orbit_index(G)
+    return G.order != m.n_flags and all(
+        len({orbit_of[f] for f in face.flags}) == 1 for face in cells(m, FACE)
+    )
+
+
+def oracle_symmetry_type_graph(m, G, L):
+    """The quotient built on the flags: the flag orbits by least flag, each
+    one's shape from a scan of all flags, and r0, r1, r2 on the orbits'
+    least flags."""
+    orbit_of = oracle_flag_orbit_index(G)
+    reps = sorted(set(orbit_of))
+    node_of = {rep: i for i, rep in enumerate(reps)}
+    in_wedges = L.in_wedges()
+    wedge_of = m.cell_index(WEDGE)
+    shapes = []
+    for rep in reps:
+        values = {wedge_of[f] in in_wedges for f in m.flags() if orbit_of[f] == rep}
+        if len(values) != 1:
+            raise GroupDoesNotPreserveCorneration(f"orbit of flag {rep} mixes wedges")
+        shapes.append(BOX if values.pop() else OVAL)
+    sigma = tuple(tuple(node_of[orbit_of[r[rep]]] for rep in reps) for r in m.involutions())
+    return Diagram(tuple(shapes), sigma)
+
+
 def oracle_invariant_keys(m, H, j):
     """Keys of the H-invariant j-cornerations, in key order, from an exact
     cover built on the flags: corner orbits under H's corner permutations,
-    dart orbits from ``orbits_on``, and the darts of each corner orbit."""
+    dart orbits under its flag permutations, and the darts of each corner
+    orbit."""
     if uniform_valence(m) % 2:
         return []
     corners = all_j_corners(m, j)
     numbers = cornerations._pair_numbers(m, (c.darts for c in corners))
     corner_orbit_list = orbits(len(corners), cornerations._corner_perms(H, numbers))
-    dart_orbits = orbits_on(H, DART)
+    dart_orbits = oracle_orbits_on(H, DART)
     col_of = {d: col for col, orbit in enumerate(dart_orbits) for d in orbit}
     rows, row_cols = [], []
     for orbit in corner_orbit_list:
@@ -720,7 +775,7 @@ def test_stabilizers_match_element_filter_on_sweeps(maps):
             for r in enumerate_transitive_cornerations(m, j):
                 assert r.aut.images() == oracle_stabilizer(A, r.corneration), name
                 assert r.transitive == is_transitive_on_corners(r.aut, r.corneration), name
-                assert r.symmetric == (r.transitive and len(orbits_on(r.aut, DART)) == 1)
+                assert r.symmetric == (r.transitive and len(oracle_orbits_on(r.aut, DART)) == 1)
                 checked += 1
     assert checked > 100
 
@@ -1100,7 +1155,7 @@ def test_quotient_classes_expand_to_the_orbits_on_flags(quotient_maps):
         for H in quotient_groups(m):
             node_of = symmetry._node_of_flag(H)
             nodes = [[n] for n in set(node_of)]
-            orbit_of = flag_orbit_index(H)
+            orbit_of = oracle_flag_orbit_index(H)
             assert as_ids(nodes, node_of, int) == {
                 frozenset(f for f in m.flags() if orbit_of[f] == o) for o in set(orbit_of)
             }, name
@@ -1114,11 +1169,52 @@ def test_quotient_classes_expand_to_the_orbits_on_flags(quotient_maps):
 
                 darts, corners = symmetry._orbit_classes(H, j, 2 * j == q)
                 assert as_ids(darts, node_of, dart_of.__getitem__) == {
-                    frozenset(o) for o in orbits_on(H, DART)
+                    frozenset(o) for o in oracle_orbits_on(H, DART)
                 }, (name, j)
                 assert as_ids(corners, node_of, corner_of) == {
                     frozenset(c.key() for c in o) for o in corner_orbits(H, all_j_corners(m, j))
                 }, (name, j)
+
+
+KINDS = ("flags", VERTEX, EDGE, FACE, DART, WEDGE)
+
+
+def test_orbit_questions_agree_on_both_quotient_sources(cube, tetrahedron):
+    """Each subgroup of index <= 4 of Aut of the suite maps, opp(torus 6x6),
+    the cube and the tetrahedron, as found by the search (its quotient read
+    off its coset table) and as rebuilt from its images (its quotient read
+    off its flag orbits), against the flag-level oracles; and the symmetry
+    type graph and class of every width-1 record of the sweep under both."""
+    ms = dict(SuiteContext().maps)
+    ms.update(opp6x6=opposite(build_torus_grid(6, 6)), cube=cube, tetrahedron=tetrahedron)
+    records = 0
+    for name, m in ms.items():
+        A = automorphism_group(m)
+        for H in subgroups_up_to_index(A, 4):
+            R = A.subgroup_from_images(H.images())
+            assert "cosets" in H._cache and "cosets" not in R._cache
+            want = oracle_flag_orbit_index(R)
+            assert flag_orbit_index(H) == flag_orbit_index(R) == want, (name, H.images())
+            for kind in KINDS:
+                want = oracle_orbits_on(R, kind)
+                assert orbits_on(H, kind) == orbits_on(R, kind) == want, (name, kind)
+            want = oracle_is_half_reflexible(m, R)
+            assert is_half_reflexible(m, H) == is_half_reflexible(m, R) == want, name
+        if uniform_valence(m) % 2:
+            continue
+        for r in enumerate_transitive_cornerations(m, 1):
+            L, H = r.corneration, r.aut
+            R = A.subgroup_from_images(H.images())
+            if not r.transitive:
+                for G in (H, R):
+                    with pytest.raises(NotTransitive):
+                        classify(m, G, L)
+                continue
+            want = oracle_symmetry_type_graph(m, R, L)
+            assert symmetry_type_graph(m, H, L) == symmetry_type_graph(m, R, L) == want, name
+            assert classify(m, H, L) == classify(m, R, L), name
+            records += 1
+    assert records > 50
 
 
 def test_sweep_work_does_not_grow_with_the_map(monkeypatch):

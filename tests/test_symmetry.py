@@ -273,6 +273,7 @@ def test_group_arguments_must_be_symmetry_groups(group_taker_args, name, bad):
 # each public function of the group layer taking a map, called with ``m`` in
 # the map's place; ``L`` is as above and ``G`` its stabilizer
 MAP_TAKERS = {
+    "SymGroup": lambda m, L, G: SymGroup(m, G.elements),
     "automorphism_group": lambda m, L, G: automorphism_group(m),
     "is_reflexible": lambda m, L, G: is_reflexible(m),
     "is_face_reflexible": lambda m, L, G: is_face_reflexible(m),

@@ -36,8 +36,13 @@ def test_canonical_diagrams_pass_constraints():
         (("B", "O"), ((1, 0), (0, 1)), "colors 0, 1, 2"),
         (("B", "O"), ((1, 0), (0, 1), (0, 2)), "node count"),
         (("B", "O", "O"), ((1, 2, 0), (0, 1, 2), (0, 1, 2)), "involution"),
+        (None, ((0,), (0,), (0,)), "sequences"),
+        (("B",), None, "sequences"),
+        (("B",), ((0,), ("a",), (0,)), "node count"),
+        (("B",), ((0,), (0.0,), (0,)), "node count"),
     ],
-    ids=["shape", "colors", "node-count", "not-involution"],
+    ids=["shape", "colors", "node-count", "not-involution", "no-shapes", "no-sigma", "str-node",
+         "float-node"],
 )
 def test_malformed_diagram_raises_invalid_diagram(shapes, sigma, message):
     with pytest.raises(InvalidDiagram) as info:
@@ -45,6 +50,17 @@ def test_malformed_diagram_raises_invalid_diagram(shapes, sigma, message):
     assert isinstance(info.value, CornMapsError)
     assert isinstance(info.value, ValueError)
     assert message in str(info.value)
+
+
+def test_diagram_arguments_must_be_diagrams():
+    d = st.CANONICAL_DIAGRAMS["a"]
+    for call in (
+        lambda: st.diagram_isomorphic(None, d),
+        lambda: st.diagram_isomorphic(d, "x"),
+        lambda: st.satisfies_diagram_constraints(None),
+    ):
+        with pytest.raises(InvalidDiagram, match="not a diagram"):
+            call()
 
 
 def test_three_node_diagram_fails_rule_one():
@@ -197,6 +213,23 @@ def test_classify_requires_transitive(opp44):
     trivial = SymGroup(opp44, (tuple(range(opp44.n_flags)),))
     with pytest.raises(NotTransitive):
         st.classify(opp44, trivial, L)
+
+
+def test_classify_checks_width_then_preservation_then_transitivity(torus44, opp44):
+    """The checks run in this order, each on arguments that pass the ones
+    before it; a wedge corneration of another map counts as not preserved."""
+    L, A, G = green_setup(opp44)
+    trivial = A.subgroup_from_images([0])
+    with pytest.raises(NotTransitive):
+        st.classify(opp44, trivial, L)
+    with pytest.raises(GroupDoesNotPreserveCorneration, match="mixes wedges"):
+        st.classify(opp44, A, L)  # the full group swaps colors
+    foreign = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    with pytest.raises(GroupDoesNotPreserveCorneration, match="different map"):
+        st.classify(opp44, G, foreign)
+    (wide,) = corn.enumerate_invariant_cornerations(torus44, automorphism_group(torus44), 2)
+    with pytest.raises(NotWedgeCorneration):
+        st.classify(torus44, automorphism_group(torus44).subgroup_from_images([0]), wide)
 
 
 def test_classify_antiprism_and_grid():
