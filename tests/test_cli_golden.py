@@ -3,7 +3,9 @@
 Each file under ``tests/data/cli/`` is a transcript: a ``$ cornmaps ...``
 line per command, then its stdout.  The maps are torus 4x4 and its
 opposite, and the cornerations are the width-1 records of ``corn
-enumerate``, written with ``--out-dir``.  Running this file as a script
+enumerate``, written with ``--out-dir``; the ``split`` transcripts also
+take the width-2 records of the opposite, so that every construction
+appears, each with ``--dot`` and ``--graph6``.  Running this file as a script
 rewrites the transcripts from the current code, so do that only on a
 commit whose output is known to be right.
 """
@@ -16,11 +18,15 @@ from pathlib import Path
 import pytest
 
 from cornmaps.cli import main
+from cornmaps.core import uniform_valence
+from cornmaps.fileio import parse_map
+from cornmaps.splitgraph import predicted_valences
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 MAPS = ("torus44", "opp44")
 KINDS = ("flags", "vertices", "edges", "faces", "darts", "wedges")
-GROUPS = ("aut", "corn-classify", "symtype-dot")
+GROUPS = ("aut", "corn-classify", "symtype-dot", "split")
+SPLIT_WIDTHS = {"torus44": (1,), "opp44": (1, 2)}
 
 
 def _stdout(*argv) -> str:
@@ -39,15 +45,27 @@ def _commands(name: str, group: str, directory: Path) -> list[tuple]:
         _stdout("build", "torus", "--rows", "4", "--cols", "4", "-o", str(torus))
         if name == "opp44":
             map_file.write_text(_stdout("op", "opp", str(torus)), encoding="utf-8")
-    corns = directory / f"{name}-corns"
-    if not corns.exists():
-        _stdout("corn", "enumerate", str(map_file), "--j", "1", "--out-dir", str(corns))
-    files = sorted(corns.glob("*.corn"), key=lambda p: int(p.stem.removeprefix("corneration")))
+    files = _records(map_file, directory / f"{name}-corns", 1)
     if group == "aut":
         return [("aut", map_file, "--orbits", k, "--subgroups", "2") for k in KINDS]
     if group == "corn-classify":
         return [("corn", "classify", map_file, f) for f in files]
-    return [("symtype", map_file, f, "--dot") for f in files]
+    if group == "symtype-dot":
+        return [("symtype", map_file, f, "--dot") for f in files]
+    q = uniform_valence(parse_map(map_file.read_text(encoding="utf-8")))
+    return [
+        ("split", map_file, f, "--kind", kind, "--dot", "--graph6", "--verify")
+        for j in SPLIT_WIDTHS[name]
+        for f in _records(map_file, directory / (f"{name}-corns" if j == 1 else f"{name}-corns-j{j}"), j)
+        for kind in predicted_valences(q, j)
+    ]
+
+
+def _records(map_file: Path, corns: Path, j: int) -> list[Path]:
+    """The width-j records of ``corn enumerate``, written once into ``corns``."""
+    if not corns.exists():
+        _stdout("corn", "enumerate", str(map_file), "--j", str(j), "--out-dir", str(corns))
+    return sorted(corns.glob("*.corn"), key=lambda p: int(p.stem.removeprefix("corneration")))
 
 
 def transcript(name: str, group: str, directory: Path) -> str:
