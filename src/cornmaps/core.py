@@ -80,8 +80,8 @@ def orbits(n: int, perms: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def order_mod(a: int, n: int) -> int:
     """Additive order of ``a`` modulo ``n``, i.e. ``n // gcd(n, a)``."""
-    if n < 1:
-        raise InvalidModulus("modulus must be positive")
+    if not (isinstance(a, int) and isinstance(n, int)) or n < 1:
+        raise InvalidModulus(f"order_mod needs an int and a positive int modulus, got {a!r}, {n!r}")
     return n // math.gcd(n, a)
 
 
@@ -232,6 +232,12 @@ class FlagMap:
     def __str__(self):
         label = self.name or "map"
         return f"{label}<{self.n_flags} flags>"
+
+
+def _require_map(m) -> None:
+    """Raise :class:`MalformedFlagSystem` unless ``m`` is a :class:`FlagMap`."""
+    if not isinstance(m, FlagMap):
+        raise MalformedFlagSystem(f"not a flag map: {m!r}")
 
 
 def _normalize_kind(kind: str) -> str:

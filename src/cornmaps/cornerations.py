@@ -23,6 +23,7 @@ from .core import (
     face_boundary_wedges,
     orbits,
     other_dart,
+    _require_map,
     uniform_valence,
     valence,
     wedges_at_vertex,
@@ -55,7 +56,6 @@ from .symmetry import (
     _orbit_classes,
     _orbit_graph,
     _require_group,
-    _require_map,
 )
 
 CONVEX = "Convex"

@@ -30,7 +30,7 @@ class MalformedFlagSystem(CornMapsError, ValueError):
 
 
 class InvalidModulus(CornMapsError, ValueError):
-    """A modulus is not a positive integer."""
+    """A modulus is not a positive integer, or a residue is not an integer."""
 
 
 class UnknownCellKind(CornMapsError, ValueError):
@@ -149,6 +149,10 @@ class KIntersectsL(CornMapsError):
 
 class InvalidSplitGraph(CornMapsError, ValueError):
     """An argument that should be a split graph is not a :class:`SplitGraph`."""
+
+
+class UnsupportedExport(CornMapsError, TypeError):
+    """An object that DOT export cannot draw: not a skeleton, diagram or split graph."""
 
 
 class KNotInvariant(CornMapsError):

@@ -24,14 +24,15 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import FlagMap, Skeleton, validate
+from .core import FlagMap, Skeleton, _require_map, validate
 from .cornerations import Corneration, _require_corneration, _require_cover, corner_from_darts
-from .errors import CornerationMismatch, InvalidMapError, MapFormatError
+from .errors import CornerationMismatch, InvalidMapError, MapFormatError, UnsupportedExport
 from .splitgraph import SplitGraph
 from .symtype import Diagram
 
 
 def write_map(m: FlagMap) -> str:
+    _require_map(m)
     lines = ["mapfile 1"]
     if m.name:
         lines.append(f"name {m.name}")
@@ -42,6 +43,8 @@ def write_map(m: FlagMap) -> str:
 
 
 def _content_lines(text: str) -> list[str]:
+    if not isinstance(text, str):
+        raise MapFormatError(f"file text must be a str, got {type(text).__name__}")
     out = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -105,6 +108,7 @@ def write_corneration(L: Corneration) -> str:
 
 def parse_corneration(text: str, m: FlagMap) -> Corneration:
     """Parse a corneration file and validate it against ``m``."""
+    _require_map(m)
     lines = _content_lines(text)
     if not lines or lines[0].split() != ["cornfile", "1"]:
         raise MapFormatError("missing 'cornfile 1' header")
@@ -169,7 +173,7 @@ def export_dot(obj: Union[Skeleton, Diagram, SplitGraph]) -> str:
         return _diagram_dot(obj)
     if isinstance(obj, SplitGraph):
         return _split_dot(obj)
-    raise TypeError(f"cannot export {type(obj).__name__} to DOT")
+    raise UnsupportedExport(f"cannot export {type(obj).__name__} to DOT")
 
 
 def _skeleton_dot(sk: Skeleton) -> str:

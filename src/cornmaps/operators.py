@@ -16,6 +16,7 @@ from .core import (
     FACE,
     VERTEX,
     FlagMap,
+    _require_map,
     cells,
     compose,
     face_length,
@@ -52,6 +53,7 @@ def _checked(m: FlagMap, operator: str) -> FlagMap:
 
 def dual(m: FlagMap) -> FlagMap:
     """Swap the roles of vertices and faces: exchange ``r0`` and ``r2``."""
+    _require_map(m)
     out = FlagMap(m.n_flags, m.r2, m.r1, m.r0, name=_wrap_name("dual", m.name))
     return _checked(out, "dual")
 
@@ -62,6 +64,7 @@ def petrie(m: FlagMap) -> FlagMap:
     Vertices, edges and darts are untouched, so the skeleton of the result
     is identical to that of ``m``; the faces become the zigzag circuits.
     """
+    _require_map(m)
     out = FlagMap(
         m.n_flags,
         compose(m.r0, m.r2),
@@ -90,6 +93,7 @@ def hole(m: FlagMap, j: int) -> OperatorResult:
     ``gcd(j, q)`` vertices of valence ``q / gcd(j, q)``.  Components are
     returned with flags renumbered in increasing original-flag order.
     """
+    _require_map(m)
     q = uniform_valence(m)
     if q is None:
         raise NonUniformValence("the hole operator needs a uniform valence")
@@ -129,6 +133,8 @@ def is_isomorphic(a: FlagMap, b: FlagMap) -> Optional[tuple[int, ...]]:
     determines the whole bijection; every candidate image in ``b`` is
     tried in increasing order and the first consistent one is returned.
     """
+    _require_map(a)
+    _require_map(b)
     if a.n_flags != b.n_flags:
         return None
     if not _invariants_agree(a, b):

@@ -56,12 +56,40 @@ class EdgeProvenance:
         return (OLD,) * bool(self.old) + (NEW,) * bool(self.new)
 
 
-@dataclass(frozen=True, eq=False)
 class SplitGraph:
-    map: FlagMap
-    base: Corneration
-    vertices: tuple  # corner keys, sorted
-    edges: dict  # frozenset of two corner keys -> EdgeProvenance
+    """A split graph as its corner keys in sorted order (``vertices``), the
+    (larger, smaller) positions of each edge's ends in edge order, and its
+    new-corner set K as sorted dart pairs.  ``edges``, ``{frozenset of two
+    corner keys: EdgeProvenance}``, is packed from a re-run :func:`_pass` on
+    first read; ``SplitGraph(map, base, vertices, edges)`` takes it as given."""
+
+    __slots__ = ("map", "base", "vertices", "_pairs", "_k", "_edges")
+
+    def __init__(self, map: FlagMap, base: Corneration, vertices: tuple, edges: dict):
+        pos = {key: i for i, key in enumerate(vertices)}
+        self.map, self.base, self.vertices, self._k, self._edges = map, base, vertices, None, edges
+        self._pairs = [(a, b) if a > b else (b, a) for a, b in ((pos[x], pos[y]) for x, y in edges)]
+
+    @classmethod
+    def _of_pass(cls, L: Corneration, k_darts: list) -> "SplitGraph":
+        """The graph of ``L`` and K from one :func:`_pass`, keeping only its position pairs."""
+        corners, found, _ = _pass(L, k_darts)
+        S = cls.__new__(cls)
+        S.map, S.base, S._k, S._edges, S._pairs = L.map, L, k_darts, None, list(found)
+        S.vertices = tuple(map(_key_of(L.map), (c.darts for c in corners)))
+        return S
+
+    @property
+    def edges(self) -> dict:
+        if self._edges is None:
+            key, vertices, provenance = _key_of(self.map), self.vertices, {}
+            _pass(self.base, self._k, provenance)
+            # each frozenset is built in its pair's first-met order, as its iteration can follow it
+            self._edges = {
+                frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(map(key, new)))
+                for (a, b), old, new in provenance.values()
+            }
+        return self._edges
 
     @property
     def n_vertices(self) -> int:
@@ -69,14 +97,14 @@ class SplitGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self._pairs)
 
     def degrees(self) -> dict:
-        degs = dict.fromkeys(self.vertices, 0)
-        for a, b in self.edges:
-            degs[a] += 1
-            degs[b] += 1
-        return degs
+        counts = [0] * len(self.vertices)
+        for a, b in self._pairs:
+            counts[a] += 1
+            counts[b] += 1
+        return dict(zip(self.vertices, counts))
 
     def regular_valence(self) -> Optional[int]:
         degs = set(self.degrees().values())
@@ -92,16 +120,16 @@ def _require_split_graph(S) -> None:
         raise InvalidSplitGraph(f"not a split graph: {S!r}")
 
 
-def _position_pairs(S: SplitGraph) -> list[tuple[int, int]]:
-    """Each edge as its (larger, smaller) positions in the vertices, in edge order."""
-    pos = {key: i for i, key in enumerate(S.vertices)}
-    return [(a, b) if a > b else (b, a) for a, b in ((pos[x], pos[y]) for x, y in S.edges)]
+def _key_of(m: FlagMap):
+    """The corner key of a sorted dart pair, each built once and shared by every graph of ``m``."""
+    keys, vertex_of = m._memo(("corner_keys",), dict), m.cell_index(VERTEX)
+    return lambda darts: keys.get(darts) or keys.setdefault(darts, (vertex_of[darts[0]], darts))
 
 
 def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
     """The runs of positions, in order, that induce a disconnected subgraph."""
     adj = [[] for _ in S.vertices]
-    for a, b in _position_pairs(S):
+    for a, b in S._pairs:
         adj[a].append(b)
         adj[b].append(a)
     for run in runs:
@@ -116,11 +144,12 @@ def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
             yield run
 
 
-def _pass(L: Corneration, k_darts: Iterable[tuple]) -> tuple[list, dict, int]:
+def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] = None) -> tuple:
     """The split graph of ``L`` and K (sorted dart pairs) as the corners of ``L``
-    in key order (indices are positions), ``{sorted position pair: (the pair
-    as first met, [map edges], [K dart pairs])}`` with old edges first, and
-    the edges of the least-key corner that form no old edge."""
+    in key order (indices are positions), ``{(larger, smaller) position pair:
+    None}`` with old edges first, and the edges of the least-key corner that
+    form no old edge.  Fills ``provenance``, if given, in the same order with
+    ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
     m = L.map
     corners = L.sorted_corners()
     edge_of, dart_of = m.cell_index(EDGE), m.cell_index(DART)
@@ -142,45 +171,32 @@ def _pass(L: Corneration, k_darts: Iterable[tuple]) -> tuple[list, dict, int]:
             if far[d1] == far[d2]:
                 deficit += s1 == 0 or s2 == 0  # position 0: the least-key corner
                 continue
-            pair = (s1, s2) if s1 < s2 else (s2, s1)
-            found.setdefault(pair, ((s1, s2), [], []))[1].append(e)
+            pair = (s1, s2) if s1 > s2 else (s2, s1)
+            found[pair] = None
+            if provenance is not None:
+                provenance.setdefault(pair, ((s1, s2), [], []))[1].append(e)
     except KeyError as missing:
         raise CornerationMismatch(f"not a corneration: uncovered dart {missing.args[0]}") from None
     for darts in k_darts:
         s1, s2 = slot[darts[0]], slot[darts[1]]
         if s1 == s2:
             raise KIntersectsL(f"the corner on darts {darts} belongs to the corneration")
-        pair = (s1, s2) if s1 < s2 else (s2, s1)
-        found.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
+        pair = (s1, s2) if s1 > s2 else (s2, s1)
+        found[pair] = None
+        if provenance is not None:
+            provenance.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
     return corners, found, deficit
 
 
-def _pack(L: Corneration, corners: list, found: dict) -> SplitGraph:
-    """The :class:`SplitGraph` of a pass, its corner keys shared by every graph of
-    the map; a frozenset is built in its pair's first-met order, as its iteration can follow it."""
-    keys = L.map._memo(("corner_keys",), dict)
-    vertex_of = L.map.cell_index(VERTEX)
-
-    def key(darts):
-        return keys.get(darts) or keys.setdefault(darts, (vertex_of[darts[0]], darts))
-
-    vertices = tuple(key(c.darts) for c in corners)
-    edges = {
-        frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(map(key, new)))
-        for (a, b), old, new in found.values()
-    }
-    return SplitGraph(map=L.map, base=L, vertices=vertices, edges=edges)
-
-
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
-    """The split graph of ``L`` and a disjoint corner set ``K``, packed from one
+    """The split graph of ``L`` and a disjoint corner set ``K``, from one
     :func:`_pass`.  Unlike the constructions, looks each K-corner up in the map's
     corner table (:class:`UnknownCell` or :class:`InvalidCorner` for one of another
     map or a ``K`` that is no iterable); :class:`CornerationMismatch` if ``L``
     leaves a dart uncovered."""
     _require_corneration(L)
     k_darts = [c.darts for c in _own_corners(L.map, K)]
-    return _pack(L, *_pass(L, k_darts)[:2])
+    return SplitGraph._of_pass(L, k_darts)
 
 
 def _uniform_width(L: Corneration) -> tuple[int, int]:
@@ -220,7 +236,7 @@ def _construct(L: Corneration, kind: str, widths: str) -> SplitGraph:
     j, q = _uniform_width(L)
     if kind not in predicted_valences(q, j):
         raise WidthOutOfRange(widths)
-    return _pack(L, *_pass(L, _k_darts(L, kind))[:2])
+    return SplitGraph._of_pass(L, _k_darts(L, kind))
 
 
 def graph_A(L: Corneration) -> SplitGraph:
@@ -268,12 +284,11 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     if len(orbits(S.n_vertices, perms)) != 1:
         raise NotTransitive("the group is not transitive on the corneration")
     k_numbers = set(_pair_numbers(S.map, (c.darts for c in _own_corners(S.map, K))))
-    ends = _position_pairs(S)
-    edge_set = set(ends)
+    edge_set = set(S._pairs)
     for table, perm in zip(_pair_action(G), perms):
         if not k_numbers.issuperset(map(table.__getitem__, k_numbers)):
             raise KNotInvariant("the new-corner set is not group-invariant")
-        for a, b in ends:
+        for a, b in S._pairs:
             x, y = perm[a], perm[b]
             if ((x, y) if x > y else (y, x)) not in edge_set:
                 return False
@@ -385,24 +400,17 @@ def build_construction(L: Corneration, kind: str) -> SplitGraph:
 def cubic_filter(m: FlagMap, L: Corneration) -> CubicReport:
     """Which of the four constructions are cubic for this corneration.
 
-    Counts the degrees of each construction's position pairs (:func:`_pass`;
-    no graph is packed) against the valence predicted with the deficit of
-    that pass.  :class:`CornerationMismatch` unless ``L`` is one of ``m``.
+    Reads each construction's valence off its position pairs (no edge is
+    packed) against the valence predicted with the deficit of ``L``.
+    :class:`CornerationMismatch` unless ``L`` is one of ``m``.
     """
     _require_corneration(L)
     if L.map is not m and L.map != m:
         raise CornerationMismatch("the corneration belongs to a different map")
     j, q = _uniform_width(L)
     entries = []
-    for kind in predicted_valences(q, j):
-        corners, found, deficit = _pass(L, _k_darts(L, kind))
-        degrees = [0] * len(corners)
-        for a, b in found:
-            degrees[a] += 1
-            degrees[b] += 1
-        values = set(degrees)
-        measured = values.pop() if len(values) == 1 else None
-        predicted = predicted_valences(q, j, deficit)[kind]
+    for kind, predicted in predicted_valences(q, j, old_degree_deficit(L)).items():
+        measured = SplitGraph._of_pass(L, _k_darts(L, kind)).regular_valence()
         entries.append(CubicEntry(kind, measured, predicted, measured == 3))
     return CubicReport(tuple(entries))
 
@@ -441,7 +449,7 @@ def to_graph6(S: SplitGraph) -> str:
     _require_split_graph(S)
     n = S.n_vertices
     bits = bytearray(b"0" * (-(-n * (n - 1) // 12) * 6))
-    for b, a in _position_pairs(S):
+    for b, a in S._pairs:
         bits[b * (b - 1) // 2 + a] = ord("1")
     return _size_field(n) + _six_bit_chars(bits)
 
@@ -456,7 +464,7 @@ def to_sparse6(S: SplitGraph) -> str:
     code = [format(i, f"0{k}b") for i in range(n)]
     bits = []
     v = 0
-    for b, a in sorted(_position_pairs(S)):
+    for b, a in sorted(S._pairs):
         if b > v + 1:
             bits += "1", code[b], "0", code[a]
         else:

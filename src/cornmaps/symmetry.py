@@ -25,10 +25,11 @@ from .core import (
     orbits,
     _KIND_GENERATORS,
     _normalize_kind,
+    _require_map,
     _rotation_table,
     rotation_at_vertex,
 )
-from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge, MalformedFlagSystem
+from .errors import DegenerateParameters, GroupNotSubgroup, GroupTooLarge
 from .operators import _propagate
 
 
@@ -215,12 +216,6 @@ class SymGroup:
         return f"SymGroup(order={self.order})"
 
     __repr__ = __str__
-
-
-def _require_map(m) -> None:
-    """Raise :class:`MalformedFlagSystem` unless ``m`` is a :class:`FlagMap`."""
-    if not isinstance(m, FlagMap):
-        raise MalformedFlagSystem(f"not a flag map: {m!r}")
 
 
 def _require_group(G, m=...) -> None:

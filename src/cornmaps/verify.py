@@ -688,6 +688,7 @@ def claim_split_graphs(ctx: SuiteContext):
                     witnessed["Cx_cubic_j3"] = True
                 if entry.construction == "B" and q == 4 and 2 * j == q and entry.cubic:
                     witnessed["B_cubic_straight4"] = True
+            full_old_degree = sg.old_degree_deficit(L) == 0
             for kind in ("A", "B", "Ci", "Cx"):
                 if kind not in lc_pred:
                     continue
@@ -701,11 +702,7 @@ def claim_split_graphs(ctx: SuiteContext):
                 # local connectivity implies connectivity through the old
                 # edges; with a full parallel-edge deficit none exist and
                 # the implication is void
-                if (
-                    measured_lc
-                    and sg.old_degree_deficit(L) == 0
-                    and not S.is_connected()
-                ):
+                if measured_lc and full_old_degree and not S.is_connected():
                     failures.append(f"{label} {kind}: locally connected but disconnected")
                 K = sg.new_corners(L, kind)
                 try:

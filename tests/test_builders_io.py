@@ -12,16 +12,21 @@ from cornmaps.core import (
     cells,
     euler_and_genus,
     face_length,
+    order_mod,
     rotation_at_vertex,
     uniform_valence,
     validate,
 )
 from cornmaps.errors import (
     CornerationMismatch,
+    CornMapsError,
     DegenerateParameters,
     InconsistentRotation,
     InvalidMapError,
+    InvalidModulus,
+    MalformedFlagSystem,
     MapFormatError,
+    UnsupportedExport,
 )
 from cornmaps.fileio import (
     export_dot,
@@ -30,7 +35,7 @@ from cornmaps.fileio import (
     write_corneration,
     write_map,
 )
-from cornmaps.operators import is_isomorphic
+from cornmaps.operators import dual, hole, is_isomorphic, opposite, petrie
 from cornmaps.symtype import CANONICAL_DIAGRAMS
 
 
@@ -195,3 +200,29 @@ def test_export_dot_split(torus44):
     S = sg.graph_B(L)
     dot = export_dot(S)
     assert 'label="old"' in dot or 'label="new"' in dot
+
+
+WRONG_ARGUMENT_CALLS = {
+    "opposite": (MalformedFlagSystem, lambda m: opposite(None)),
+    "dual": (MalformedFlagSystem, lambda m: dual(None)),
+    "petrie": (MalformedFlagSystem, lambda m: petrie("x")),
+    "hole": (MalformedFlagSystem, lambda m: hole(None, 1)),
+    "is_isomorphic": (MalformedFlagSystem, lambda m: is_isomorphic(m, None)),
+    "write_map": (MalformedFlagSystem, lambda m: write_map(None)),
+    "parse_map": (MapFormatError, lambda m: parse_map(None)),
+    "parse_map bytes": (MapFormatError, lambda m: parse_map(write_map(m).encode())),
+    "parse_corneration text": (MapFormatError, lambda m: parse_corneration(None, m)),
+    "parse_corneration map": (MalformedFlagSystem, lambda m: parse_corneration("cornfile 1", None)),
+    "order_mod": (InvalidModulus, lambda m: order_mod(None, 2)),
+    "export_dot": (UnsupportedExport, lambda m: export_dot(None)),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ARGUMENT_CALLS)
+def test_operators_and_files_reject_wrong_arguments(torus44, name):
+    """A non-map, non-text file contents, a non-int residue and an object
+    DOT cannot draw each raise their own CornMapsError."""
+    error, call = WRONG_ARGUMENT_CALLS[name]
+    assert issubclass(error, CornMapsError)
+    with pytest.raises(error):
+        call(torus44)

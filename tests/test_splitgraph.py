@@ -455,22 +455,18 @@ def test_new_corners_are_the_k_of_each_construction(transitive_cases):
             assert K == list(_K_BUILDERS[kind](r.corneration)), (label, kind)
 
 
-def test_degrees_count_the_edge_pairs(transitive_cases, monkeypatch):
-    """Degrees come in vertex order, equal the sizes of the neighbour sets,
-    and are counted without walking the graph on positions."""
+def test_degrees_count_the_edge_pairs(transitive_cases):
+    """Degrees come in vertex order and equal the sizes of the neighbour sets
+    of the key oracle."""
     graphs = []
     for _, r, q, j in transitive_cases[::4]:
-        kinds = sg.predicted_valences(q, j)
-        graphs += [sg.build_construction(r.corneration, kind) for kind in kinds]
-    expected = [{v: len(nbrs) for v, nbrs in neighbours(S).items()} for S in graphs]
-    valences = [set(d.values()) for d in expected]
-
-    def no_walk(S):
-        raise AssertionError("degrees walked the position pairs")
-
-    monkeypatch.setattr(sg, "_position_pairs", no_walk)
+        L = r.corneration
+        graphs += [(sg.build_construction(L, kind), split_oracle(L, _K_BUILDERS[kind](L)))
+                   for kind in sg.predicted_valences(q, j)]
     assert len(graphs) > 20
-    for S, degs, vals in zip(graphs, expected, valences):
+    for S, O in graphs:
+        degs = {v: len(nbrs) for v, nbrs in neighbours(O).items()}
+        vals = set(degs.values())
         assert list(S.degrees().items()) == list(degs.items())
         assert S.regular_valence() == (min(vals) if len(vals) == 1 else None)
 
@@ -675,27 +671,34 @@ def counting(calls, name, function):
 
 
 def test_constructions_build_no_graph_or_corner_they_do_not_return(monkeypatch):
-    """cubic_filter packs no graph, and graph_B, graph_Ci and graph_Cx
-    build no corner of K nor look one up in the corner table."""
+    """cubic_filter, graph_B, graph_Ci and graph_Cx build no corner of K,
+    look none up in the corner table and pack no edge; reading ``edges``
+    packs one provenance per edge, once."""
     m = opposite(build_torus_grid(6, 6))
     records = [r for r in corn.enumerate_transitive_cornerations(m, 2) if r.transitive]
     assert records
     calls = {}
     watched = {
-        sg: ("SplitGraph", "EdgeProvenance", "_own_corners"),
+        sg: ("EdgeProvenance", "_own_corners"),
+        sg.SplitGraph: ("_of_pass",),
         corn: ("_own_corners", "corner_of_wedge"),
     }
-    for module, names in watched.items():
+    for owner, names in watched.items():
         for name in names:
-            key = f"{module.__name__}.{name}"
-            monkeypatch.setattr(module, name, counting(calls, key, getattr(module, name)))
+            key = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, counting(calls, key, getattr(owner, name)))
     for r in records:
         sg.cubic_filter(m, r.corneration)
-    assert calls == {}
-    for r in records:
-        for build in (sg.graph_B, sg.graph_Ci, sg.graph_Cx):
-            assert build(r.corneration).n_edges
-    assert set(calls) == {"cornmaps.splitgraph.SplitGraph", "cornmaps.splitgraph.EdgeProvenance"}
+    assert set(calls) == {"SplitGraph._of_pass"}
+    calls.clear()
+    graphs = [build(r.corneration) for r in records for build in (sg.graph_B, sg.graph_Ci, sg.graph_Cx)]
+    assert all(S.n_edges for S in graphs)
+    assert calls == {"SplitGraph._of_pass": len(graphs)}
+    for S in graphs:
+        calls.pop("cornmaps.splitgraph.EdgeProvenance", None)
+        assert len(S.edges) == S.n_edges
+        assert S.edges is S.edges
+        assert calls["cornmaps.splitgraph.EdgeProvenance"] == S.n_edges
     # the counters see the lookup of a corner set handed in
     L = records[0].corneration
     sg.split(L, sg.new_corners(L, "Ci"))
