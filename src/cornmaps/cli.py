@@ -235,11 +235,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(
-        census_map_path=args.census_map,
-        index_bound=args.index_bound,
-        element_bound=args.element_bound,
-    )
+    report = run_suite(census_map_path=args.census_map)
     print(report.text())
     return 0 if report.ok else 1
 
@@ -315,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("what", choices=("suite",))
     p_verify.add_argument("--census-map", default=None)
-    p_verify.add_argument("--index-bound", type=int, default=4)
-    p_verify.add_argument("--element-bound", type=int, default=20000)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

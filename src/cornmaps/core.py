@@ -267,6 +267,7 @@ def validate(m: FlagMap) -> ValidationReport:
     points, ``r0 r2 = r2 r0`` with ``r0 r2`` fixed-point free, no edge is a
     loop, and ``<r0, r1, r2>`` is transitive on flags.
     """
+    _require_map(m)
 
     def build():
         violations = []
@@ -331,6 +332,7 @@ def validate(m: FlagMap) -> ValidationReport:
 
 def skeleton(m: FlagMap) -> Skeleton:
     """Vertex/edge cells of ``m`` with each edge's two end vertices."""
+    _require_map(m)
 
     def build():
         vertex_of = m.cell_index(VERTEX)
@@ -366,13 +368,15 @@ def face_length(m: FlagMap, f: int) -> int:
 
 def _cell_by_id(m: FlagMap, kind: str, cid: int) -> Cell:
     table = m._memo(("cell_by_id", kind), lambda: {c.id: c for c in cells(m, kind)})
-    if cid not in table:
-        raise UnknownCell(f"no {kind} cell with id {cid}")
-    return table[cid]
+    try:
+        return table[cid]
+    except (KeyError, TypeError):
+        raise UnknownCell(f"no {kind} cell with id {cid!r}") from None
 
 
 def uniform_valence(m: FlagMap) -> Optional[int]:
     """The common valence of all vertices, or None for mixed valences."""
+    _require_map(m)
     qs = m._memo(("valences",), lambda: {len(v) // 2 for v in cells(m, VERTEX)})
     return next(iter(qs)) if len(qs) == 1 else None
 
@@ -384,6 +388,7 @@ def euler_and_genus(m: FlagMap) -> EulerData:
     nodes, one link per ``r_i`` pair); the genus is ``(2 - chi) / 2`` for
     orientable surfaces and the cross-cap count ``2 - chi`` otherwise.
     """
+    _require_map(m)
 
     def build():
         chi = (
@@ -438,6 +443,7 @@ def face_bipartition(m: FlagMap) -> Optional[dict]:
     Two faces are adjacent when they lie on the two sides of a common edge;
     a face meeting itself across an edge blocks any proper coloring.
     """
+    _require_map(m)
 
     def build():
         face_of = m.cell_index(FACE)
@@ -454,6 +460,7 @@ def face_bipartition(m: FlagMap) -> Optional[dict]:
 
 def vertex_bipartition(m: FlagMap) -> Optional[dict]:
     """2-coloring of the skeleton's vertices, or None if not bipartite."""
+    _require_map(m)
 
     def build():
         sk = skeleton(m)

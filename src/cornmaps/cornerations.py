@@ -205,6 +205,7 @@ def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
 
 def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
     """Every corner of width exactly ``j``, in canonical order."""
+    _require_map(m)
     if not (isinstance(j, int) and j >= 1):
         raise WidthOutOfRange(f"corner width must be at least 1, got {j!r}")
 
@@ -246,6 +247,7 @@ def alignment(m: FlagMap, c1: Corner, c2: Corner) -> str:
     shared edge; straight corners have no side and never align.  Corners
     sharing two edges only align if both edges agree on the verdict.
     """
+    c1, c2 = _corner_items((c1, c2))
     if c1.width != c2.width:
         raise WidthMismatch("alignment is defined for corners of equal width")
     if c1.straight or c2.straight or c1.vertex == c2.vertex:
@@ -276,6 +278,7 @@ class CoverReport:
 def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
     """Whether the corners cover every dart of ``m`` exactly once;
     :class:`InvalidCorner` for an item that is no :class:`Corner`."""
+    _require_map(m)
     count = {c.id: 0 for c in cells(m, DART)}
     for corner in _corner_items(corners):
         for d in corner.darts:
@@ -413,7 +416,7 @@ class Corneration:
             self._by_dart = {dart: c for c in self.corners for dart in c.darts}
         try:
             return self._by_dart[d]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownCell(f"no corner of the corneration holds dart {d!r}") from None
 
     def in_wedges(self) -> frozenset:
@@ -502,6 +505,7 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
     The circuits must be closed walks with pairwise distinct edges whose
     edge sets partition the edges of ``m``.
     """
+    _require_map(m)
     if isinstance(decomposition, CircuitDecomposition):
         circuits = decomposition.circuits
     else:
@@ -958,10 +962,7 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     :class:`InvalidCorner` for an item that is no :class:`Corner`.
     """
     _require_group(G)
-    corners = list(corners)
-    if not all(isinstance(c, Corner) for c in corners):
-        raise InvalidCorner("not a corner")
-    pool = sorted({c.darts: c for c in corners}.values(), key=Corner.key)
+    pool = sorted({c.darts: c for c in _corner_items(corners)}.values(), key=Corner.key)
     try:
         numbers = _pair_numbers(G.map, (c.darts for c in _own_corners(G.map, pool)))
     except (InvalidCorner, UnknownCell):

@@ -113,7 +113,7 @@ class GroupTooLarge(CornMapsError):
     """A group exceeds the configured bound for exhaustive search.
 
     Raise ``element_bound`` to proceed; on the command line that is
-    ``--element-bound`` of ``corn enumerate`` and ``verify``.
+    ``--element-bound`` of ``corn enumerate``.
     """
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import (
@@ -43,8 +42,7 @@ class SymGroup:
     Group arithmetic reads the words of a breadth-first tree of the flags
     from flag 0, memoized on the map (Schreier vectors: Holt, Eick and
     O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1;
-    Seress, *Permutation Group Algorithms*, 2003).  :attr:`elements`
-    builds the permutations on demand.
+    Seress, *Permutation Group Algorithms*, 2003).
 
     ``SymGroup(m, perms)`` is checked once, when built: each element must
     be a permutation of the flags given as ints, their images of flag 0
@@ -102,47 +100,15 @@ class SymGroup:
             cache["image_set"] = frozenset(self._images)
         return cache["image_set"]
 
-    def _require_images(self, *images: int) -> None:
-        """Raise :class:`GroupNotSubgroup` unless every image is the group's."""
-        if not self._image_set().issuperset(images):
-            raise GroupNotSubgroup("an image of flag 0 lies outside the group")
-
     def _apply(self, h: int, x: int) -> int:
         """Image of flag ``x`` under the element with image ``h``."""
         for r in _flag_words(self.map)[0][x]:
             h = r[h]
         return h
 
-    def element_with_image(self, f: int) -> Perm:
-        self._require_images(f)
-        return _element(self.map, f)
-
-    def __contains__(self, perm) -> bool:
-        """Whether ``perm`` is an element; False for a sequence of any other
-        length."""
-        p = tuple(perm)
-        return (
-            len(p) == self.map.n_flags
-            and p[0] in self._image_set()
-            and _element(self.map, p[0]) == p
-        )
-
-    def mul_images(self, f: int, h: int) -> int:
-        """Image of the product (element with image f, then the one with h).
-
-        Raises :class:`GroupNotSubgroup` for an image outside the group, as
-        do :meth:`inv_image` and :meth:`element_with_image`.
-        """
-        self._require_images(f, h)
-        return self._apply(h, f)
-
-    def inv_image(self, f: int) -> int:
-        """Image of the inverse of the element with image ``f``."""
-        self._require_images(f)
-        return self._inverse(f)
-
     def _inverse(self, f: int) -> int:
-        """:meth:`inv_image` unchecked: the word of ``f`` read backwards."""
+        """Image of the inverse of the element with image ``f``: the word of
+        ``f`` read backwards."""
         words, _, inverse = _flag_words(self.map)
         if f not in inverse:
             x = 0
@@ -152,8 +118,11 @@ class SymGroup:
         return inverse[f]
 
     def subgroup_from_images(self, images: Iterable[int]) -> "SymGroup":
+        """The subgroup with these images; :class:`GroupNotSubgroup` for an
+        image outside the group."""
         images = tuple(sorted(set(images)))
-        self._require_images(*images)
+        if not self._image_set().issuperset(images):
+            raise GroupNotSubgroup("an image of flag 0 lies outside the group")
         return SymGroup._of_symmetries(self.map, images)
 
     def generator_images(self) -> tuple[int, ...]:
@@ -182,30 +151,6 @@ class SymGroup:
     def generators(self) -> tuple[Perm, ...]:
         gens = tuple(_element(self.map, f) for f in self.generator_images())
         return gens if gens else (tuple(self.map.flags()),)
-
-    @property
-    def elements(self) -> tuple[Perm, ...]:
-        """Every element as a permutation, sorted (built on first use).
-
-        Sorting permutations sorts them by their image of flag 0.  They are
-        closed breadth-first from the identity over :attr:`generators`, one
-        product per new image of flag 0.
-        """
-        cache = self._cache
-        if "elements" not in cache:
-            # a product is built only for a new image, so never for n = 1,
-            # where an itemgetter would return an int
-            products = [(g[0], itemgetter(*g)) for g in self.generators]
-            elems = [tuple(self.map.flags())]
-            seen = {0}
-            for e in elems:
-                for g0, times_g in products:
-                    f = e[g0]
-                    if f not in seen:
-                        seen.add(f)
-                        elems.append(times_g(e))
-            cache["elements"] = tuple(sorted(elems))
-        return cache["elements"]
 
     def is_map_symmetry_group(self) -> bool:
         """Always true: a group is checked when built from permutations, and
@@ -465,7 +410,7 @@ def subgroups_up_to_index(
     if G.order > element_bound:
         raise GroupTooLarge(
             f"group of order {G.order} exceeds the bound {element_bound}; "
-            "raise element_bound (--element-bound of corn enumerate and verify)"
+            "raise element_bound (--element-bound of corn enumerate)"
         )
     if k < 1:
         return []

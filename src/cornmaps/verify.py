@@ -109,17 +109,11 @@ class VerificationReport:
 
 
 class SuiteContext:
-    """Builds and caches the suite maps and the corneration sweep."""
+    """Builds and caches the suite maps and the corneration sweep, which runs
+    at the library's default bounds: the claims are stated at index 4."""
 
-    def __init__(
-        self,
-        census_map_path: Optional[str] = None,
-        index_bound: int = 4,
-        element_bound: int = 20000,
-    ):
+    def __init__(self, census_map_path: Optional[str] = None):
         self.census_map_path = census_map_path
-        self.index_bound = index_bound
-        self.element_bound = element_bound
         self._maps: Optional[dict] = None
         self._sweep: dict = {}
         self._face_reflexible: dict = {}
@@ -143,9 +137,7 @@ class SuiteContext:
     def sweep(self, name: str, j: int):
         key = (name, j)
         if key not in self._sweep:
-            self._sweep[key] = corn.enumerate_transitive_cornerations(
-                self.maps[name], j, self.index_bound, self.element_bound
-            )
+            self._sweep[key] = corn.enumerate_transitive_cornerations(self.maps[name], j)
         return self._sweep[key]
 
     def sweep_all(self):
@@ -344,7 +336,7 @@ def claim_stg_classification(ctx: SuiteContext):
 
     proper = [
         H
-        for H in subgroups_up_to_index(AL, 2, ctx.element_bound)
+        for H in subgroups_up_to_index(AL, 2)
         if H.order < AL.order and corn.is_transitive_on_corners(H, L)
     ]
     instances += 1
@@ -368,7 +360,7 @@ def claim_stg_classification(ctx: SuiteContext):
     APL = corn.corneration_stabilizer(automorphism_group(P), PL)
     record("f", P, APL, PL, "petrie of the opp4x4 corneration")
     pletters = {}
-    for H in subgroups_up_to_index(APL, 2, ctx.element_bound):
+    for H in subgroups_up_to_index(APL, 2):
         if H.order < APL.order and corn.is_transitive_on_corners(H, PL):
             res = st.classify(P, H, PL)
             pletters.setdefault(res.letter, H)
@@ -764,7 +756,7 @@ def claim_census_example(ctx: SuiteContext):
         failures.append(f"census map has valence {q}, expected 12")
         return 1, failures, note
     found = False
-    for r in corn.enumerate_transitive_cornerations(m, 3, ctx.index_bound, ctx.element_bound):
+    for r in corn.enumerate_transitive_cornerations(m, 3):
         if not r.transitive:
             continue
         for kind in ("A", "B", "Ci", "Cx"):
@@ -806,11 +798,7 @@ def run_claim(name: str, ctx: SuiteContext) -> ClaimResult:
     return ClaimResult(name, instances, status, tuple(failures), elapsed, note)
 
 
-def run_suite(
-    census_map_path: Optional[str] = None,
-    index_bound: int = 4,
-    element_bound: int = 20000,
-) -> VerificationReport:
-    ctx = SuiteContext(census_map_path, index_bound, element_bound)
+def run_suite(census_map_path: Optional[str] = None) -> VerificationReport:
+    ctx = SuiteContext(census_map_path)
     results = [run_claim(name, ctx) for name, _ in CLAIMS]
     return VerificationReport(tuple(results))

@@ -79,3 +79,18 @@ def triangular_torus():
                 ("n", (r - 1) % 3, c),
             ]
     return from_rotation_system(rot, name="tritorus3x3")
+
+
+def group_elements(G):
+    """Every element of the group ``G`` as a flag permutation, sorted: the
+    products of its generators, closed breadth-first from the identity,
+    one product per new image of flag 0.  Tests use it as an oracle; the
+    library keeps a group as its images of flag 0."""
+    elements = [tuple(G.map.flags())]
+    seen = {0}
+    for e in elements:
+        for g in G.generators:
+            if e[g[0]] not in seen:
+                seen.add(e[g[0]])
+                elements.append(tuple(map(e.__getitem__, g)))
+    return tuple(sorted(elements))

@@ -18,9 +18,11 @@ from cornmaps.core import (
     FlagMap,
     cells,
     face_boundary_edges,
+    face_length,
     order_mod,
     rotation_at_vertex,
     uniform_valence,
+    valence,
 )
 from cornmaps.errors import (
     CircuitTooShort,
@@ -103,6 +105,9 @@ WRONG_VERTEX_OR_WIDTH_CALLS = {
     "local_action_group": (UnknownCell, lambda m, L: local_action_group(automorphism_group(m), [1])),
     "local_corneration": (UnknownCell, lambda m, L: corn.local_corneration(L, [1])),
     "local_corneration of None": (CornerationMismatch, lambda m, L: corn.local_corneration(None, 0)),
+    "valence": (UnknownCell, lambda m, L: valence(m, [1])),
+    "face_length": (UnknownCell, lambda m, L: face_length(m, [1])),
+    "corner_of_dart": (UnknownCell, lambda m, L: L.corner_of_dart([1])),
     "all_j_corners": (WidthOutOfRange, lambda m, L: corn.all_j_corners(m, "x")),
     "symmetric_cornerations_from_coloring": (
         WidthOutOfRange,
@@ -952,6 +957,8 @@ def vertex_transitivity_of_a_non_corner(m, A):
 NON_CORNERATION_CALLS = {
     "is_transitive_on_corners": lambda m, A: corn.is_transitive_on_corners(A, "x"),
     "corner_orbits": lambda m, A: corn.corner_orbits(A, ["x"]),
+    "corner_orbits of None": lambda m, A: corn.corner_orbits(A, None),
+    "alignment": lambda m, A: corn.alignment(m, None, None),
     "classify": lambda m, A: classify(m, A, None),
     "symmetry_type_graph": lambda m, A: symmetry_type_graph(m, A, None),
     "split": lambda m, A: split(None, corn.all_j_corners(m, 1)),
@@ -973,6 +980,8 @@ NON_CORNERATION_CALLS = {
 # the calls whose bad argument stands for corners or circuits
 OTHER_ERRORS = {
     "corner_orbits": InvalidCorner,
+    "corner_orbits of None": InvalidCorner,
+    "alignment": InvalidCorner,
     "verify_vertex_transitive": InvalidCorner,
     "is_corneration of None": InvalidCorner,
     "is_corneration of an int": InvalidCorner,

@@ -3,7 +3,17 @@ import pytest
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
 import cornmaps.symtype as st
-from cornmaps.core import FlagMap, cells, compose
+from cornmaps.core import (
+    FlagMap,
+    cells,
+    compose,
+    euler_and_genus,
+    face_bipartition,
+    skeleton,
+    uniform_valence,
+    validate,
+    vertex_bipartition,
+)
 from cornmaps.errors import (
     GroupNotSubgroup,
     GroupTooLarge,
@@ -25,6 +35,7 @@ from cornmaps.symmetry import (
     orbits_on,
     subgroups_up_to_index,
 )
+from conftest import group_elements
 
 
 def nx_automorphism_count(m):
@@ -74,7 +85,7 @@ def test_elements_commute_with_involutions(antiprism4):
 
 def test_semiregularity(cube):
     A = automorphism_group(cube)
-    images = [g[0] for g in A.elements]
+    images = [g[0] for g in group_elements(A)]
     assert len(set(images)) == len(images)
 
 
@@ -128,7 +139,7 @@ def test_subgroups_of_cyclic_four(torus44):
     identity = tuple(range(torus44.n_flags))
     order4 = next(
         g
-        for g in A.elements
+        for g in group_elements(A)
         if g != identity
         and compose(g, g) != identity
         and compose(compose(g, g), compose(g, g)) == identity
@@ -157,13 +168,12 @@ def test_subgroups_complete_for_small_group(theta4):
     assert A.order <= 16
     found = set()
     images = A.images()
+    by_image = {g[0]: g for g in group_elements(A)}
     for size in range(1, len(images) + 1):
         for subset in itertools.combinations(images, size):
             if 0 not in subset:
                 continue
-            closed = all(
-                A.mul_images(a, b) in subset for a in subset for b in subset
-            )
+            closed = all(by_image[b][a] in subset for a in subset for b in subset)
             if closed:
                 found.add(frozenset(subset))
     by_index = {
@@ -270,10 +280,11 @@ def test_group_arguments_must_be_symmetry_groups(group_taker_args, name, bad):
         call(*group_taker_args, bad)
 
 
-# each public function of the group layer taking a map, called with ``m`` in
-# the map's place; ``L`` is as above and ``G`` its stabilizer
+# public functions taking a map, from the group layer, ``core`` and
+# ``cornerations``, called with ``m`` in the map's place; ``L`` is as above
+# and ``G`` its stabilizer
 MAP_TAKERS = {
-    "SymGroup": lambda m, L, G: SymGroup(m, G.elements),
+    "SymGroup": lambda m, L, G: SymGroup(m, group_elements(G)),
     "automorphism_group": lambda m, L, G: automorphism_group(m),
     "is_reflexible": lambda m, L, G: is_reflexible(m),
     "is_face_reflexible": lambda m, L, G: is_face_reflexible(m),
@@ -284,6 +295,15 @@ MAP_TAKERS = {
         lambda m, L, G: corn.symmetric_cornerations_from_coloring(m, 1)
     ),
     "symmetry_type_graph": lambda m, L, G: st.symmetry_type_graph(m, G, L),
+    "validate": lambda m, L, G: validate(m),
+    "euler_and_genus": lambda m, L, G: euler_and_genus(m),
+    "skeleton": lambda m, L, G: skeleton(m),
+    "face_bipartition": lambda m, L, G: face_bipartition(m),
+    "vertex_bipartition": lambda m, L, G: vertex_bipartition(m),
+    "uniform_valence": lambda m, L, G: uniform_valence(m),
+    "is_corneration": lambda m, L, G: corn.is_corneration(m, L.corners),
+    "corneration_of": lambda m, L, G: corn.corneration_of(m, corn.circuits_of(L)),
+    "all_j_corners": lambda m, L, G: corn.all_j_corners(m, 1),
 }
 
 
