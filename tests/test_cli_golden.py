@@ -5,7 +5,9 @@ line per command, then its stdout.  The maps are torus 4x4 and its
 opposite, and the cornerations are the width-1 records of ``corn
 enumerate``, written with ``--out-dir``; the ``split`` transcripts also
 take the width-2 records of the opposite, so that every construction
-appears, each with ``--dot`` and ``--graph6``.  Running this file as a script
+appears, each with ``--dot`` and ``--graph6``.  The ``corn-enumerate``
+transcripts print every record of every width with ``--emit``, which
+pins the record order and each corneration file.  Running this file as a script
 rewrites the transcripts from the current code, so do that only on a
 commit whose output is known to be right.
 """
@@ -25,8 +27,9 @@ from cornmaps.splitgraph import predicted_valences
 GOLDEN = Path(__file__).parent / "data" / "cli"
 MAPS = ("torus44", "opp44")
 KINDS = ("flags", "vertices", "edges", "faces", "darts", "wedges")
-GROUPS = ("aut", "corn-classify", "symtype-dot", "split")
+GROUPS = ("aut", "corn-classify", "symtype-dot", "split", "corn-enumerate")
 SPLIT_WIDTHS = {"torus44": (1,), "opp44": (1, 2)}
+ENUMERATE_WIDTHS = {"torus44": (1, 2), "opp44": (1, 2, 3, 4)}
 
 
 def _stdout(*argv) -> str:
@@ -45,6 +48,8 @@ def _commands(name: str, group: str, directory: Path) -> list[tuple]:
         _stdout("build", "torus", "--rows", "4", "--cols", "4", "-o", str(torus))
         if name == "opp44":
             map_file.write_text(_stdout("op", "opp", str(torus)), encoding="utf-8")
+    if group == "corn-enumerate":
+        return [("corn", "enumerate", map_file, "--j", str(j), "--emit") for j in ENUMERATE_WIDTHS[name]]
     files = _records(map_file, directory / f"{name}-corns", 1)
     if group == "aut":
         return [("aut", map_file, "--orbits", k, "--subgroups", "2") for k in KINDS]
