@@ -214,7 +214,7 @@ def build_antiprism_corneration(n: int):
             corners.append(corn.corner_from_darts(m, (dart[(v, 0)], dart[(v, 1)])))
             corners.append(corn.corner_from_darts(m, (dart[(v, 2)], dart[(v, 3)])))
     L = corn.Corneration.from_corners(m, corners)
-    corn._require_cover(m, L.corners, InternalInvariantError, "antiprism band corners")
+    corn._require_cover(L, InternalInvariantError, "antiprism band corners")
     return m, L
 
 
@@ -246,5 +246,5 @@ def build_torus_grid_corneration(rows: int, cols: int):
                 corners.append(corn.corner_from_darts(m, (dart[(a, 1)], dart[(a, 2)])))
                 corners.append(corn.corner_from_darts(m, (dart[(b, 2)], dart[(b, 3)])))
     L = corn.Corneration.from_corners(m, corners)
-    corn._require_cover(m, L.corners, InternalInvariantError, "grid corners")
+    corn._require_cover(L, InternalInvariantError, "grid corners")
     return m, L

@@ -367,6 +367,7 @@ def face_length(m: FlagMap, f: int) -> int:
 
 
 def _cell_by_id(m: FlagMap, kind: str, cid: int) -> Cell:
+    _require_map(m)
     table = m._memo(("cell_by_id", kind), lambda: {c.id: c for c in cells(m, kind)})
     try:
         return table[cid]
@@ -528,8 +529,8 @@ def wedges_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
 
 def face_boundary_wedges(m: FlagMap, f: int) -> tuple[int, ...]:
     """Wedge ids around the face ``f`` in boundary-walk order."""
-    wedge_of = m.cell_index(WEDGE)
     cell = _cell_by_id(m, FACE, f)
+    wedge_of = m.cell_index(WEDGE)
     p = len(cell) // 2
     out = []
     flag = cell.id
@@ -541,8 +542,8 @@ def face_boundary_wedges(m: FlagMap, f: int) -> tuple[int, ...]:
 
 def face_boundary_edges(m: FlagMap, f: int) -> tuple[int, ...]:
     """Edge ids along the boundary walk of face ``f`` (repeats possible)."""
-    edge_of = m.cell_index(EDGE)
     cell = _cell_by_id(m, FACE, f)
+    edge_of = m.cell_index(EDGE)
     p = len(cell) // 2
     out = []
     flag = cell.id
@@ -553,6 +554,9 @@ def face_boundary_edges(m: FlagMap, f: int) -> tuple[int, ...]:
 
 
 def other_dart(m: FlagMap, d: int) -> int:
-    """The dart at the other end of the edge carrying ``d``."""
-    dart_of = m.cell_index(DART)
-    return dart_of[m.r0[d]]
+    """The dart at the other end of the edge carrying ``d``; :class:`UnknownCell`
+    for a ``d`` that is no flag id."""
+    _require_map(m)
+    if not (isinstance(d, int) and 0 <= d < m.n_flags):
+        raise UnknownCell(f"no dart cell with id {d!r}")
+    return m.cell_index(DART)[m.r0[d]]

@@ -25,9 +25,8 @@ from .core import (
     other_dart,
     _require_map,
     uniform_valence,
-    valence,
-    wedges_at_vertex,
     rotation_at_vertex,
+    _rotation_table,
 )
 from .errors import (
     CircuitTooShort,
@@ -101,12 +100,11 @@ class Corner:
 def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
     """The corner of ``m`` spanned by two darts at a common vertex.
 
-    Each corner is built once per map: the first request validates the
-    darts and stores the corner under its number (:func:`_corner_numbering`);
-    later requests in either order return that same object, which is safe
-    to share as corners are frozen.  Raises :class:`InvalidCorner` for
-    anything but a pair and for darts that span no corner, and
-    :class:`UnknownCell` for an id that is not a dart of ``m``.
+    It is the corner of the pair's number (:func:`_corner_numbering`),
+    built on its first read, so requests in either order return one
+    object, which is safe to share as corners are frozen.  Raises
+    :class:`InvalidCorner` for anything but a pair and for darts that span
+    no corner, and :class:`UnknownCell` for an id that is not a dart of ``m``.
     """
     try:
         d1, d2 = darts
@@ -116,40 +114,49 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
         bad = d2 if isinstance(d1, int) else d1
         raise UnknownCell(f"no dart cell with id {bad!r}")
     a, b = (d1, d2) if d1 < d2 else (d2, d1)
-    first, rank, table = _corner_numbering(m)
-    try:
-        corner = table[first[a] + rank[b]]
-    except IndexError:
-        corner = None
-    if corner is None or corner.darts != (a, b):  # a number is a pair's only at one vertex
-        corner = _build_corner(m, d1, d2)
-        table[first[a] + rank[b]] = corner
-    return corner
+    first, rank, pairs, table = _corner_numbering(m)
+    n = first[a] + rank[b] if 0 <= a and b < m.n_flags else -1
+    if not (0 <= n < len(pairs) and pairs[n] == (a, b)):  # a number is one pair's
+        _build_corner(m, d1, d2)  # raises: the darts span no corner
+    return table[n] or _decode(m, (n,))[0]
 
 
-def _corner_numbering(m: FlagMap) -> tuple[list, list, list]:
-    """``(first, rank, table)``: numbers for the corners of ``m`` in key order.
+def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list]:
+    """``(first, rank, pairs, table)``: the corners of ``m`` numbered in key order.
 
     The pairs of distinct darts at a vertex, vertex by vertex and then in
     ascending order, follow :meth:`Corner.key`; pair ``(a, b)``, ``a < b``,
     is number ``first[a] + rank[b]``, ``rank`` being a dart's position
     among the sorted darts at its vertex (a pair on one edge is no corner).
-    ``table`` holds the corners built so far by number.  Memoized on ``m``.
+    ``pairs`` lists the pairs by number, and ``table`` their corners, each
+    None until :func:`_decode` builds it.  Memoized on ``m``.
     """
     return m._memo(("corner_numbers",), _number_corners, m)
 
 
-def _number_corners(m: FlagMap) -> tuple[list, list, list]:
+def _number_corners(m: FlagMap) -> tuple[list, list, list, list]:
     first = [0] * m.n_flags
     rank = [0] * m.n_flags
-    count = 0
+    pairs = []
     for vcell in cells(m, VERTEX):
         darts = sorted(rotation_at_vertex(m, vcell.id))
         for i, d in enumerate(darts):
             rank[d] = i
-            first[d] = count - i - 1
-            count += len(darts) - 1 - i
-    return first, rank, [None] * count
+            first[d] = len(pairs) - i - 1
+            pairs.extend((d, e) for e in darts[i + 1 :])
+    return first, rank, pairs, [None] * len(pairs)
+
+
+def _decode(m: FlagMap, numbers: Iterable[int]) -> list[Corner]:
+    """The corners of ``m`` with these numbers, each built on its first read."""
+    _, _, pairs, table = _corner_numbering(m)
+    out = []
+    for n in numbers:
+        corner = table[n]
+        if corner is None:
+            corner = table[n] = _build_corner(m, *pairs[n])
+        out.append(corner)
+    return out
 
 
 def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
@@ -167,11 +174,9 @@ def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
         raise InvalidCorner(f"darts {d1} and {d2} do not share a vertex")
     if edge_of[d1] == edge_of[d2]:
         raise InvalidCorner(f"darts {d1} and {d2} lie on the same edge")
-    rotation = rotation_at_vertex(m, v)
-    wedges = wedges_at_vertex(m, v)
+    _, rotation, wedges = _rotation_table(m)[v]
     q = len(rotation)
-    pos = {d: i for i, d in enumerate(rotation)}
-    p1, p2 = pos[d1], pos[d2]
+    p1, p2 = rotation.index(d1), rotation.index(d2)
     s = (p2 - p1) % q
     width = min(s, q - s)
     straight = 2 * s == q
@@ -179,14 +184,7 @@ def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
     start = p1 if 2 * s < q else p2
     interior = frozenset(wedges[(start + t) % q] for t in range(0 if straight else width))
     boundary = frozenset(wedges[i % q] for i in (p1 - 1, p1, p2 - 1, p2))
-    return Corner(
-        vertex=v,
-        darts=tuple(sorted((d1, d2))),
-        width=width,
-        straight=straight,
-        interior_wedges=interior,
-        boundary_wedges=boundary,
-    )
+    return Corner(v, tuple(sorted((d1, d2))), width, straight, interior, boundary)
 
 
 def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
@@ -195,6 +193,7 @@ def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
     Raises :class:`UnknownCell` for an id that is not a wedge of ``m``.
     """
     # a wedge cell is the r1-orbit {f, r1 f}, and its id is the smaller flag
+    _require_map(m)
     if not (
         isinstance(wedge_id, int) and 0 <= wedge_id < m.n_flags and wedge_id <= m.r1[wedge_id]
     ):
@@ -208,22 +207,30 @@ def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
     _require_map(m)
     if not (isinstance(j, int) and j >= 1):
         raise WidthOutOfRange(f"corner width must be at least 1, got {j!r}")
+    return _decode(m, _corner_flags(m, j))
+
+
+def _corner_flags(m: FlagMap, j: int) -> dict[int, int]:
+    """The number of each j-corner, in ascending order, to a flag on it from
+    which j turns (r1, r2) reach its other dart; read off the vertex
+    rotations and memoized.  :class:`WidthOutOfRange` if ``j`` exceeds half
+    the valence at a vertex."""
 
     def build():
-        out = []
-        for vcell in cells(m, VERTEX):
-            v = vcell.id
-            q = valence(m, v)
+        first, rank, _, _ = _corner_numbering(m)
+        flag_of = {}
+        for v, (flags, darts, _) in _rotation_table(m).items():
+            q = len(darts)
             if j > q // 2:
                 raise WidthOutOfRange(f"width {j} exceeds half the valence {q} at vertex {v}")
-            rotation = rotation_at_vertex(m, v)
+            # flags[i] starts darts[i], and j turns reach flags[i + j];
             # a straight corner would come twice around its vertex
             for i in range(q // 2 if 2 * j == q else q):
-                out.append(corner_from_darts(m, (rotation[i], rotation[(i + j) % q])))
-        out.sort(key=Corner.key)
-        return tuple(out)
+                a, b = darts[i], darts[(i + j) % q]
+                flag_of[first[a] + rank[b] if a < b else first[b] + rank[a]] = flags[i]
+        return dict(sorted(flag_of.items()))
 
-    return list(m._memo(("j_corners", j), build))
+    return m._memo(("corner_flags", j), build)
 
 
 def _interior_flag_on_dart(m: FlagMap, c: Corner, dart: int) -> int:
@@ -279,9 +286,14 @@ def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
     """Whether the corners cover every dart of ``m`` exactly once;
     :class:`InvalidCorner` for an item that is no :class:`Corner`."""
     _require_map(m)
+    return _dart_cover(m, (c.darts for c in _corner_items(corners)))
+
+
+def _dart_cover(m: FlagMap, pairs: Iterable[tuple]) -> CoverReport:
+    """:func:`is_corneration` of the corners on these dart pairs."""
     count = {c.id: 0 for c in cells(m, DART)}
-    for corner in _corner_items(corners):
-        for d in corner.darts:
+    for darts in pairs:
+        for d in darts:
             if d not in count:
                 return CoverReport(False, d, "not a dart of the map")
             count[d] += 1
@@ -293,9 +305,10 @@ def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
     return CoverReport(True, None, None)
 
 
-def _require_cover(m: FlagMap, corners, error=CornerationMismatch, what="not a corneration"):
-    """Raise ``error`` unless the corners cover every dart of ``m`` exactly once."""
-    report = is_corneration(m, corners)
+def _require_cover(L: "Corneration", error=CornerationMismatch, what="not a corneration"):
+    """Raise ``error`` unless the corners of ``L`` cover every dart of its map
+    exactly once, read off their numbers."""
+    report = _dart_cover(L.map, L._dart_pairs())
     if not report.ok:
         raise error(f"{what}: {report.reason} at dart {report.witness}")
 
@@ -313,29 +326,22 @@ def _corner_items(corners: Iterable[Corner]):
         yield c
 
 
-def _own_corners(m: FlagMap, corners: Iterable[Corner]) -> list[Corner]:
-    """The corner of ``m`` equal to each of ``corners``; :class:`InvalidCorner`
-    or :class:`UnknownCell` for one that is not a corner of ``m``, and
-    :class:`InvalidCorner` as :func:`_corner_items` raises it."""
-    first, rank, table = _corner_numbering(m)
+def _corner_numbers(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
+    """The number (:func:`_corner_numbering`) of each of ``corners`` in ``m``;
+    :class:`InvalidCorner` or :class:`UnknownCell` for one that is not a
+    corner of ``m``, and :class:`InvalidCorner` as :func:`_corner_items` raises it."""
+    first, rank, _, table = _corner_numbering(m)
     out = []
     for c in _corner_items(corners):
         try:  # a number is only meaningful for two darts at one vertex
-            own = table[first[c.darts[0]] + rank[c.darts[1]]]
+            n = first[c.darts[0]] + rank[c.darts[1]]
+            own = table[n] is c
         except (IndexError, TypeError):
-            own = None
-        if own is not c:
-            own = corner_from_darts(m, c.darts)
-            if own != c:
-                raise InvalidCorner(f"{c} is not a corner of the map")
-        out.append(own)
+            own = False
+        if not own and corner_from_darts(m, c.darts) != c:  # else n is the number of c
+            raise InvalidCorner(f"{c} is not a corner of the map")
+        out.append(n)
     return out
-
-
-def _pair_numbers(m: FlagMap, pairs: Iterable[tuple]) -> list[int]:
-    """The number (:func:`_corner_numbering`) of each sorted dart pair."""
-    first, rank, _ = _corner_numbering(m)
-    return [first[a] + rank[b] for a, b in pairs]
 
 
 def _mask_of(m: FlagMap, numbers: Iterable[int]) -> int:
@@ -354,7 +360,7 @@ class Corneration:
     (:func:`_corner_numbering`), so the first corner in key order holds the
     highest bit.  All cornerations of a map have #darts/2 corners, so of
     two of them the larger int has the smaller :meth:`key`.  :attr:`corners`,
-    a frozenset of the map's own corners, is decoded on first read.
+    a frozenset of the map's own corners, is decoded (:func:`_decode`) on first read.
     ``Corneration(m, corners)`` raises :class:`CornerationMismatch` for an
     item that is not a corner of ``m``.
     """
@@ -363,10 +369,10 @@ class Corneration:
 
     def __init__(self, map: FlagMap, corners: Iterable[Corner]):
         try:
-            own = set(_own_corners(map, corners))
+            numbers = set(_corner_numbers(map, corners))
         except (AttributeError, InvalidCorner, UnknownCell) as exc:
             raise CornerationMismatch(f"not a corner of the map: {exc.args[0]}") from None
-        self.map, self._mask = map, _mask_of(map, _pair_numbers(map, (c.darts for c in own)))
+        self.map, self._mask = map, _mask_of(map, numbers)
         self._corners = self._by_dart = None
 
     @classmethod
@@ -375,7 +381,7 @@ class Corneration:
 
     @classmethod
     def _of_mask(cls, m: FlagMap, mask: int) -> "Corneration":
-        """The corneration of ``m``'s built corners whose bits are ``mask``."""
+        """The corneration of ``m`` whose bits are ``mask``."""
         L = cls.__new__(cls)
         L.map, L._mask = m, mask
         L._corners = L._by_dart = None
@@ -404,8 +410,17 @@ class Corneration:
         # byte i, of the n-digit binary form, is bit n-1-i: 1 for corner number i
         return format(self._mask, f"0{n}b").encode().translate(_BINARY_DIGITS)
 
+    def _numbers(self) -> Iterable[int]:
+        """The numbers of the corners, ascending."""
+        return itertools.compress(itertools.count(), self._digits())
+
+    def _dart_pairs(self) -> list[tuple[int, int]]:
+        """The dart pairs of the corners in key order, building no corner."""
+        pairs = _corner_numbering(self.map)[2]
+        return [pairs[n] for n in self._numbers()]
+
     def sorted_corners(self) -> list[Corner]:
-        return list(itertools.compress(_corner_numbering(self.map)[2], self._digits()))
+        return _decode(self.map, self._numbers())
 
     def key(self) -> tuple:
         return tuple(c.key() for c in self.sorted_corners())
@@ -465,7 +480,7 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     """
     _require_corneration(L)
     m = L.map
-    _require_cover(m, L.corners)
+    _require_cover(L)
     edge_of = m.cell_index(EDGE)
     darts = [c.id for c in cells(m, DART)]
 
@@ -541,7 +556,7 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
     if covered != {c.id for c in cells(m, EDGE)}:
         raise InvalidCircuits("circuits do not cover every edge")
     L = Corneration.from_corners(m, corners)
-    _require_cover(m, L.corners, InternalInvariantError, "circuit corners")
+    _require_cover(L, InternalInvariantError, "circuit corners")
     return L
 
 
@@ -562,10 +577,9 @@ def j_complement(L: Corneration) -> Corneration:
         raise StraightHasNoComplement("straight cornerations have no width complement")
     # every corner of L is a j-corner, so the complement flips L's bits
     m = L.map
-    every = _pair_numbers(m, (c.darts for c in all_j_corners(m, j)))
-    K = Corneration._of_mask(m, _mask_of(m, every) ^ L._mask)
-    if not is_corneration(m, K.corners).ok:
-        _require_cover(m, L.corners)
+    K = Corneration._of_mask(m, _mask_of(m, _corner_flags(m, j)) ^ L._mask)
+    if not _dart_cover(m, K._dart_pairs()).ok:
+        _require_cover(L)
         raise InternalInvariantError("width complement failed to cover darts")
     return K
 
@@ -723,25 +737,18 @@ def _pair_action(G: SymGroup) -> tuple[list, ...]:
     """Per generator g of ``G``, a list from each pair number of :func:`_corner_numbering`
     to the number of its image: pair ``(a, b)`` goes to the darts of ``g[a]`` and ``g[b]``.
     The only group action on corners.  Memoized on the group, and each list on the
-    map by the generator's image of flag 0; the pair list (:func:`_corner_pairs`) once per map."""
+    map by the generator's image of flag 0."""
     if "pair_action" not in G._cache:
         m = G.map
-        first, rank, _ = _corner_numbering(m)
+        first, rank, pairs, _ = _corner_numbering(m)
         dart_of = m.cell_index(DART)
         tables = m._memo(("pair_action",), dict)
         todo = [g for g in G.generators if g[0] not in tables]
-        pairs = todo and m._memo(("corner_pairs",), _corner_pairs, m)
         for g in todo:
             moved = ((dart_of[g[a]], dart_of[g[b]]) for a, b in pairs)
             tables[g[0]] = [first[x] + rank[y] if x < y else first[y] + rank[x] for x, y in moved]
         G._cache["pair_action"] = tuple(tables[g[0]] for g in G.generators)
     return G._cache["pair_action"]
-
-
-def _corner_pairs(m: FlagMap) -> list[tuple[int, int]]:
-    """The dart pairs of :func:`_corner_numbering` in number order."""
-    rotations = (sorted(rotation_at_vertex(m, v.id)) for v in cells(m, VERTEX))
-    return [p for darts in rotations for p in itertools.combinations(darts, 2)]
 
 
 def _require_width(m: FlagMap, j) -> int:
@@ -817,26 +824,6 @@ def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, 
     masks.sort(reverse=True)
     one_row = {row_masks[s[0]] for s in covers[0] if len(s) == 1} if len(covers) == 1 else set()
     return masks, one_row, len(dart_orbits)
-
-
-def _corner_flags(m: FlagMap, j: int) -> dict[int, int]:
-    """Corner number to a flag on each j-corner's first dart from which j
-    turns (r1, r2) reach its other dart; memoized.  Builds the corners,
-    which masks decode to."""
-
-    def build():
-        first, rank, _ = _corner_numbering(m)
-        dart_of = m.cell_index(DART)
-        flag_of = {}
-        for c in all_j_corners(m, j):
-            a, b = c.darts
-            f = a
-            for _ in range(j):
-                f = m.r2[m.r1[f]]
-            flag_of[first[a] + rank[b]] = a if dart_of[f] == b else m.r2[a]
-        return flag_of
-
-    return m._memo(("corner_flags", j), build)
 
 
 def _block_covers(row_cols: Sequence[int], n_cols: int) -> list[list[tuple[int, ...]]]:
@@ -964,7 +951,7 @@ def corner_orbits(G: SymGroup, corners: Iterable[Corner]) -> list[list[Corner]]:
     _require_group(G)
     pool = sorted({c.darts: c for c in _corner_items(corners)}.values(), key=Corner.key)
     try:
-        numbers = _pair_numbers(G.map, (c.darts for c in _own_corners(G.map, pool)))
+        numbers = _corner_numbers(G.map, pool)
     except (InvalidCorner, UnknownCell):
         raise GroupDoesNotPreserveCorneration("a corner is not one of the group's map") from None
     return [[pool[i] for i in orbit] for orbit in orbits(len(pool), _corner_perms(G, numbers))]
@@ -1002,7 +989,7 @@ def _orbit_and_stabilizer(A: SymGroup, L: Corneration) -> tuple[list[int], SymGr
     _require_corneration(L)
     _require_group(A, L.map)
     gens = list(zip(A.generators, _pair_action(A)))
-    start = frozenset(itertools.compress(itertools.count(), L._digits()))
+    start = frozenset(L._numbers())
     transversal = {start: 0}  # number set -> image of an element sending L to it
     orbit = [start]
     schreier = set()
@@ -1030,7 +1017,7 @@ def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
     _require_corneration(L)
     if L.map is not G.map and L.map != G.map:  # its numbers are another map's
         raise GroupDoesNotPreserveCorneration("the corneration belongs to a different map")
-    numbers = list(itertools.compress(itertools.count(), L._digits()))
+    numbers = list(L._numbers())
     return len(orbits(len(numbers), _corner_perms(G, numbers))) == 1
 
 
@@ -1124,7 +1111,7 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
     out = []
     for flag_value in (True, False):
         L = Corneration.from_corners(m, piles[flag_value])
-        _require_cover(m, L.corners, InternalInvariantError, "color class")
+        _require_cover(L, InternalInvariantError, "color class")
         out.append(L)
     return tuple(out)
 
@@ -1148,7 +1135,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
         if target.r1 != m.r1 or target.r2 != m.r2:
             raise CornerationMismatch("target map does not share darts with the corneration")
         moved = Corneration.from_corners(target, L.corners)
-        _require_cover(target, moved.corners, InternalInvariantError, "petrie transfer")
+        _require_cover(moved, InternalInvariantError, "petrie transfer")
         return moved
 
     result = target
@@ -1181,6 +1168,6 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     out = []
     for ci, component in enumerate(result.maps):
         moved = Corneration.from_corners(component, piles[ci])
-        _require_cover(component, moved.corners, InternalInvariantError, "hole transfer")
+        _require_cover(moved, InternalInvariantError, "hole transfer")
         out.append(moved)
     return out

@@ -142,7 +142,7 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
         except ValueError as exc:
             raise CornerationMismatch(str(exc)) from exc
     L = Corneration.from_corners(m, corners)
-    _require_cover(m, L.corners)
+    _require_cover(L)
     if declared != "mixed":
         try:
             j = int(declared)

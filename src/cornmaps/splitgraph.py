@@ -18,12 +18,12 @@ from .core import DART, EDGE, VERTEX, FlagMap, cells, orbits, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
+    _corner_flags,
+    _corner_numbering,
+    _corner_numbers,
     _corner_perms,
-    _own_corners,
     _pair_action,
-    _pair_numbers,
     _require_corneration,
-    all_j_corners,
     corner_from_darts,
     j_complement,
 )
@@ -76,7 +76,7 @@ class SplitGraph:
         corners, found, _ = _pass(L, k_darts)
         S = cls.__new__(cls)
         S.map, S.base, S._k, S._edges, S._pairs = L.map, L, k_darts, None, list(found)
-        S.vertices = tuple(map(_key_of(L.map), (c.darts for c in corners)))
+        S.vertices = tuple(map(_key_of(L.map), corners))
         return S
 
     @property
@@ -145,18 +145,17 @@ def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
 
 
 def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] = None) -> tuple:
-    """The split graph of ``L`` and K (sorted dart pairs) as the corners of ``L``
-    in key order (indices are positions), ``{(larger, smaller) position pair:
-    None}`` with old edges first, and the edges of the least-key corner that
-    form no old edge.  Fills ``provenance``, if given, in the same order with
+    """The split graph of ``L`` and K (sorted dart pairs) as the dart pairs of
+    ``L``'s corners in key order (indices are positions), ``{(larger, smaller)
+    position pair: None}`` with old edges first, and the edges of the least-key
+    corner that form no old edge.  Fills ``provenance``, if given, in the same order with
     ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
     m = L.map
-    corners = L.sorted_corners()
+    corners = L._dart_pairs()
     edge_of, dart_of = m.cell_index(EDGE), m.cell_index(DART)
     slot = {}  # dart -> position of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
-    for i, c in enumerate(corners):
-        a, b = c.darts
+    for i, (a, b) in enumerate(corners):
         slot[a] = slot[b] = i
         far[a] = edge_of[b]
         far[b] = edge_of[a]
@@ -190,13 +189,13 @@ def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] =
 
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     """The split graph of ``L`` and a disjoint corner set ``K``, from one
-    :func:`_pass`.  Unlike the constructions, looks each K-corner up in the map's
-    corner table (:class:`UnknownCell` or :class:`InvalidCorner` for one of another
-    map or a ``K`` that is no iterable); :class:`CornerationMismatch` if ``L``
-    leaves a dart uncovered."""
+    :func:`_pass`.  Unlike the constructions, looks each K-corner's number up
+    (:class:`UnknownCell` or :class:`InvalidCorner` for one of another map or a
+    ``K`` that is no iterable); :class:`CornerationMismatch` if ``L`` leaves a
+    dart uncovered."""
     _require_corneration(L)
-    k_darts = [c.darts for c in _own_corners(L.map, K)]
-    return SplitGraph._of_pass(L, k_darts)
+    pairs = _corner_numbering(L.map)[2]
+    return SplitGraph._of_pass(L, [pairs[n] for n in _corner_numbers(L.map, K)])
 
 
 def _uniform_width(L: Corneration) -> tuple[int, int]:
@@ -214,7 +213,8 @@ def _k_darts(L: Corneration, kind: str) -> list[tuple[int, int]]:
         return [c.darts for c in j_complement(L).corners]
     m = L.map
     if kind == "B":
-        return [c.darts for c in all_j_corners(m, 1)]
+        pairs = _corner_numbering(m)[2]
+        return [pairs[n] for n in _corner_flags(m, 1)]
     wedges = set()
     for c in L.corners:
         wedges.update(c.interior_boundary_wedges if kind == "Ci" else c.exterior_boundary_wedges)
@@ -280,10 +280,10 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     """
     _require_split_graph(S)
     _require_group(G, S.map)
-    perms = _corner_perms(G, _pair_numbers(S.map, (darts for _, darts in S.vertices)))
+    perms = _corner_perms(G, list(S.base._numbers()))  # the vertices are the base's corners
     if len(orbits(S.n_vertices, perms)) != 1:
         raise NotTransitive("the group is not transitive on the corneration")
-    k_numbers = set(_pair_numbers(S.map, (c.darts for c in _own_corners(S.map, K))))
+    k_numbers = set(_corner_numbers(S.map, K))
     edge_set = set(S._pairs)
     for table, perm in zip(_pair_action(G), perms):
         if not k_numbers.issuperset(map(table.__getitem__, k_numbers)):

@@ -119,8 +119,11 @@ class SymGroup:
 
     def subgroup_from_images(self, images: Iterable[int]) -> "SymGroup":
         """The subgroup with these images; :class:`GroupNotSubgroup` for an
-        image outside the group."""
-        images = tuple(sorted(set(images)))
+        image outside the group or ``images`` that are no set of flag ids."""
+        try:
+            images = tuple(sorted(set(images)))
+        except TypeError:
+            raise GroupNotSubgroup(f"not a set of images of flag 0: {images!r}") from None
         if not self._image_set().issuperset(images):
             raise GroupNotSubgroup("an image of flag 0 lies outside the group")
         return SymGroup._of_symmetries(self.map, images)

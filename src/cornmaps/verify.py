@@ -653,10 +653,18 @@ def claim_face_configurations(ctx: SuiteContext):
     return instances, failures, ""
 
 
+# (construction, valence, width) of the cubic split graphs the claim must meet
+CUBIC_WITNESSES = {
+    ("Ci", 8, 2): "Ci_cubic_j2",
+    ("Cx", 8, 3): "Cx_cubic_j3",
+    ("B", 4, 2): "B_cubic_straight4",
+}
+
+
 def claim_split_graphs(ctx: SuiteContext):
     failures = []
     instances = 0
-    witnessed = {"Ci_cubic_j2": False, "Cx_cubic_j3": False, "B_cubic_straight4": False}
+    witnessed = dict.fromkeys(CUBIC_WITNESSES.values(), False)
     for (name, j), records in ctx.sweep_all().items():
         m = ctx.maps[name]
         q = uniform_valence(m)
@@ -667,24 +675,16 @@ def claim_split_graphs(ctx: SuiteContext):
             L = r.corneration
             label = f"{name} width {j} #{idx}"
             instances += 1
-            report = sg.cubic_filter(m, L)
-            if not report.all_match():
-                failures.append(
-                    f"{label}: measured valences "
-                    f"{[(e.construction, e.measured_valence, e.predicted_valence) for e in report.entries]}"
-                )
-            for entry in report.entries:
-                if entry.construction == "Ci" and q == 8 and j == 2 and entry.cubic:
-                    witnessed["Ci_cubic_j2"] = True
-                if entry.construction == "Cx" and q == 8 and j == 3 and entry.cubic:
-                    witnessed["Cx_cubic_j3"] = True
-                if entry.construction == "B" and q == 4 and 2 * j == q and entry.cubic:
-                    witnessed["B_cubic_straight4"] = True
-            full_old_degree = sg.old_degree_deficit(L) == 0
-            for kind in ("A", "B", "Ci", "Cx"):
-                if kind not in lc_pred:
-                    continue
-                S = sg.build_construction(L, kind)
+            deficit = sg.old_degree_deficit(L)
+            predicted = sg.predicted_valences(q, j, deficit)  # the kinds of lc_pred, in order
+            graphs = {kind: sg.build_construction(L, kind) for kind in predicted}
+            valences = [(kind, S.regular_valence(), predicted[kind]) for kind, S in graphs.items()]
+            if any(measured != expected for _, measured, expected in valences):
+                failures.append(f"{label}: measured valences {valences}")
+            for kind, measured, _ in valences:
+                if measured == 3 and (kind, q, j) in CUBIC_WITNESSES:
+                    witnessed[CUBIC_WITNESSES[kind, q, j]] = True
+            for kind, S in graphs.items():
                 measured_lc, witness = sg.is_locally_connected(S)
                 if measured_lc != lc_pred[kind]:
                     failures.append(
@@ -694,7 +694,7 @@ def claim_split_graphs(ctx: SuiteContext):
                 # local connectivity implies connectivity through the old
                 # edges; with a full parallel-edge deficit none exist and
                 # the implication is void
-                if measured_lc and full_old_degree and not S.is_connected():
+                if measured_lc and deficit == 0 and not S.is_connected():
                     failures.append(f"{label} {kind}: locally connected but disconnected")
                 K = sg.new_corners(L, kind)
                 try:

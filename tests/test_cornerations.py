@@ -20,6 +20,7 @@ from cornmaps.core import (
     face_boundary_edges,
     face_length,
     order_mod,
+    other_dart,
     rotation_at_vertex,
     uniform_valence,
     valence,
@@ -109,6 +110,13 @@ WRONG_VERTEX_OR_WIDTH_CALLS = {
     "face_length": (UnknownCell, lambda m, L: face_length(m, [1])),
     "corner_of_dart": (UnknownCell, lambda m, L: L.corner_of_dart([1])),
     "all_j_corners": (WidthOutOfRange, lambda m, L: corn.all_j_corners(m, "x")),
+    "other_dart of a list": (UnknownCell, lambda m, L: other_dart(m, [1])),
+    "other_dart beyond the flags": (UnknownCell, lambda m, L: other_dart(m, 10**6)),
+    "other_dart of a negative id": (UnknownCell, lambda m, L: other_dart(m, -1)),
+    "subgroup_from_images of None": (
+        GroupNotSubgroup,
+        lambda m, L: automorphism_group(m).subgroup_from_images(None),
+    ),
     "symmetric_cornerations_from_coloring": (
         WidthOutOfRange,
         lambda m, L: corn.symmetric_cornerations_from_coloring(m, "x"),
@@ -226,6 +234,20 @@ def test_each_corner_is_built_once_per_map():
     # another map with the same darts keeps its own corners
     other = build_torus_grid(4, 4)
     assert corn.corner_from_darts(other, (a, b)) is not first
+
+
+def test_the_sweep_builds_no_corner_it_does_not_decode(monkeypatch):
+    """A record's corners are built when it is decoded, not by the sweep."""
+    built = []
+    real = corn._build_corner
+    monkeypatch.setattr(corn, "_build_corner", lambda m, *darts: built.append(darts) or real(m, *darts))
+    m = build_torus_grid(12, 12)
+    records = corn.enumerate_transitive_cornerations(m, 1)
+    assert len(records) > 1 and built == []
+    L = records[len(records) // 2].corneration
+    corners = L.sorted_corners()
+    assert sorted(built) == [c.darts for c in corners] and len(built) == len(L) == 288
+    assert L.sorted_corners() == corners and len(built) == len(L)
 
 
 # -- alignment ---------------------------------------------------------------

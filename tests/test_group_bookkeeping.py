@@ -368,7 +368,7 @@ def oracle_invariant_keys(m, H, j):
     if uniform_valence(m) % 2:
         return []
     corners = all_j_corners(m, j)
-    numbers = cornerations._pair_numbers(m, (c.darts for c in corners))
+    numbers = cornerations._corner_numbers(m, corners)
     corner_orbit_list = orbits(len(corners), cornerations._corner_perms(H, numbers))
     dart_orbits = oracle_orbits_on(H, DART)
     col_of = {d: col for col, orbit in enumerate(dart_orbits) for d in orbit}
@@ -781,13 +781,14 @@ def test_stabilizer_of_a_partial_corner_set():
 
 
 def pairs_in_number_order(m):
-    first, rank, table = cornerations._corner_numbering(m)
+    first, rank, own, table = cornerations._corner_numbering(m)
     pairs = [None] * len(table)
     for v in cells(m, VERTEX):
         darts = sorted(_rotation_table(m)[v.id][1])
         for i, a in enumerate(darts):
             for b in darts[i + 1 :]:
                 pairs[first[a] + rank[b]] = (a, b)
+    assert own == pairs
     return pairs
 
 
@@ -814,10 +815,10 @@ def test_stabilizers_of_every_mixed_corneration_match_the_element_filter(m):
 def test_stabilizers_move_corner_numbers_through_one_table_per_generator(monkeypatch):
     """Stabilizers and sweeps keep, on the map, one pair table per distinct
     generator image, each a permutation of the pair numbers, and no table
-    of dart images; the map's pair list is built once."""
+    of dart images; the map's corner numbering is built once."""
     built = []
-    real_pairs = cornerations._corner_pairs
-    monkeypatch.setattr(cornerations, "_corner_pairs", lambda m: built.append(m) or real_pairs(m))
+    real_numbering = cornerations._number_corners
+    monkeypatch.setattr(cornerations, "_number_corners", lambda m: built.append(m) or real_numbering(m))
 
     def tables_of(m, groups):
         tables = m._cache[("pair_action",)]

@@ -166,7 +166,7 @@ def test_vertex_transitive_rejects_bad_k(opp44):
     r = transitive_record(opp44, 3)
     L = r.corneration
     S = sg.graph_Cx(L)
-    lone = sg.all_j_corners(opp44, 1)[:1]
+    lone = corn.all_j_corners(opp44, 1)[:1]
     with pytest.raises(KNotInvariant):
         sg.verify_vertex_transitive(S, r.aut, lone)
 
@@ -679,9 +679,9 @@ def test_constructions_build_no_graph_or_corner_they_do_not_return(monkeypatch):
     assert records
     calls = {}
     watched = {
-        sg: ("EdgeProvenance", "_own_corners"),
+        sg: ("EdgeProvenance", "_corner_numbers"),
         sg.SplitGraph: ("_of_pass",),
-        corn: ("_own_corners", "corner_of_wedge"),
+        corn: ("_corner_numbers", "corner_of_wedge"),
     }
     for owner, names in watched.items():
         for name in names:
@@ -702,4 +702,4 @@ def test_constructions_build_no_graph_or_corner_they_do_not_return(monkeypatch):
     # the counters see the lookup of a corner set handed in
     L = records[0].corneration
     sg.split(L, sg.new_corners(L, "Ci"))
-    assert calls["cornmaps.splitgraph._own_corners"] == 1
+    assert calls["cornmaps.splitgraph._corner_numbers"] == 1

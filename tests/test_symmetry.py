@@ -9,9 +9,14 @@ from cornmaps.core import (
     compose,
     euler_and_genus,
     face_bipartition,
+    face_boundary_edges,
+    face_boundary_wedges,
+    face_length,
+    other_dart,
     skeleton,
     uniform_valence,
     validate,
+    valence,
     vertex_bipartition,
 )
 from cornmaps.errors import (
@@ -282,7 +287,7 @@ def test_group_arguments_must_be_symmetry_groups(group_taker_args, name, bad):
 
 # public functions taking a map, from the group layer, ``core`` and
 # ``cornerations``, called with ``m`` in the map's place; ``L`` is as above
-# and ``G`` its stabilizer
+# and ``G`` its stabilizer, and 0 is the id of a cell of every kind
 MAP_TAKERS = {
     "SymGroup": lambda m, L, G: SymGroup(m, group_elements(G)),
     "automorphism_group": lambda m, L, G: automorphism_group(m),
@@ -301,6 +306,12 @@ MAP_TAKERS = {
     "face_bipartition": lambda m, L, G: face_bipartition(m),
     "vertex_bipartition": lambda m, L, G: vertex_bipartition(m),
     "uniform_valence": lambda m, L, G: uniform_valence(m),
+    "valence": lambda m, L, G: valence(m, 0),
+    "face_length": lambda m, L, G: face_length(m, 0),
+    "face_boundary_wedges": lambda m, L, G: face_boundary_wedges(m, 0),
+    "face_boundary_edges": lambda m, L, G: face_boundary_edges(m, 0),
+    "other_dart": lambda m, L, G: other_dart(m, 0),
+    "corner_of_wedge": lambda m, L, G: corn.corner_of_wedge(m, 0),
     "is_corneration": lambda m, L, G: corn.is_corneration(m, L.corners),
     "corneration_of": lambda m, L, G: corn.corneration_of(m, corn.circuits_of(L)),
     "all_j_corners": lambda m, L, G: corn.all_j_corners(m, 1),
