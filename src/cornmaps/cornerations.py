@@ -114,22 +114,22 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
         bad = d2 if isinstance(d1, int) else d1
         raise UnknownCell(f"no dart cell with id {bad!r}")
     a, b = (d1, d2) if d1 < d2 else (d2, d1)
-    first, rank, pairs, table = _corner_numbering(m)
+    first, rank, keys, table = _corner_numbering(m)
     n = first[a] + rank[b] if 0 <= a and b < m.n_flags else -1
-    if not (0 <= n < len(pairs) and pairs[n] == (a, b)):  # a number is one pair's
+    if not (0 <= n < len(keys) and keys[n][1] == (a, b)):  # a number is one pair's
         _build_corner(m, d1, d2)  # raises: the darts span no corner
     return table[n] or _decode(m, (n,))[0]
 
 
 def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list]:
-    """``(first, rank, pairs, table)``: the corners of ``m`` numbered in key order.
+    """``(first, rank, keys, table)``: the corners of ``m`` numbered in key order.
 
     The pairs of distinct darts at a vertex, vertex by vertex and then in
     ascending order, follow :meth:`Corner.key`; pair ``(a, b)``, ``a < b``,
     is number ``first[a] + rank[b]``, ``rank`` being a dart's position
     among the sorted darts at its vertex (a pair on one edge is no corner).
-    ``pairs`` lists the pairs by number, and ``table`` their corners, each
-    None until :func:`_decode` builds it.  Memoized on ``m``.
+    ``keys`` lists the keys ``(vertex, (a, b))`` by number, and ``table``
+    their corners, each None until :func:`_decode` builds it.  Memoized on ``m``.
     """
     return m._memo(("corner_numbers",), _number_corners, m)
 
@@ -137,24 +137,24 @@ def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list]:
 def _number_corners(m: FlagMap) -> tuple[list, list, list, list]:
     first = [0] * m.n_flags
     rank = [0] * m.n_flags
-    pairs = []
-    for vcell in cells(m, VERTEX):
-        darts = sorted(rotation_at_vertex(m, vcell.id))
+    keys = []
+    for v, (_, rotation, _) in _rotation_table(m).items():
+        darts = sorted(rotation)
         for i, d in enumerate(darts):
             rank[d] = i
-            first[d] = len(pairs) - i - 1
-            pairs.extend((d, e) for e in darts[i + 1 :])
-    return first, rank, pairs, [None] * len(pairs)
+            first[d] = len(keys) - i - 1
+            keys.extend((v, (d, e)) for e in darts[i + 1 :])
+    return first, rank, keys, [None] * len(keys)
 
 
 def _decode(m: FlagMap, numbers: Iterable[int]) -> list[Corner]:
     """The corners of ``m`` with these numbers, each built on its first read."""
-    _, _, pairs, table = _corner_numbering(m)
+    _, _, keys, table = _corner_numbering(m)
     out = []
     for n in numbers:
         corner = table[n]
         if corner is None:
-            corner = table[n] = _build_corner(m, *pairs[n])
+            corner = table[n] = _build_corner(m, *keys[n][1])
         out.append(corner)
     return out
 
@@ -184,7 +184,14 @@ def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
     start = p1 if 2 * s < q else p2
     interior = frozenset(wedges[(start + t) % q] for t in range(0 if straight else width))
     boundary = frozenset(wedges[i % q] for i in (p1 - 1, p1, p2 - 1, p2))
-    return Corner(v, tuple(sorted((d1, d2))), width, straight, interior, boundary)
+    return Corner(
+        vertex=v,
+        darts=tuple(sorted((d1, d2))),
+        width=width,
+        straight=straight,
+        interior_wedges=interior,
+        boundary_wedges=boundary,
+    )
 
 
 def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
@@ -286,13 +293,13 @@ def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
     """Whether the corners cover every dart of ``m`` exactly once;
     :class:`InvalidCorner` for an item that is no :class:`Corner`."""
     _require_map(m)
-    return _dart_cover(m, (c.darts for c in _corner_items(corners)))
+    return _dart_cover(m, (c.key() for c in _corner_items(corners)))
 
 
-def _dart_cover(m: FlagMap, pairs: Iterable[tuple]) -> CoverReport:
-    """:func:`is_corneration` of the corners on these dart pairs."""
+def _dart_cover(m: FlagMap, keys: Iterable[tuple]) -> CoverReport:
+    """:func:`is_corneration` of the corners with these keys."""
     count = {c.id: 0 for c in cells(m, DART)}
-    for darts in pairs:
+    for _, darts in keys:
         for d in darts:
             if d not in count:
                 return CoverReport(False, d, "not a dart of the map")
@@ -307,8 +314,8 @@ def _dart_cover(m: FlagMap, pairs: Iterable[tuple]) -> CoverReport:
 
 def _require_cover(L: "Corneration", error=CornerationMismatch, what="not a corneration"):
     """Raise ``error`` unless the corners of ``L`` cover every dart of its map
-    exactly once, read off their numbers."""
-    report = _dart_cover(L.map, L._dart_pairs())
+    exactly once, read off their keys without building a corner."""
+    report = _dart_cover(L.map, L._keys())
     if not report.ok:
         raise error(f"{what}: {report.reason} at dart {report.witness}")
 
@@ -330,15 +337,16 @@ def _corner_numbers(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
     """The number (:func:`_corner_numbering`) of each of ``corners`` in ``m``;
     :class:`InvalidCorner` or :class:`UnknownCell` for one that is not a
     corner of ``m``, and :class:`InvalidCorner` as :func:`_corner_items` raises it."""
-    first, rank, _, table = _corner_numbering(m)
+    first, rank, keys, _ = _corner_numbering(m)
     out = []
     for c in _corner_items(corners):
-        try:  # a number is only meaningful for two darts at one vertex
+        try:  # a number is only one key's, that of two darts at one vertex
             n = first[c.darts[0]] + rank[c.darts[1]]
-            own = table[n] is c
+            own = keys[n] == (c.vertex, c.darts)
         except (IndexError, TypeError):
             own = False
-        if not own and corner_from_darts(m, c.darts) != c:  # else n is the number of c
+        if not own:
+            corner_from_darts(m, c.darts)  # raises for darts that span no corner
             raise InvalidCorner(f"{c} is not a corner of the map")
         out.append(n)
     return out
@@ -414,10 +422,10 @@ class Corneration:
         """The numbers of the corners, ascending."""
         return itertools.compress(itertools.count(), self._digits())
 
-    def _dart_pairs(self) -> list[tuple[int, int]]:
-        """The dart pairs of the corners in key order, building no corner."""
-        pairs = _corner_numbering(self.map)[2]
-        return [pairs[n] for n in self._numbers()]
+    def _keys(self) -> list[tuple]:
+        """The keys of the corners, in order, building no corner."""
+        keys = _corner_numbering(self.map)[2]
+        return [keys[n] for n in self._numbers()]
 
     def sorted_corners(self) -> list[Corner]:
         return _decode(self.map, self._numbers())
@@ -578,7 +586,7 @@ def j_complement(L: Corneration) -> Corneration:
     # every corner of L is a j-corner, so the complement flips L's bits
     m = L.map
     K = Corneration._of_mask(m, _mask_of(m, _corner_flags(m, j)) ^ L._mask)
-    if not _dart_cover(m, K._dart_pairs()).ok:
+    if not _dart_cover(m, K._keys()).ok:
         _require_cover(L)
         raise InternalInvariantError("width complement failed to cover darts")
     return K
@@ -740,12 +748,12 @@ def _pair_action(G: SymGroup) -> tuple[list, ...]:
     map by the generator's image of flag 0."""
     if "pair_action" not in G._cache:
         m = G.map
-        first, rank, pairs, _ = _corner_numbering(m)
+        first, rank, keys, _ = _corner_numbering(m)
         dart_of = m.cell_index(DART)
         tables = m._memo(("pair_action",), dict)
         todo = [g for g in G.generators if g[0] not in tables]
         for g in todo:
-            moved = ((dart_of[g[a]], dart_of[g[b]]) for a, b in pairs)
+            moved = ((dart_of[g[a]], dart_of[g[b]]) for _, (a, b) in keys)
             tables[g[0]] = [first[x] + rank[y] if x < y else first[y] + rank[x] for x, y in moved]
         G._cache["pair_action"] = tuple(tables[g[0]] for g in G.generators)
     return G._cache["pair_action"]

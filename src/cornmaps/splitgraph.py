@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DART, EDGE, VERTEX, FlagMap, cells, orbits, uniform_valence
+from .core import DART, EDGE, FlagMap, cells, orbits, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
@@ -73,20 +73,23 @@ class SplitGraph:
     @classmethod
     def _of_pass(cls, L: Corneration, k_darts: list) -> "SplitGraph":
         """The graph of ``L`` and K from one :func:`_pass`, keeping only its position pairs."""
-        corners, found, _ = _pass(L, k_darts)
+        vertices, found, _ = _pass(L, k_darts)
         S = cls.__new__(cls)
         S.map, S.base, S._k, S._edges, S._pairs = L.map, L, k_darts, None, list(found)
-        S.vertices = tuple(map(_key_of(L.map), corners))
+        S.vertices = tuple(vertices)
         return S
 
     @property
     def edges(self) -> dict:
         if self._edges is None:
-            key, vertices, provenance = _key_of(self.map), self.vertices, {}
+            first, rank, keys, _ = _corner_numbering(self.map)
+            vertices, provenance = self.vertices, {}
             _pass(self.base, self._k, provenance)
             # each frozenset is built in its pair's first-met order, as its iteration can follow it
             self._edges = {
-                frozenset((vertices[a], vertices[b])): EdgeProvenance(tuple(old), tuple(map(key, new)))
+                frozenset((vertices[a], vertices[b])): EdgeProvenance(
+                    tuple(old), tuple(keys[first[x] + rank[y]] for x, y in new)
+                )
                 for (a, b), old, new in provenance.values()
             }
         return self._edges
@@ -120,12 +123,6 @@ def _require_split_graph(S) -> None:
         raise InvalidSplitGraph(f"not a split graph: {S!r}")
 
 
-def _key_of(m: FlagMap):
-    """The corner key of a sorted dart pair, each built once and shared by every graph of ``m``."""
-    keys, vertex_of = m._memo(("corner_keys",), dict), m.cell_index(VERTEX)
-    return lambda darts: keys.get(darts) or keys.setdefault(darts, (vertex_of[darts[0]], darts))
-
-
 def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
     """The runs of positions, in order, that induce a disconnected subgraph."""
     adj = [[] for _ in S.vertices]
@@ -145,17 +142,17 @@ def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
 
 
 def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] = None) -> tuple:
-    """The split graph of ``L`` and K (sorted dart pairs) as the dart pairs of
-    ``L``'s corners in key order (indices are positions), ``{(larger, smaller)
-    position pair: None}`` with old edges first, and the edges of the least-key
-    corner that form no old edge.  Fills ``provenance``, if given, in the same order with
+    """The split graph of ``L`` and K (sorted dart pairs) as the keys of ``L``'s
+    corners in order (indices are positions), ``{(larger, smaller) position
+    pair: None}`` with old edges first, and the edges of the least-key corner
+    that form no old edge.  Fills ``provenance``, if given, in the same order with
     ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
     m = L.map
-    corners = L._dart_pairs()
+    corners = L._keys()
     edge_of, dart_of = m.cell_index(EDGE), m.cell_index(DART)
     slot = {}  # dart -> position of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
-    for i, (a, b) in enumerate(corners):
+    for i, (_, (a, b)) in enumerate(corners):
         slot[a] = slot[b] = i
         far[a] = edge_of[b]
         far[b] = edge_of[a]
@@ -194,8 +191,8 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     ``K`` that is no iterable); :class:`CornerationMismatch` if ``L`` leaves a
     dart uncovered."""
     _require_corneration(L)
-    pairs = _corner_numbering(L.map)[2]
-    return SplitGraph._of_pass(L, [pairs[n] for n in _corner_numbers(L.map, K)])
+    keys = _corner_numbering(L.map)[2]
+    return SplitGraph._of_pass(L, [keys[n][1] for n in _corner_numbers(L.map, K)])
 
 
 def _uniform_width(L: Corneration) -> tuple[int, int]:
@@ -213,8 +210,8 @@ def _k_darts(L: Corneration, kind: str) -> list[tuple[int, int]]:
         return [c.darts for c in j_complement(L).corners]
     m = L.map
     if kind == "B":
-        pairs = _corner_numbering(m)[2]
-        return [pairs[n] for n in _corner_flags(m, 1)]
+        keys = _corner_numbering(m)[2]
+        return [keys[n][1] for n in _corner_flags(m, 1)]
     wedges = set()
     for c in L.corners:
         wedges.update(c.interior_boundary_wedges if kind == "Ci" else c.exterior_boundary_wedges)

@@ -781,15 +781,15 @@ def test_stabilizer_of_a_partial_corner_set():
 
 
 def pairs_in_number_order(m):
-    first, rank, own, table = cornerations._corner_numbering(m)
-    pairs = [None] * len(table)
+    first, rank, keys, table = cornerations._corner_numbering(m)
+    expected = [None] * len(table)
     for v in cells(m, VERTEX):
         darts = sorted(_rotation_table(m)[v.id][1])
         for i, a in enumerate(darts):
             for b in darts[i + 1 :]:
-                pairs[first[a] + rank[b]] = (a, b)
-    assert own == pairs
-    return pairs
+                expected[first[a] + rank[b]] = (v.id, (a, b))
+    assert keys == expected
+    return [darts for _, darts in keys]
 
 
 @pytest.mark.parametrize(
