@@ -150,13 +150,12 @@ def _number_corners(m: FlagMap) -> tuple[list, list, list, list]:
 def _decode(m: FlagMap, numbers: Iterable[int]) -> list[Corner]:
     """The corners of ``m`` with these numbers, each built on its first read."""
     _, _, keys, table = _corner_numbering(m)
-    out = []
-    for n in numbers:
-        corner = table[n]
-        if corner is None:
-            corner = table[n] = _build_corner(m, *keys[n][1])
-        out.append(corner)
-    return out
+
+    def build(n: int) -> Corner:
+        table[n] = _build_corner(m, *keys[n][1])
+        return table[n]
+
+    return [table[n] or build(n) for n in numbers]
 
 
 def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
@@ -337,12 +336,12 @@ def _corner_numbers(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
     """The number (:func:`_corner_numbering`) of each of ``corners`` in ``m``;
     :class:`InvalidCorner` or :class:`UnknownCell` for one that is not a
     corner of ``m``, and :class:`InvalidCorner` as :func:`_corner_items` raises it."""
-    first, rank, keys, _ = _corner_numbering(m)
+    first, rank, keys, table = _corner_numbering(m)
     out = []
     for c in _corner_items(corners):
         try:  # a number is only one key's, that of two darts at one vertex
             n = first[c.darts[0]] + rank[c.darts[1]]
-            own = keys[n] == (c.vertex, c.darts)
+            own = table[n] is c or keys[n] == (c.vertex, c.darts)
         except (IndexError, TypeError):
             own = False
         if not own:

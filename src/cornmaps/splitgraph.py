@@ -148,11 +148,11 @@ def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] =
     that form no old edge.  Fills ``provenance``, if given, in the same order with
     ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
     m = L.map
-    corners = L._keys()
+    keys = L._keys()
     edge_of, dart_of = m.cell_index(EDGE), m.cell_index(DART)
     slot = {}  # dart -> position of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
-    for i, (_, (a, b)) in enumerate(corners):
+    for i, (_, (a, b)) in enumerate(keys):
         slot[a] = slot[b] = i
         far[a] = edge_of[b]
         far[b] = edge_of[a]
@@ -181,7 +181,7 @@ def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] =
         found[pair] = None
         if provenance is not None:
             provenance.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
-    return corners, found, deficit
+    return keys, found, deficit
 
 
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
