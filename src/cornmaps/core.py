@@ -554,9 +554,10 @@ def face_boundary_edges(m: FlagMap, f: int) -> tuple[int, ...]:
 
 
 def other_dart(m: FlagMap, d: int) -> int:
-    """The dart at the other end of the edge carrying ``d``; :class:`UnknownCell`
-    for a ``d`` that is no flag id."""
+    """The dart at the other end of the edge carrying dart ``d``;
+    :class:`UnknownCell` for a ``d`` that is no dart id."""
     _require_map(m)
-    if not (isinstance(d, int) and 0 <= d < m.n_flags):
+    dart_of = m.cell_index(DART)
+    if not (isinstance(d, int) and 0 <= d < m.n_flags and dart_of[d] == d):
         raise UnknownCell(f"no dart cell with id {d!r}")
-    return m.cell_index(DART)[m.r0[d]]
+    return dart_of[m.r0[d]]

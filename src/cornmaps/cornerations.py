@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DART,
@@ -114,42 +114,51 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
         bad = d2 if isinstance(d1, int) else d1
         raise UnknownCell(f"no dart cell with id {bad!r}")
     a, b = (d1, d2) if d1 < d2 else (d2, d1)
-    first, rank, keys, table = _corner_numbering(m)
+    first, rank, keys, _, table = _corner_numbering(m)
     n = first[a] + rank[b] if 0 <= a and b < m.n_flags else -1
     if not (0 <= n < len(keys) and keys[n][1] == (a, b)):  # a number is one pair's
         _build_corner(m, d1, d2)  # raises: the darts span no corner
     return table[n] or _decode(m, (n,))[0]
 
 
-def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list]:
-    """``(first, rank, keys, table)``: the corners of ``m`` numbered in key order.
+def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list, list]:
+    """``(first, rank, keys, spans, table)``: the corners of ``m`` numbered in key order.
 
     The pairs of distinct darts at a vertex, vertex by vertex and then in
     ascending order, follow :meth:`Corner.key`; pair ``(a, b)``, ``a < b``,
     is number ``first[a] + rank[b]``, ``rank`` being a dart's position
     among the sorted darts at its vertex (a pair on one edge is no corner).
-    ``keys`` lists the keys ``(vertex, (a, b))`` by number, and ``table``
+    ``keys`` lists the keys ``(vertex, (a, b))`` by number; ``spans`` their
+    spans ``(start, width)``, the short side running ``width`` wedges round
+    the vertex rotation (:func:`~cornmaps.core.rotation_at_vertex`) from
+    position ``start``, the lower of a straight corner's two; and ``table``
     their corners, each None until :func:`_decode` builds it.  Memoized on ``m``.
     """
     return m._memo(("corner_numbers",), _number_corners, m)
 
 
-def _number_corners(m: FlagMap) -> tuple[list, list, list, list]:
+def _number_corners(m: FlagMap) -> tuple[list, list, list, list, list]:
     first = [0] * m.n_flags
     rank = [0] * m.n_flags
-    keys = []
+    keys, spans = [], []
     for v, (_, rotation, _) in _rotation_table(m).items():
-        darts = sorted(rotation)
-        for i, d in enumerate(darts):
+        q = len(rotation)
+        positions = sorted(range(q), key=rotation.__getitem__)  # by dart
+        for i, p in enumerate(positions):
+            d = rotation[p]
             rank[d] = i
             first[d] = len(keys) - i - 1
-            keys.extend((v, (d, e)) for e in darts[i + 1 :])
-    return first, rank, keys, [None] * len(keys)
+            for r in positions[i + 1 :]:
+                keys.append((v, (d, rotation[r])))
+                s = (r - p) % q  # wedges from p round to r; q - s from r round to p
+                width, start = min((s, p), (q - s, r))  # a tie, straight: the lower start
+                spans.append((start, width))
+    return first, rank, keys, spans, [None] * len(keys)
 
 
 def _decode(m: FlagMap, numbers: Iterable[int]) -> list[Corner]:
     """The corners of ``m`` with these numbers, each built on its first read."""
-    _, _, keys, table = _corner_numbering(m)
+    _, _, keys, _, table = _corner_numbering(m)
 
     def build(n: int) -> Corner:
         table[n] = _build_corner(m, *keys[n][1])
@@ -159,7 +168,7 @@ def _decode(m: FlagMap, numbers: Iterable[int]) -> list[Corner]:
 
 
 def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
-    """Validate two dart ids and build the corner they span."""
+    """Validate two dart ids and build the corner they span, read off its span."""
     dart_of = m.cell_index(DART)
     for d in (d1, d2):
         if not (0 <= d < m.n_flags and dart_of[d] == d):
@@ -173,24 +182,26 @@ def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
         raise InvalidCorner(f"darts {d1} and {d2} do not share a vertex")
     if edge_of[d1] == edge_of[d2]:
         raise InvalidCorner(f"darts {d1} and {d2} lie on the same edge")
-    _, rotation, wedges = _rotation_table(m)[v]
-    q = len(rotation)
-    p1, p2 = rotation.index(d1), rotation.index(d2)
-    s = (p2 - p1) % q
-    width = min(s, q - s)
-    straight = 2 * s == q
-    # the short side runs from p1 when it is the side of s, else from p2
-    start = p1 if 2 * s < q else p2
-    interior = frozenset(wedges[(start + t) % q] for t in range(0 if straight else width))
-    boundary = frozenset(wedges[i % q] for i in (p1 - 1, p1, p2 - 1, p2))
-    return Corner(
-        vertex=v,
-        darts=tuple(sorted((d1, d2))),
-        width=width,
-        straight=straight,
-        interior_wedges=interior,
-        boundary_wedges=boundary,
-    )
+    first, rank, _, spans, _ = _corner_numbering(m)
+    a, b = (d1, d2) if d1 < d2 else (d2, d1)
+    n = first[a] + rank[b]
+    ((interior, boundary),) = _sides(m, (n,))
+    interior = frozenset(interior)
+    return Corner(v, (a, b), spans[n][1], not interior, interior, frozenset(boundary))
+
+
+def _sides(m: FlagMap, numbers: Iterable[int]) -> Iterator[tuple[tuple, tuple]]:
+    """``(interior, boundary)`` of each corner number, read off its span: the
+    wedges of its short side, none if it is straight, and the four wedges
+    next to either of its darts (fewer distinct ones at a small valence)."""
+    _, _, keys, spans, _ = _corner_numbering(m)
+    rotations = _rotation_table(m)
+    for n in numbers:
+        wedges = rotations[keys[n][0]][2]
+        start, width = spans[n]
+        end, q = start + width, len(wedges)  # the darts sit at start and end, mod q
+        interior = (wedges + wedges)[start:end] if 2 * width < q else ()
+        yield interior, (wedges[start - 1], wedges[start], wedges[end - 1 - q], wedges[end - q])
 
 
 def corner_of_wedge(m: FlagMap, wedge_id: int) -> Corner:
@@ -217,26 +228,31 @@ def all_j_corners(m: FlagMap, j: int) -> list[Corner]:
 
 
 def _corner_flags(m: FlagMap, j: int) -> dict[int, int]:
-    """The number of each j-corner, in ascending order, to a flag on it from
-    which j turns (r1, r2) reach its other dart; read off the vertex
-    rotations and memoized.  :class:`WidthOutOfRange` if ``j`` exceeds half
-    the valence at a vertex."""
+    """The number of each j-corner, in ascending order, to the flag starting
+    its span, from which j turns (r1, r2) reach its other dart; memoized.
+    :class:`WidthOutOfRange` if ``j`` exceeds half the valence at a vertex."""
 
     def build():
-        first, rank, _, _ = _corner_numbering(m)
-        flag_of = {}
-        for v, (flags, darts, _) in _rotation_table(m).items():
-            q = len(darts)
-            if j > q // 2:
-                raise WidthOutOfRange(f"width {j} exceeds half the valence {q} at vertex {v}")
-            # flags[i] starts darts[i], and j turns reach flags[i + j];
-            # a straight corner would come twice around its vertex
-            for i in range(q // 2 if 2 * j == q else q):
-                a, b = darts[i], darts[(i + j) % q]
-                flag_of[first[a] + rank[b] if a < b else first[b] + rank[a]] = flags[i]
-        return dict(sorted(flag_of.items()))
+        _, _, keys, spans, _ = _corner_numbering(m)
+        rotations = _rotation_table(m)
+        q, v = min((len(darts), v) for v, (_, darts, _) in rotations.items())
+        if j > q // 2:
+            raise WidthOutOfRange(f"width {j} exceeds half the valence {q} at vertex {v}")
+        pairs = enumerate(zip(keys, spans))
+        return {n: rotations[v][0][start] for n, ((v, _), (start, width)) in pairs if width == j}
 
     return m._memo(("corner_flags", j), build)
+
+
+def _width_masks(m: FlagMap) -> dict[int, int]:
+    """Per width, the :class:`Corneration` int of all corners of ``m`` of
+    that width, read off their spans; memoized."""
+
+    def build():
+        widths = [width for _, width in _corner_numbering(m)[3]]
+        return {j: _mask_of(m, (n for n, w in enumerate(widths) if w == j)) for j in set(widths)}
+
+    return m._memo(("width_masks",), build)
 
 
 def _interior_flag_on_dart(m: FlagMap, c: Corner, dart: int) -> int:
@@ -336,7 +352,7 @@ def _corner_numbers(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
     """The number (:func:`_corner_numbering`) of each of ``corners`` in ``m``;
     :class:`InvalidCorner` or :class:`UnknownCell` for one that is not a
     corner of ``m``, and :class:`InvalidCorner` as :func:`_corner_items` raises it."""
-    first, rank, keys, table = _corner_numbering(m)
+    first, rank, keys, _, table = _corner_numbering(m)
     out = []
     for c in _corner_items(corners):
         try:  # a number is only one key's, that of two darts at one vertex
@@ -409,8 +425,9 @@ class Corneration:
     @property
     def width(self) -> Optional[int]:
         """The uniform width, or None for a mixed corneration."""
-        widths = {c.width for c in self.corners}
-        return widths.pop() if len(widths) == 1 else None
+        mask = self._mask  # the width whose corners hold all of L's
+        widths = _width_masks(self.map).items()
+        return next((j for j, all_j in widths if mask and mask | all_j == all_j), None)
 
     def _digits(self) -> bytes:
         n = len(_corner_numbering(self.map)[2])
@@ -430,26 +447,27 @@ class Corneration:
         return _decode(self.map, self._numbers())
 
     def key(self) -> tuple:
-        return tuple(c.key() for c in self.sorted_corners())
+        return tuple(self._keys())
 
-    def corner_of_dart(self, d: int) -> Corner:
-        """The corner holding dart ``d``; :class:`UnknownCell` if none does."""
+    def _darts_of(self, d: int) -> tuple[int, int]:
+        """The darts of the corner holding dart ``d``, building no corner;
+        :class:`UnknownCell` if none does."""
         if self._by_dart is None:
-            self._by_dart = {dart: c for c in self.corners for dart in c.darts}
+            self._by_dart = {dart: darts for _, darts in self._keys() for dart in darts}
         try:
             return self._by_dart[d]
         except (KeyError, TypeError):
             raise UnknownCell(f"no corner of the corneration holds dart {d!r}") from None
 
+    def corner_of_dart(self, d: int) -> Corner:
+        """The corner holding dart ``d``; :class:`UnknownCell` if none does."""
+        return corner_from_darts(self.map, self._darts_of(d))
+
     def in_wedges(self) -> frozenset:
         """Wedge ids of the corners, defined for width-1 cornerations."""
         if self.width != 1:
             raise NotWedgeCorneration("in-wedges exist only for width-1 cornerations")
-        out = set()
-        for c in self.corners:
-            (w,) = c.interior_wedges
-            out.add(w)
-        return frozenset(out)
+        return frozenset(w for interior, _ in _sides(self.map, self._numbers()) for w in interior)
 
     def __len__(self):
         return self._mask.bit_count()
@@ -492,8 +510,7 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     darts = [c.id for c in cells(m, DART)]
 
     def step(d: int) -> int:
-        c = L.corner_of_dart(d)
-        a, b = c.darts
+        a, b = L._darts_of(d)
         return other_dart(m, b if d == a else a)
 
     remaining = set(darts)
@@ -584,7 +601,7 @@ def j_complement(L: Corneration) -> Corneration:
         raise StraightHasNoComplement("straight cornerations have no width complement")
     # every corner of L is a j-corner, so the complement flips L's bits
     m = L.map
-    K = Corneration._of_mask(m, _mask_of(m, _corner_flags(m, j)) ^ L._mask)
+    K = Corneration._of_mask(m, _width_masks(m)[j] ^ L._mask)
     if not _dart_cover(m, K._keys()).ok:
         _require_cover(L)
         raise InternalInvariantError("width complement failed to cover darts")
@@ -618,7 +635,7 @@ def local_corneration(L: Corneration, v: int) -> LocalCorneration:
     rotation = rotation_at_vertex(L.map, v)
     q = len(rotation)
     pos = {d: i for i, d in enumerate(rotation)}
-    darts = {L.corner_of_dart(d).darts for d in rotation}  # each corner's, twice
+    darts = {L._darts_of(d) for d in rotation}  # each corner's, twice
     pairs = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in darts))
     if 2 * j == q:
         return LocalCorneration(v, pairs, OTHER_LOCAL, True)
@@ -747,7 +764,7 @@ def _pair_action(G: SymGroup) -> tuple[list, ...]:
     map by the generator's image of flag 0."""
     if "pair_action" not in G._cache:
         m = G.map
-        first, rank, keys, _ = _corner_numbering(m)
+        first, rank, keys, _, _ = _corner_numbering(m)
         dart_of = m.cell_index(DART)
         tables = m._memo(("pair_action",), dict)
         todo = [g for g in G.generators if g[0] not in tables]
@@ -1107,17 +1124,15 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
         raise InternalInvariantError("a half-reflexible group must have two flag orbits")
 
     piles = {True: [], False: []}
-    for c in all_j_corners(m, j):
-        colors = set()
-        for w in c.interior_boundary_wedges:
-            colors.add(node[w])
-            colors.add(node[m.r1[w]])
+    numbers = list(_corner_flags(m, j))
+    for n, (interior, boundary) in zip(numbers, _sides(m, numbers)):
+        colors = {node[f] for w in boundary if w in interior for f in (w, m.r1[w])}
         if len(colors) != 1:
             raise InternalInvariantError("interior boundary wedges of an odd corner differ in color")
-        piles[colors.pop() == 0].append(c)  # node 0 is the color of flag 0
+        piles[colors.pop() == 0].append(n)  # node 0 is the color of flag 0
     out = []
     for flag_value in (True, False):
-        L = Corneration.from_corners(m, piles[flag_value])
+        L = Corneration._of_mask(m, _mask_of(m, piles[flag_value]))
         _require_cover(L, InternalInvariantError, "color class")
         out.append(L)
     return tuple(out)
@@ -1131,17 +1146,17 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
 def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     """Reinterpret a corneration on a Petrie dual or on hole components.
 
-    A Petrie target shares darts and vertices, so the corner set carries
-    over unchanged (widths included).  A hole result of width j turns each
-    j-corner into a 1-corner of the component containing its vertex; the
-    result is one corneration per component.
+    A Petrie target shares darts and vertices, hence the corner numbering,
+    so the corner set carries over unchanged (widths included).  A hole
+    result of width j turns each j-corner into a 1-corner of the component
+    containing its vertex; the result is one corneration per component.
     """
     _require_corneration(L)
     m = L.map
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:
             raise CornerationMismatch("target map does not share darts with the corneration")
-        moved = Corneration.from_corners(target, L.corners)
+        moved = Corneration._of_mask(target, L._mask)
         _require_cover(moved, InternalInvariantError, "petrie transfer")
         return moved
 
@@ -1156,9 +1171,9 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
         )
     corr = result.correspondence
     piles: dict[int, list[Corner]] = {i: [] for i in range(len(result.maps))}
-    for c in L.corners:
+    for _, darts in L._keys():
         images = []
-        for d in c.darts:
+        for d in darts:
             comp_a, fa = corr[d]
             comp_b, fb = corr[m.r2[d]]
             if comp_a != comp_b:

@@ -101,8 +101,8 @@ def write_corneration(L: Corneration) -> str:
         lines.append(f"map {L.map.name}")
     j = L.width
     lines.append(f"j {j if j is not None else 'mixed'}")
-    for c in L.sorted_corners():
-        lines.append(f"corner: {c.darts[0]} {c.darts[1]}")
+    for _, (a, b) in L._keys():
+        lines.append(f"corner: {a} {b}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ from .cornerations import (
     _corner_perms,
     _pair_action,
     _require_corneration,
+    _sides,
     corner_from_darts,
     j_complement,
 )
@@ -82,7 +83,7 @@ class SplitGraph:
     @property
     def edges(self) -> dict:
         if self._edges is None:
-            first, rank, keys, _ = _corner_numbering(self.map)
+            first, rank, keys, _, _ = _corner_numbering(self.map)
             vertices, provenance = self.vertices, {}
             _pass(self.base, self._k, provenance)
             # each frozenset is built in its pair's first-met order, as its iteration can follow it
@@ -206,15 +207,15 @@ def _uniform_width(L: Corneration) -> tuple[int, int]:
 
 def _k_darts(L: Corneration, kind: str) -> list[tuple[int, int]]:
     """The new-corner set K of construction ``kind``, as sorted dart pairs."""
-    if kind == "A":
-        return [c.darts for c in j_complement(L).corners]
+    if kind == "A":  # in the order of the complement's `.corners`, as a Corner hashes as its key
+        return [darts for _, darts in frozenset(j_complement(L)._keys())]
     m = L.map
     if kind == "B":
         keys = _corner_numbering(m)[2]
         return [keys[n][1] for n in _corner_flags(m, 1)]
-    wedges = set()
-    for c in L.corners:
-        wedges.update(c.interior_boundary_wedges if kind == "Ci" else c.exterior_boundary_wedges)
+    inside = kind == "Ci"
+    sides = _sides(m, L._numbers())
+    wedges = {w for interior, boundary in sides for w in boundary if (w in interior) == inside}
     dart_of = m.cell_index(DART)
     pairs = ((dart_of[w], dart_of[m.r1[w]]) for w in sorted(wedges))
     return [(a, b) if a < b else (b, a) for a, b in pairs]

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import VERTEX, FlagMap, cells
+from .core import VERTEX, FlagMap, cells, orbits
 from .cornerations import Corneration, _require_corneration, face_patterns
 from .errors import (
     GroupDoesNotPreserveCorneration,
@@ -73,22 +73,7 @@ class Diagram:
 
     def components(self, colors: Iterable[int]) -> int:
         """Number of connected components of the chosen color subdiagram."""
-        n = self.n_nodes
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in colors:
-            s = self.sigma[c]
-            for i in range(n):
-                a, b = find(i), find(s[i])
-                if a != b:
-                    parent[a] = b
-        return len({find(i) for i in range(n)})
+        return len(orbits(self.n_nodes, [self.sigma[c] for c in colors]))
 
     def is_connected(self) -> bool:
         return self.components((0, 1, 2)) == 1

@@ -449,10 +449,8 @@ def claim_symmetric_parity(ctx: SuiteContext):
                 continue
             if predicate:
                 pair = corn.symmetric_cornerations_from_coloring(m, j)
-                keys = {L.key() for L in pair}
-                sweep_keys = {r.corneration.key() for r in symmetric_found}
                 instances += 1
-                if not keys <= sweep_keys:
+                if not set(pair) <= {r.corneration for r in symmetric_found}:
                     failures.append(
                         f"{name} width {j}: constructed symmetric cornerations "
                         "missing from the exhaustive sweep"
@@ -723,13 +721,11 @@ def claim_oracle_equivalence(ctx: SuiteContext):
         top = max(1, q // 2)
         for j in range(1, top + 1):
             instances += 1
-            library = corn.enumerate_invariant_cornerations(m, trivial, j)
-            oracle_keys = {L.key() for L in every if L.width == j}
-            library_keys = {L.key() for L in library}
-            if oracle_keys != library_keys:
+            library = set(corn.enumerate_invariant_cornerations(m, trivial, j))
+            oracle = {L for L in every if L.width == j}
+            if oracle != set(library):
                 failures.append(
-                    f"{m.name} width {j}: oracle found {len(oracle_keys)}, "
-                    f"library found {len(library_keys)}"
+                    f"{m.name} width {j}: oracle found {len(oracle)}, library found {len(library)}"
                 )
     return instances, failures, ""
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cornmaps.builders import (
@@ -8,6 +10,7 @@ from cornmaps.builders import (
     build_torus_grid,
     from_rotation_system,
 )
+from cornmaps.core import FlagMap
 from cornmaps.operators import opposite
 
 
@@ -94,3 +97,16 @@ def group_elements(G):
                 seen.add(e[g[0]])
                 elements.append(tuple(map(e.__getitem__, g)))
     return tuple(sorted(elements))
+
+
+def relabelled(m, seed):
+    """``m`` with its flags renumbered at random."""
+    new = list(m.flags())
+    random.Random(seed).shuffle(new)
+    images = []
+    for r in m.involutions():
+        image = [0] * m.n_flags
+        for f in m.flags():
+            image[new[f]] = new[r[f]]
+        images.append(image)
+    return FlagMap(m.n_flags, *images, name=f"{m.name}~{seed}")

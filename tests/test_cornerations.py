@@ -10,9 +10,12 @@ import cornmaps.cornerations as corn
 from cornmaps.builders import (
     build_antiprism,
     build_antiprism_corneration,
+    build_cube,
+    build_tetrahedron,
     build_theta,
     build_torus_grid,
     build_torus_grid_corneration,
+    from_rotation_system,
 )
 from cornmaps.core import (
     FlagMap,
@@ -24,6 +27,7 @@ from cornmaps.core import (
     rotation_at_vertex,
     uniform_valence,
     valence,
+    wedges_at_vertex,
 )
 from cornmaps.errors import (
     CircuitTooShort,
@@ -45,7 +49,14 @@ from cornmaps.errors import (
 )
 from cornmaps.fileio import parse_corneration, write_corneration
 from cornmaps.operators import hole, opposite, petrie
-from cornmaps.splitgraph import cubic_filter, graph_A, split, verify_vertex_transitive
+from cornmaps.splitgraph import (
+    build_construction,
+    cubic_filter,
+    graph_A,
+    predicted_local_connectivity,
+    split,
+    verify_vertex_transitive,
+)
 from cornmaps.symmetry import (
     SymGroup,
     automorphism_group,
@@ -54,6 +65,7 @@ from cornmaps.symmetry import (
 )
 from cornmaps.symtype import classify, symmetry_type_graph
 from cornmaps.verify import _all_cornerations_mixed, _vertex_covers_all_widths
+from conftest import relabelled
 
 
 def trivial_group(m):
@@ -113,6 +125,7 @@ WRONG_VERTEX_OR_WIDTH_CALLS = {
     "other_dart of a list": (UnknownCell, lambda m, L: other_dart(m, [1])),
     "other_dart beyond the flags": (UnknownCell, lambda m, L: other_dart(m, 10**6)),
     "other_dart of a negative id": (UnknownCell, lambda m, L: other_dart(m, -1)),
+    "other_dart of a flag that is no dart": (UnknownCell, lambda m, L: other_dart(m, 5)),
     "subgroup_from_images of None": (
         GroupNotSubgroup,
         lambda m, L: automorphism_group(m).subgroup_from_images(None),
@@ -164,6 +177,62 @@ def test_wedge_corner_fields(cube):
         assert len(c.boundary_wedges) == 3  # q = 3 leaves only three wedges
 
 
+def walked_geometry(m, v, a, b):
+    """Width, straightness, interior and boundary wedges of the corner on
+    darts ``a`` and ``b`` at ``v``, by walking its vertex rotation: each side
+    is the run of wedges met going round from one dart to the other."""
+    rotation, wedges = rotation_at_vertex(m, v), wedges_at_vertex(m, v)
+    q = len(rotation)
+
+    def side(start, stop):
+        run, k = [], rotation.index(start)
+        while rotation[k] != stop:
+            run.append(wedges[k])
+            k = (k + 1) % q
+        return run
+
+    ab, ba = side(a, b), side(b, a)
+    boundary = set()
+    for k, d in enumerate(rotation):
+        if d in (a, b):
+            boundary.update((wedges[k - 1], wedges[k]))
+    straight = len(ab) == len(ba)
+    interior = [] if straight else min(ab, ba, key=len)
+    return min(len(ab), len(ba)), straight, frozenset(interior), frozenset(boundary)
+
+
+def wheel4():
+    """A hub of valence 4 and a rim of four vertices of valence 3."""
+    rotations = {"hub": [("s", i) for i in range(4)]}
+    for i in range(4):
+        rotations[i] = [("s", i), ("r", i), ("r", (i - 1) % 4)]
+    return from_rotation_system(rotations, name="wheel4")
+
+
+GEOMETRY_MAPS = {
+    "torus4x4": lambda: build_torus_grid(4, 4),
+    "torus4x4~3": lambda: relabelled(build_torus_grid(4, 4), 3),
+    "opp(torus4x4)": lambda: opposite(build_torus_grid(4, 4)),
+    **{f"theta{k}": (lambda k=k: build_theta(k)) for k in range(2, 7)},
+    "cube": build_cube,
+    "tetrahedron": build_tetrahedron,
+    "antiprism3": lambda: build_antiprism(3),
+    "wheel4": wheel4,
+}
+
+
+@pytest.mark.parametrize("name", GEOMETRY_MAPS)
+def test_every_numbered_corner_has_the_geometry_of_its_rotation_walk(name):
+    m = GEOMETRY_MAPS[name]()
+    keys = corn._corner_numbering(m)[2]
+    assert keys
+    for v, (a, b) in keys:
+        c = corn.corner_from_darts(m, (a, b))
+        assert (c.vertex, c.darts) == (v, (a, b))
+        geometry = (c.width, c.straight, c.interior_wedges, c.boundary_wedges)
+        assert geometry == walked_geometry(m, v, a, b), (name, v, a, b)
+
+
 def test_corner_needs_one_vertex(theta4):
     # the two darts of one edge sit at different vertices, so no corner
     dart_of = theta4.cell_index("dart")
@@ -188,6 +257,13 @@ def test_corner_from_darts_raises_library_errors():
             corn.corner_from_darts(m, (0, bad))
     # parsers and oracles catch ValueError
     assert issubclass(InvalidCorner, ValueError)
+
+
+def test_the_two_darts_of_a_loop_span_no_corner():
+    # one vertex and one loop on the sphere, built by hand as maps refuse loops
+    m = FlagMap(4, (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2))
+    with pytest.raises(InvalidCorner, match="same edge"):
+        corn.corner_from_darts(m, (0, 2))
 
 
 BAD_CORNER_INPUTS = [
@@ -248,6 +324,35 @@ def test_the_sweep_builds_no_corner_it_does_not_decode(monkeypatch):
     corners = L.sorted_corners()
     assert sorted(built) == [c.darts for c in corners] and len(built) == len(L) == 288
     assert L.sorted_corners() == corners and len(built) == len(L)
+
+
+def test_no_library_reader_of_a_transitive_corneration_builds_a_corner(monkeypatch):
+    """Widths, keys, classification, complements, constructions, circuits,
+    face patterns, corneration files and the Petrie transfer read corner
+    numbers, keys and spans: none of them builds a corner."""
+    built = []
+    real = corn._build_corner
+    monkeypatch.setattr(corn, "_build_corner", lambda m, *darts: built.append(darts) or real(m, *darts))
+    opp = opposite(build_torus_grid(4, 4))
+    read = Counter()
+    for m, j in [(build_torus_grid(12, 12), 1), (opp, 1), (opp, 2), (opp, 3)]:
+        q = uniform_valence(m)
+        for r in corn.enumerate_transitive_cornerations(m, j):
+            if not r.transitive:
+                continue
+            L = r.corneration
+            assert L.width == j and len(L.key()) == len(L)
+            if j == 1:
+                assert classify(m, r.aut, L).diagram
+                assert corn.face_patterns(L).per_face
+            assert len(corn.j_complement(L)) == len(L)
+            for kind in predicted_local_connectivity(q, j):
+                assert build_construction(L, kind).n_vertices == len(L)
+            assert corn.circuits_of(L).circuits
+            assert write_corneration(L).count("corner:") == len(L)
+            assert corn.transfer(L, petrie(m)).key() == L.key()
+            read[m.name, j] += 1
+    assert len(read) == 4 and built == []
 
 
 # -- alignment ---------------------------------------------------------------

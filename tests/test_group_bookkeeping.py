@@ -781,7 +781,7 @@ def test_stabilizer_of_a_partial_corner_set():
 
 
 def pairs_in_number_order(m):
-    first, rank, keys, table = cornerations._corner_numbering(m)
+    first, rank, keys, _, table = cornerations._corner_numbering(m)
     expected = [None] * len(table)
     for v in cells(m, VERTEX):
         darts = sorted(_rotation_table(m)[v.id][1])

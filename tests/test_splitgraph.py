@@ -10,7 +10,7 @@ import pytest
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
 from cornmaps.builders import build_theta, build_torus_grid
-from cornmaps.core import DART, EDGE, FlagMap, cells, uniform_valence
+from cornmaps.core import DART, EDGE, cells, uniform_valence
 from cornmaps.errors import (
     CornerationMismatch,
     CornMapsError,
@@ -37,6 +37,8 @@ from cornmaps.verify import (
     claim_split_graphs,
     run_claim,
 )
+from conftest import relabelled
+
 
 def boundary_wedge_corners(L, interior):
     """The 1-corner of each interior or exterior boundary wedge of L's corners."""
@@ -619,19 +621,6 @@ def deficit_oracle(L):
         if {edge_of[x] for x in partner.darts} == {edge_of[x] for x in c.darts}:
             deficit += 1
     return deficit
-
-
-def relabelled(m, seed):
-    """``m`` with its flags renumbered at random."""
-    new = list(m.flags())
-    random.Random(seed).shuffle(new)
-    images = []
-    for r in m.involutions():
-        image = [0] * m.n_flags
-        for f in m.flags():
-            image[new[f]] = new[r[f]]
-        images.append(image)
-    return FlagMap(m.n_flags, *images, name=f"{m.name}~{seed}")
 
 
 def test_deficit_matches_the_corner_of_dart_definition(transitive_cases):
