@@ -500,7 +500,11 @@ def _rotation_table(m: FlagMap) -> dict:
             table[cell.id] = (tuple(flags), tuple(darts), tuple(wedges))
         return table
 
-    return m._memo(("rotation",), build)
+    try:
+        return m._memo(("rotation",), build)
+    except AttributeError:  # no map; a check on the way in would cost every call
+        _require_map(m)
+        raise
 
 
 def rotation_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:

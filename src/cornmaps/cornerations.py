@@ -106,6 +106,14 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
     :class:`InvalidCorner` for anything but a pair and for darts that span
     no corner, and :class:`UnknownCell` for an id that is not a dart of ``m``.
     """
+    numbering = _corner_numbering(m)
+    n = _pair_number(m, darts, numbering)
+    return numbering[4][n] or _decode(m, (n,))[0]
+
+
+def _pair_number(m: FlagMap, darts: Sequence[int], numbering: tuple) -> int:
+    """The number of the corner on ``darts`` in ``m``'s :func:`_corner_numbering`,
+    building none; raises as :func:`corner_from_darts` does for darts that span none."""
     try:
         d1, d2 = darts
     except (TypeError, ValueError):
@@ -114,11 +122,11 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
         bad = d2 if isinstance(d1, int) else d1
         raise UnknownCell(f"no dart cell with id {bad!r}")
     a, b = (d1, d2) if d1 < d2 else (d2, d1)
-    first, rank, keys, _, table = _corner_numbering(m)
+    first, rank, keys, _, _ = numbering
     n = first[a] + rank[b] if 0 <= a and b < m.n_flags else -1
     if not (0 <= n < len(keys) and keys[n][1] == (a, b)):  # a number is one pair's
         _build_corner(m, d1, d2)  # raises: the darts span no corner
-    return table[n] or _decode(m, (n,))[0]
+    return n
 
 
 def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list, list]:
@@ -134,7 +142,11 @@ def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list, list]:
     position ``start``, the lower of a straight corner's two; and ``table``
     their corners, each None until :func:`_decode` builds it.  Memoized on ``m``.
     """
-    return m._memo(("corner_numbers",), _number_corners, m)
+    try:
+        return m._memo(("corner_numbers",), _number_corners, m)
+    except AttributeError:  # no map, as in :func:`~cornmaps.core.rotation_at_vertex`
+        _require_map(m)
+        raise
 
 
 def _number_corners(m: FlagMap) -> tuple[list, list, list, list, list]:
@@ -996,6 +1008,28 @@ def _corner_perms(G: SymGroup, numbers: Sequence[int]) -> list[list[int]]:
         ) from None
 
 
+def _one_entry(cache: dict, mask: int, key, producer, *args):
+    """``producer(*args)``, kept in ``cache`` for the corneration ``mask`` until another's
+    replaces it: callers walk one corneration at a time, so one entry keeps memory flat."""
+    held, state = cache.get("one_entry", (None, None))
+    if held != mask:
+        cache["one_entry"] = (mask, state := {})
+    if key not in state:
+        state[key] = producer(*args)
+    return state[key]
+
+
+def _base_perms(G: SymGroup, L: Corneration) -> tuple[list[list[int]], bool]:
+    """:func:`_corner_perms` of ``L``'s corners under ``G``, and whether ``G``
+    is transitive on them; kept on ``G`` for the last ``L``."""
+
+    def build():
+        perms = _corner_perms(G, list(L._numbers()))
+        return perms, len(orbits(len(L), perms)) == 1
+
+    return _one_entry(G._cache, L._mask, "perms", build)
+
+
 def corneration_stabilizer(A: SymGroup, L: Corneration) -> SymGroup:
     """The setwise stabilizer of ``L`` inside the group ``A``, from the orbit
     walk of :func:`_orbit_and_stabilizer`: its cost follows the orbit length
@@ -1041,8 +1075,7 @@ def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
     _require_corneration(L)
     if L.map is not G.map and L.map != G.map:  # its numbers are another map's
         raise GroupDoesNotPreserveCorneration("the corneration belongs to a different map")
-    numbers = list(L._numbers())
-    return len(orbits(len(numbers), _corner_perms(G, numbers))) == 1
+    return _base_perms(G, L)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1170,7 +1203,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
             f"corneration width {L.width} does not match operator width {result.width}"
         )
     corr = result.correspondence
-    piles: dict[int, list[Corner]] = {i: [] for i in range(len(result.maps))}
+    piles: dict[int, set] = {i: set() for i in range(len(result.maps))}  # corner numbers
     for _, darts in L._keys():
         images = []
         for d in darts:
@@ -1183,13 +1216,14 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
         if len(comps) != 1:
             raise InternalInvariantError("a corner was split across components")
         comp = comps.pop()
-        new_corner = corner_from_darts(result.maps[comp], tuple(d for _, d in images))
-        if new_corner.width != 1:
+        numbering = _corner_numbering(result.maps[comp])
+        n = _pair_number(result.maps[comp], tuple(d for _, d in images), numbering)
+        if numbering[3][n][1] != 1:  # its span's width
             raise InternalInvariantError("hole transfer must produce wedges")
-        piles[comp].append(new_corner)
+        piles[comp].add(n)
     out = []
     for ci, component in enumerate(result.maps):
-        moved = Corneration.from_corners(component, piles[ci])
+        moved = Corneration._of_mask(component, _mask_of(component, piles[ci]))
         _require_cover(moved, InternalInvariantError, "hole transfer")
         out.append(moved)
     return out

@@ -25,7 +25,14 @@ from __future__ import annotations
 from typing import Union
 
 from .core import FlagMap, Skeleton, _require_map, validate
-from .cornerations import Corneration, _require_corneration, _require_cover, corner_from_darts
+from .cornerations import (
+    Corneration,
+    _corner_numbering,
+    _mask_of,
+    _pair_number,
+    _require_corneration,
+    _require_cover,
+)
 from .errors import CornerationMismatch, InvalidMapError, MapFormatError, UnsupportedExport
 from .splitgraph import SplitGraph
 from .symtype import Diagram
@@ -123,7 +130,7 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
     declared = lines[0].split()[1]
     lines = lines[1:]
     dart_ids = {c.id for c in m.cells("dart")}
-    corners = []
+    numbering, numbers = _corner_numbering(m), set()
     for line in lines:
         if not line.startswith("corner:"):
             raise MapFormatError(f"unexpected line {line!r}")
@@ -138,10 +145,10 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
             if d not in dart_ids:
                 raise CornerationMismatch(f"dart {d} is not a dart of the map")
         try:
-            corners.append(corner_from_darts(m, (d1, d2)))
+            numbers.add(_pair_number(m, (d1, d2), numbering))
         except ValueError as exc:
             raise CornerationMismatch(str(exc)) from exc
-    L = Corneration.from_corners(m, corners)
+    L = Corneration._of_mask(m, _mask_of(m, numbers))
     _require_cover(L)
     if declared != "mixed":
         try:

@@ -14,14 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import DART, EDGE, FlagMap, cells, orbits, uniform_valence
+from .core import DART, EDGE, FlagMap, cells, uniform_valence
 from .cornerations import (
     Corner,
     Corneration,
+    _base_perms,
     _corner_flags,
     _corner_numbering,
     _corner_numbers,
-    _corner_perms,
+    _one_entry,
     _pair_action,
     _require_corneration,
     _sides,
@@ -74,10 +75,9 @@ class SplitGraph:
     @classmethod
     def _of_pass(cls, L: Corneration, k_darts: list) -> "SplitGraph":
         """The graph of ``L`` and K from one :func:`_pass`, keeping only its position pairs."""
-        vertices, found, _ = _pass(L, k_darts)
         S = cls.__new__(cls)
+        S.vertices, found, _ = _pass(L, k_darts)
         S.map, S.base, S._k, S._edges, S._pairs = L.map, L, k_darts, None, list(found)
-        S.vertices = tuple(vertices)
         return S
 
     @property
@@ -148,8 +148,27 @@ def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] =
     pair: None}`` with old edges first, and the edges of the least-key corner
     that form no old edge.  Fills ``provenance``, if given, in the same order with
     ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
+    if provenance is None:
+        keys, slot, old, deficit = _one_entry(L.map._cache, L._mask, "old_edges", _old_edges, L)
+    else:
+        keys, slot, old, deficit = _old_edges(L, provenance)
+    found = dict(old)
+    for darts in k_darts:
+        s1, s2 = slot[darts[0]], slot[darts[1]]
+        if s1 == s2:
+            raise KIntersectsL(f"the corner on darts {darts} belongs to the corneration")
+        pair = (s1, s2) if s1 > s2 else (s2, s1)
+        found[pair] = None
+        if provenance is not None:
+            provenance.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
+    return keys, found, deficit
+
+
+def _old_edges(L: Corneration, provenance: Optional[dict] = None) -> tuple:
+    """The part of :func:`_pass` that K does not change, kept on the map for the last ``L``:
+    the keys, ``{dart: position of the corner covering it}``, old edges and deficit."""
     m = L.map
-    keys = L._keys()
+    keys = tuple(L._keys())
     edge_of, dart_of = m.cell_index(EDGE), m.cell_index(DART)
     slot = {}  # dart -> position of the L-corner covering it
     far = {}  # dart -> map edge of the other dart of that corner
@@ -174,15 +193,7 @@ def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] =
                 provenance.setdefault(pair, ((s1, s2), [], []))[1].append(e)
     except KeyError as missing:
         raise CornerationMismatch(f"not a corneration: uncovered dart {missing.args[0]}") from None
-    for darts in k_darts:
-        s1, s2 = slot[darts[0]], slot[darts[1]]
-        if s1 == s2:
-            raise KIntersectsL(f"the corner on darts {darts} belongs to the corneration")
-        pair = (s1, s2) if s1 > s2 else (s2, s1)
-        found[pair] = None
-        if provenance is not None:
-            provenance.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
-    return keys, found, deficit
+    return keys, slot, found, deficit
 
 
 def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
@@ -206,7 +217,11 @@ def _uniform_width(L: Corneration) -> tuple[int, int]:
 
 
 def _k_darts(L: Corneration, kind: str) -> list[tuple[int, int]]:
-    """The new-corner set K of construction ``kind``, as sorted dart pairs."""
+    """The new-corner set K of ``kind`` as sorted dart pairs, kept with :func:`_old_edges`."""
+    return _one_entry(L.map._cache, L._mask, kind, _find_k_darts, L, kind)
+
+
+def _find_k_darts(L: Corneration, kind: str) -> list[tuple[int, int]]:
     if kind == "A":  # in the order of the complement's `.corners`, as a Corner hashes as its key
         return [darts for _, darts in frozenset(j_complement(L)._keys())]
     m = L.map
@@ -278,8 +293,8 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     """
     _require_split_graph(S)
     _require_group(G, S.map)
-    perms = _corner_perms(G, list(S.base._numbers()))  # the vertices are the base's corners
-    if len(orbits(S.n_vertices, perms)) != 1:
+    perms, transitive = _base_perms(G, S.base)  # the vertices are the base's corners
+    if not transitive:
         raise NotTransitive("the group is not transitive on the corneration")
     k_numbers = set(_corner_numbers(S.map, K))
     edge_set = set(S._pairs)

@@ -7,13 +7,16 @@ enumerate``, written with ``--out-dir``; the ``split`` transcripts also
 take the width-2 records of the opposite, so that every construction
 appears, each with ``--dot`` and ``--graph6``.  The ``corn-enumerate``
 transcripts print every record of every width with ``--emit``, which
-pins the record order and each corneration file.  Running this file as a script
+pins the record order and each corneration file.  ``verify-suite.txt`` is
+the report of ``cornmaps verify suite`` with each claim's elapsed time
+stripped, as it is no result.  Running this file as a script
 rewrites the transcripts from the current code, so do that only on a
 commit whose output is known to be right.
 """
 
 import contextlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +33,7 @@ KINDS = ("flags", "vertices", "edges", "faces", "darts", "wedges")
 GROUPS = ("aut", "corn-classify", "symtype-dot", "split", "corn-enumerate")
 SPLIT_WIDTHS = {"torus44": (1,), "opp44": (1, 2)}
 ENUMERATE_WIDTHS = {"torus44": (1, 2), "opp44": (1, 2, 3, 4)}
+ELAPSED = re.compile(r", \d+\.\d+s\)")
 
 
 def _stdout(*argv) -> str:
@@ -82,6 +86,10 @@ def transcript(name: str, group: str, directory: Path) -> str:
     return "".join(lines)
 
 
+def verify_transcript() -> str:
+    return "$ cornmaps verify suite\n" + ELAPSED.sub(")", _stdout("verify", "suite"))
+
+
 @pytest.mark.parametrize("group", GROUPS)
 @pytest.mark.parametrize("name", MAPS)
 def test_cli_output_matches_golden_transcript(tmp_path_factory, name, group):
@@ -89,6 +97,11 @@ def test_cli_output_matches_golden_transcript(tmp_path_factory, name, group):
     directory.mkdir(exist_ok=True)
     expected = (GOLDEN / f"{name}-{group}.txt").read_text(encoding="utf-8")
     assert transcript(name, group, directory) == expected
+
+
+def test_verify_suite_report_matches_golden_transcript():
+    expected = (GOLDEN / "verify-suite.txt").read_text(encoding="utf-8")
+    assert verify_transcript() == expected
 
 
 if __name__ == "__main__":
@@ -101,3 +114,6 @@ if __name__ == "__main__":
                 path = GOLDEN / f"{name}-{group}.txt"
                 path.write_text(transcript(name, group, Path(tmp)), encoding="utf-8")
                 print(f"wrote {path}", file=sys.stderr)
+    path = GOLDEN / "verify-suite.txt"
+    path.write_text(verify_transcript(), encoding="utf-8")
+    print(f"wrote {path}", file=sys.stderr)

@@ -328,8 +328,9 @@ def test_the_sweep_builds_no_corner_it_does_not_decode(monkeypatch):
 
 def test_no_library_reader_of_a_transitive_corneration_builds_a_corner(monkeypatch):
     """Widths, keys, classification, complements, constructions, circuits,
-    face patterns, corneration files and the Petrie transfer read corner
-    numbers, keys and spans: none of them builds a corner."""
+    face patterns, writing and parsing corneration files and the Petrie and
+    hole transfers read corner numbers, keys and spans: none of them builds
+    a corner."""
     built = []
     real = corn._build_corner
     monkeypatch.setattr(corn, "_build_corner", lambda m, *darts: built.append(darts) or real(m, *darts))
@@ -349,8 +350,10 @@ def test_no_library_reader_of_a_transitive_corneration_builds_a_corner(monkeypat
             for kind in predicted_local_connectivity(q, j):
                 assert build_construction(L, kind).n_vertices == len(L)
             assert corn.circuits_of(L).circuits
-            assert write_corneration(L).count("corner:") == len(L)
+            text = write_corneration(L)
+            assert text.count("corner:") == len(L) and parse_corneration(text, m) == L
             assert corn.transfer(L, petrie(m)).key() == L.key()
+            assert sum(map(len, corn.transfer(L, hole(m, j)))) == len(L)
             read[m.name, j] += 1
     assert len(read) == 4 and built == []
 

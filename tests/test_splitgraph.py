@@ -10,7 +10,7 @@ import pytest
 import cornmaps.cornerations as corn
 import cornmaps.splitgraph as sg
 from cornmaps.builders import build_theta, build_torus_grid
-from cornmaps.core import DART, EDGE, cells, uniform_valence
+from cornmaps.core import DART, EDGE, FlagMap, cells, uniform_valence
 from cornmaps.errors import (
     CornerationMismatch,
     CornMapsError,
@@ -28,7 +28,7 @@ from cornmaps.errors import (
 )
 from cornmaps.fileio import write_map
 from cornmaps.operators import opposite
-from cornmaps.symmetry import automorphism_group
+from cornmaps.symmetry import SymGroup, automorphism_group
 from cornmaps.verify import (
     FAILED,
     SKIPPED,
@@ -37,7 +37,7 @@ from cornmaps.verify import (
     claim_split_graphs,
     run_claim,
 )
-from conftest import relabelled
+from conftest import group_elements, relabelled
 
 
 def boundary_wedge_corners(L, interior):
@@ -692,3 +692,105 @@ def test_constructions_build_no_graph_or_corner_they_do_not_return(monkeypatch):
     L = records[0].corneration
     sg.split(L, sg.new_corners(L, "Ci"))
     assert calls["cornmaps.splitgraph._corner_numbers"] == 1
+
+
+# -- the one-entry caches of a corneration's split-graph state ---------------
+#
+# The map keeps the state of the last corneration analysed (its old edges and
+# the K of each construction), and a group the corner permutations of the last
+# corneration it was checked on.  Two cornerations with one stabilizer, taken
+# in the order L1, L2, L1, evict and refill both.
+
+CACHE_CASES = [(name, j) for name in ("opp44", "opp66") for j in (1, 2, 3)] + [("torus66", 1)]
+
+
+@pytest.fixture(scope="module")
+def cache_maps():
+    torus44, torus66 = build_torus_grid(4, 4), build_torus_grid(6, 6)
+    return {"opp44": opposite(torus44), "opp66": opposite(torus66), "torus66": torus66}
+
+
+def transitive_records(m, j):
+    return [r for r in corn.enumerate_transitive_cornerations(m, j) if r.transitive]
+
+
+def cold_copy(L, G):
+    """``L`` and ``G`` on a copy of their map that shares no memo with it."""
+    m = L.map
+    cold = FlagMap(m.n_flags, m.r0, m.r1, m.r2, name=m.name)
+    corners = [corn.corner_from_darts(cold, c.darts) for c in L.corners]
+    return corn.Corneration(cold, corners), SymGroup(cold, group_elements(G))
+
+
+def split_analysis(L, G):
+    """Everything the split-graph layer says about ``L`` and ``G``."""
+    q = uniform_valence(L.map)
+    graphs = []
+    for kind in sg.predicted_valences(q, L.width):
+        S = sg.build_construction(L, kind)
+        K = sg.new_corners(L, kind)
+        witness = witness_outcome(sg.verify_vertex_transitive, S, G, K)
+        graphs.append((kind, S.vertices, S._pairs, list(S.edges.items()), [c.key() for c in K], witness))
+    report = sg.cubic_filter(L.map, L)
+    return report, sg.old_degree_deficit(L), graphs, corn.is_transitive_on_corners(G, L)
+
+
+@pytest.mark.parametrize("name, j", CACHE_CASES)
+def test_cached_split_analysis_matches_a_cold_map(cache_maps, name, j):
+    records = transitive_records(cache_maps[name], j)
+    first, last = records[0], records[-1]
+    assert first.aut is last.aut and first.corneration != last.corneration
+    seen = []
+    for r in (first, last, first):
+        L, G = r.corneration, r.aut
+        seen.append(split_analysis(L, G))
+        assert seen[-1] == split_analysis(*cold_copy(L, G)), (name, j)
+    assert seen[0] == seen[2] != seen[1]
+
+
+def test_errors_still_raise_after_a_cached_success(cache_maps, torus44):
+    m = cache_maps["opp66"]
+    records = transitive_records(m, 2)
+    r = records[0]
+    L, G = r.corneration, r.aut
+    S = sg.build_construction(L, "Ci")
+    K = sg.new_corners(L, "Ci")
+    assert sg.verify_vertex_transitive(S, G, K) and sg.cubic_filter(m, L).entries
+    with pytest.raises(KIntersectsL):
+        sg.split(L, K + [L.sorted_corners()[0]])
+    trivial = SymGroup(m, [tuple(m.flags())])
+    with pytest.raises(NotTransitive):
+        sg.verify_vertex_transitive(S, trivial, K)
+    with pytest.raises(KNotInvariant):
+        sg.verify_vertex_transitive(S, G, K[1:])
+    with pytest.raises(GroupDoesNotPreserveCorneration):  # another record's stabilizer
+        sg.verify_vertex_transitive(S, records[1].aut, K)
+    with pytest.raises(CornerationMismatch):
+        sg.cubic_filter(torus44, L)
+    uncovered = corn.Corneration._of_mask(m, L._mask & (L._mask - 1))  # one corner less
+    for call in (sg.old_degree_deficit, lambda L: sg.build_construction(L, "Ci")):
+        with pytest.raises(CornerationMismatch):
+            call(uncovered)
+    # the state kept for L is still good
+    assert sg.build_construction(L, "Ci")._pairs == S._pairs
+    assert sg.verify_vertex_transitive(S, G, K)
+
+
+def test_analysis_runs_the_edge_loop_and_the_permutations_once_per_corneration(monkeypatch):
+    """The 32 transitive records of opposite(torus 6x6) at j = 1..3 give 104
+    graphs; each record's old edges and corner permutations are found once."""
+    m = opposite(build_torus_grid(6, 6))
+    records = [r for j in (1, 2, 3) for r in transitive_records(m, j)]
+    calls = {}
+    monkeypatch.setattr(sg, "_old_edges", counting(calls, "edges", sg._old_edges))
+    monkeypatch.setattr(corn, "_corner_perms", counting(calls, "perms", corn._corner_perms))
+    graphs = 0
+    for r in records:
+        L = r.corneration
+        report = sg.cubic_filter(m, L)
+        for entry in report.entries:
+            S = sg.build_construction(L, entry.construction)
+            assert sg.verify_vertex_transitive(S, r.aut, sg.new_corners(L, entry.construction))
+            graphs += 1
+    assert (len(records), graphs) == (32, 104)
+    assert calls == {"edges": 32, "perms": 32}

@@ -13,11 +13,13 @@ from cornmaps.core import (
     face_boundary_wedges,
     face_length,
     other_dart,
+    rotation_at_vertex,
     skeleton,
     uniform_valence,
     validate,
     valence,
     vertex_bipartition,
+    wedges_at_vertex,
 )
 from cornmaps.errors import (
     GroupNotSubgroup,
@@ -315,6 +317,9 @@ MAP_TAKERS = {
     "is_corneration": lambda m, L, G: corn.is_corneration(m, L.corners),
     "corneration_of": lambda m, L, G: corn.corneration_of(m, corn.circuits_of(L)),
     "all_j_corners": lambda m, L, G: corn.all_j_corners(m, 1),
+    "rotation_at_vertex": lambda m, L, G: rotation_at_vertex(m, 0),
+    "wedges_at_vertex": lambda m, L, G: wedges_at_vertex(m, 0),
+    "corner_from_darts": lambda m, L, G: corn.corner_from_darts(m, L.key()[0][1]),
 }
 
 
