@@ -207,15 +207,13 @@ def build_antiprism_corneration(n: int):
     """
     m, index = _from_rotation_system(_antiprism_rotations(n), name=f"antiprism{n}")
     dart = index["dart"]
-    corners = []
+    pairs = []
     for k in range(n):
         for ring in ("u", "w"):
             v = (ring, k)
-            corners.append(corn.corner_from_darts(m, (dart[(v, 0)], dart[(v, 1)])))
-            corners.append(corn.corner_from_darts(m, (dart[(v, 2)], dart[(v, 3)])))
-    L = corn.Corneration.from_corners(m, corners)
-    corn._require_cover(L, InternalInvariantError, "antiprism band corners")
-    return m, L
+            pairs += [(dart[(v, 0)], dart[(v, 1)]), (dart[(v, 2)], dart[(v, 3)])]
+    numbers = [corn._pair_number(m, darts) for darts in pairs]
+    return m, corn._corneration_from(m, numbers, InternalInvariantError, "antiprism band corners")
 
 
 def build_torus_grid_corneration(rows: int, cols: int):
@@ -232,19 +230,16 @@ def build_torus_grid_corneration(rows: int, cols: int):
     m, index = _from_rotation_system(rotations, name=f"torus{rows}x{cols}")
     dart = index["dart"]
     # rotation positions at (r, c): 0 = east, 1 = north, 2 = west, 3 = south
-    corners = []
+    pairs = []
     for r in range(rows):
         for c in range(cols):
             if r % 2 == 0:
                 a = (r, c)
                 b = ((r + 1) % rows, c)
-                corners.append(corn.corner_from_darts(m, (dart[(a, 0)], dart[(a, 1)])))
-                corners.append(corn.corner_from_darts(m, (dart[(b, 3)], dart[(b, 0)])))
+                pairs += [(dart[(a, 0)], dart[(a, 1)]), (dart[(b, 3)], dart[(b, 0)])]
             else:
                 a = (r, (c + 1) % cols)
                 b = ((r + 1) % rows, (c + 1) % cols)
-                corners.append(corn.corner_from_darts(m, (dart[(a, 1)], dart[(a, 2)])))
-                corners.append(corn.corner_from_darts(m, (dart[(b, 2)], dart[(b, 3)])))
-    L = corn.Corneration.from_corners(m, corners)
-    corn._require_cover(L, InternalInvariantError, "grid corners")
-    return m, L
+                pairs += [(dart[(a, 1)], dart[(a, 2)]), (dart[(b, 2)], dart[(b, 3)])]
+    numbers = [corn._pair_number(m, darts) for darts in pairs]
+    return m, corn._corneration_from(m, numbers, InternalInvariantError, "grid corners")

@@ -438,13 +438,9 @@ def _bipartition(adjacency: dict) -> Optional[dict]:
     return color
 
 
-def face_bipartition(m: FlagMap) -> Optional[dict]:
-    """2-coloring of faces with adjacent faces colored differently, or None.
-
-    Two faces are adjacent when they lie on the two sides of a common edge;
-    a face meeting itself across an edge blocks any proper coloring.
-    """
-    _require_map(m)
+def _face_adjacency(m: FlagMap) -> dict[int, set]:
+    """Face id -> ids of the faces across its edges (itself, where a face meets
+    itself across an edge); memoized, so read it and never change it."""
 
     def build():
         face_of = m.cell_index(FACE)
@@ -454,9 +450,19 @@ def face_bipartition(m: FlagMap) -> Optional[dict]:
             a, b = face_of[f], face_of[m.r2[f]]
             adjacency[a].add(b)
             adjacency[b].add(a)
-        return _bipartition(adjacency)
+        return adjacency
 
-    return m._memo(("face2col",), build)
+    return m._memo(("face_adjacency",), build)
+
+
+def face_bipartition(m: FlagMap) -> Optional[dict]:
+    """2-coloring of faces with adjacent faces colored differently, or None.
+
+    Two faces are adjacent when they lie on the two sides of a common edge;
+    a face meeting itself across an edge blocks any proper coloring.
+    """
+    _require_map(m)
+    return m._memo(("face2col",), lambda: _bipartition(_face_adjacency(m)))
 
 
 def vertex_bipartition(m: FlagMap) -> Optional[dict]:
@@ -533,26 +539,23 @@ def wedges_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
 
 def face_boundary_wedges(m: FlagMap, f: int) -> tuple[int, ...]:
     """Wedge ids around the face ``f`` in boundary-walk order."""
-    cell = _cell_by_id(m, FACE, f)
-    wedge_of = m.cell_index(WEDGE)
-    p = len(cell) // 2
-    out = []
-    flag = cell.id
-    for _ in range(p):
-        out.append(wedge_of[flag])
-        flag = m.r1[m.r0[flag]]
-    return tuple(out)
+    return _face_walk(m, f, WEDGE)
 
 
 def face_boundary_edges(m: FlagMap, f: int) -> tuple[int, ...]:
     """Edge ids along the boundary walk of face ``f`` (repeats possible)."""
+    return _face_walk(m, f, EDGE)
+
+
+def _face_walk(m: FlagMap, f: int, kind: str) -> tuple[int, ...]:
+    """The ``kind`` cell of each flag met walking the boundary of face ``f``
+    from its id by ``r0`` then ``r1``, one flag per side."""
     cell = _cell_by_id(m, FACE, f)
-    edge_of = m.cell_index(EDGE)
-    p = len(cell) // 2
+    index = m.cell_index(kind)
     out = []
     flag = cell.id
-    for _ in range(p):
-        out.append(edge_of[flag])
+    for _ in range(len(cell) // 2):
+        out.append(index[flag])
         flag = m.r1[m.r0[flag]]
     return tuple(out)
 

@@ -22,6 +22,7 @@ from .core import (
     cells,
     face_boundary_wedges,
     orbits,
+    _face_adjacency,
     other_dart,
     _require_map,
     uniform_valence,
@@ -106,14 +107,15 @@ def corner_from_darts(m: FlagMap, darts: Sequence[int]) -> Corner:
     :class:`InvalidCorner` for anything but a pair and for darts that span
     no corner, and :class:`UnknownCell` for an id that is not a dart of ``m``.
     """
-    numbering = _corner_numbering(m)
-    n = _pair_number(m, darts, numbering)
-    return numbering[4][n] or _decode(m, (n,))[0]
+    n = _pair_number(m, darts)
+    return _corner_numbering(m)[4][n] or _decode(m, (n,))[0]
 
 
-def _pair_number(m: FlagMap, darts: Sequence[int], numbering: tuple) -> int:
+def _pair_number(m: FlagMap, darts: Sequence[int]) -> int:
     """The number of the corner on ``darts`` in ``m``'s :func:`_corner_numbering`,
-    building none; raises as :func:`corner_from_darts` does for darts that span none."""
+    building none: the one check of a dart pair, raising as :func:`corner_from_darts`
+    does for darts that span no corner."""
+    first, rank, keys, spans, _ = _corner_numbering(m)
     try:
         d1, d2 = darts
     except (TypeError, ValueError):
@@ -122,11 +124,19 @@ def _pair_number(m: FlagMap, darts: Sequence[int], numbering: tuple) -> int:
         bad = d2 if isinstance(d1, int) else d1
         raise UnknownCell(f"no dart cell with id {bad!r}")
     a, b = (d1, d2) if d1 < d2 else (d2, d1)
-    first, rank, keys, _, _ = numbering
     n = first[a] + rank[b] if 0 <= a and b < m.n_flags else -1
-    if not (0 <= n < len(keys) and keys[n][1] == (a, b)):  # a number is one pair's
-        _build_corner(m, d1, d2)  # raises: the darts span no corner
-    return n
+    if 0 <= n < len(keys) and keys[n][1] == (a, b) and spans[n][1]:  # a number is one pair's
+        return n
+    dart_of = m.cell_index(DART)
+    for d in (d1, d2):
+        if not (0 <= d < m.n_flags and dart_of[d] == d):
+            raise UnknownCell(f"no dart cell with id {d}")
+    if d1 == d2:
+        raise InvalidCorner("a corner needs two distinct darts")
+    vertex_of = m.cell_index(VERTEX)
+    if vertex_of[d1] != vertex_of[d2]:
+        raise InvalidCorner(f"darts {d1} and {d2} do not share a vertex")
+    raise InvalidCorner(f"darts {d1} and {d2} lie on the same edge")  # its span has width 0
 
 
 def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list, list]:
@@ -135,14 +145,17 @@ def _corner_numbering(m: FlagMap) -> tuple[list, list, list, list, list]:
     The pairs of distinct darts at a vertex, vertex by vertex and then in
     ascending order, follow :meth:`Corner.key`; pair ``(a, b)``, ``a < b``,
     is number ``first[a] + rank[b]``, ``rank`` being a dart's position
-    among the sorted darts at its vertex (a pair on one edge is no corner).
-    ``keys`` lists the keys ``(vertex, (a, b))`` by number; ``spans`` their
-    spans ``(start, width)``, the short side running ``width`` wedges round
-    the vertex rotation (:func:`~cornmaps.core.rotation_at_vertex`) from
-    position ``start``, the lower of a straight corner's two; and ``table``
-    their corners, each None until :func:`_decode` builds it.  Memoized on ``m``.
+    among the sorted darts at its vertex.  ``keys`` lists the keys
+    ``(vertex, (a, b))`` by number; ``spans`` their spans ``(start, width)``,
+    the short side running ``width`` wedges round the vertex rotation
+    (:func:`~cornmaps.core.rotation_at_vertex`) from position ``start``, the
+    lower of a straight corner's two, and ``width`` 0 for the two darts of a
+    loop, which span no corner; and ``table`` their corners, each None until
+    :func:`_decode` builds it.  Memoized on ``m``.
     """
-    try:
+    try:  # read the memo directly: a corner lookup reads it twice
+        return m._cache[("corner_numbers",)]
+    except KeyError:
         return m._memo(("corner_numbers",), _number_corners, m)
     except AttributeError:  # no map, as in :func:`~cornmaps.core.rotation_at_vertex`
         _require_map(m)
@@ -153,6 +166,7 @@ def _number_corners(m: FlagMap) -> tuple[list, list, list, list, list]:
     first = [0] * m.n_flags
     rank = [0] * m.n_flags
     keys, spans = [], []
+    edge_of = m.cell_index(EDGE)
     for v, (_, rotation, _) in _rotation_table(m).items():
         q = len(rotation)
         positions = sorted(range(q), key=rotation.__getitem__)  # by dart
@@ -164,42 +178,23 @@ def _number_corners(m: FlagMap) -> tuple[list, list, list, list, list]:
                 keys.append((v, (d, rotation[r])))
                 s = (r - p) % q  # wedges from p round to r; q - s from r round to p
                 width, start = min((s, p), (q - s, r))  # a tie, straight: the lower start
-                spans.append((start, width))
+                spans.append((start, width if edge_of[d] != edge_of[rotation[r]] else 0))
     return first, rank, keys, spans, [None] * len(keys)
 
 
 def _decode(m: FlagMap, numbers: Iterable[int]) -> list[Corner]:
-    """The corners of ``m`` with these numbers, each built on its first read."""
-    _, _, keys, _, table = _corner_numbering(m)
+    """The corners of ``m`` with these numbers, each built on its first read
+    from its key and span: the only place a :class:`Corner` is built."""
+    _, _, keys, spans, table = _corner_numbering(m)
 
     def build(n: int) -> Corner:
-        table[n] = _build_corner(m, *keys[n][1])
+        ((interior, boundary),) = _sides(m, (n,))
+        v, darts = keys[n]
+        interior = frozenset(interior)
+        table[n] = Corner(v, darts, spans[n][1], not interior, interior, frozenset(boundary))
         return table[n]
 
     return [table[n] or build(n) for n in numbers]
-
-
-def _build_corner(m: FlagMap, d1: int, d2: int) -> Corner:
-    """Validate two dart ids and build the corner they span, read off its span."""
-    dart_of = m.cell_index(DART)
-    for d in (d1, d2):
-        if not (0 <= d < m.n_flags and dart_of[d] == d):
-            raise UnknownCell(f"no dart cell with id {d}")
-    if d1 == d2:
-        raise InvalidCorner("a corner needs two distinct darts")
-    vertex_of = m.cell_index(VERTEX)
-    edge_of = m.cell_index(EDGE)
-    v = vertex_of[d1]
-    if vertex_of[d2] != v:
-        raise InvalidCorner(f"darts {d1} and {d2} do not share a vertex")
-    if edge_of[d1] == edge_of[d2]:
-        raise InvalidCorner(f"darts {d1} and {d2} lie on the same edge")
-    first, rank, _, spans, _ = _corner_numbering(m)
-    a, b = (d1, d2) if d1 < d2 else (d2, d1)
-    n = first[a] + rank[b]
-    ((interior, boundary),) = _sides(m, (n,))
-    interior = frozenset(interior)
-    return Corner(v, (a, b), spans[n][1], not interior, interior, frozenset(boundary))
 
 
 def _sides(m: FlagMap, numbers: Iterable[int]) -> Iterator[tuple[tuple, tuple]]:
@@ -262,7 +257,9 @@ def _width_masks(m: FlagMap) -> dict[int, int]:
 
     def build():
         widths = [width for _, width in _corner_numbering(m)[3]]
-        return {j: _mask_of(m, (n for n, w in enumerate(widths) if w == j)) for j in set(widths)}
+        return {  # width 0 is a loop's two darts, no corner
+            j: _mask_of(m, (n for n, w in enumerate(widths) if w == j)) for j in set(widths) if j
+        }
 
     return m._memo(("width_masks",), build)
 
@@ -373,7 +370,7 @@ def _corner_numbers(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
         except (IndexError, TypeError):
             own = False
         if not own:
-            corner_from_darts(m, c.darts)  # raises for darts that span no corner
+            _pair_number(m, c.darts)  # raises for darts that span no corner
             raise InvalidCorner(f"{c} is not a corner of the map")
         out.append(n)
     return out
@@ -492,6 +489,17 @@ class Corneration:
         return f"corneration<{len(self)} corners, width {'mixed' if j is None else j}>"
 
 
+def _corneration_from(
+    m: FlagMap, numbers: Iterable[int], error=CornerationMismatch, what="not a corneration"
+) -> Corneration:
+    """The :class:`Corneration` of ``m`` with the corners of these numbers, each
+    counted once; ``error`` unless they cover every dart exactly once
+    (:func:`_require_cover`).  It builds no corner."""
+    L = Corneration._of_mask(m, _mask_of(m, set(numbers)))
+    _require_cover(L, error, what)
+    return L
+
+
 def _require_corneration(L) -> None:
     """Raise :class:`CornerationMismatch` unless ``L`` is a :class:`Corneration`."""
     if not isinstance(L, Corneration):
@@ -569,7 +577,7 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
     vertex_of = m.cell_index(VERTEX)
     edge_of = m.cell_index(EDGE)
     covered = set()
-    corners = []
+    numbers = []
     for circuit in circuits:
         ds = circuit.darts
         k = len(ds)
@@ -588,12 +596,10 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
             d_next_near = other_dart(m, d_next_far)
             if vertex_of[d_next_near] != vertex_of[d_here]:
                 raise InvalidCircuits("consecutive circuit edges do not share a vertex")
-            corners.append(corner_from_darts(m, (d_here, d_next_near)))
+            numbers.append(_pair_number(m, (d_here, d_next_near)))
     if covered != {c.id for c in cells(m, EDGE)}:
         raise InvalidCircuits("circuits do not cover every edge")
-    L = Corneration.from_corners(m, corners)
-    _require_cover(L, InternalInvariantError, "circuit corners")
-    return L
+    return _corneration_from(m, numbers, InternalInvariantError, "circuit corners")
 
 
 def j_complement(L: Corneration) -> Corneration:
@@ -717,24 +723,12 @@ def face_patterns(L: Corneration) -> FacePatternReport:
             letter = "A"
         elif not any(seq):
             letter = "E"
-        elif _matches_tile(seq, PATTERN_TILES["B"]):
-            letter = "B"
-        elif _matches_tile(seq, PATTERN_TILES["C"]):
-            letter = "C"
-        elif _matches_tile(seq, PATTERN_TILES["D"]):
-            letter = "D"
         else:
-            letter = "Other"
+            letter = next((x for x in "BCD" if _matches_tile(seq, PATTERN_TILES[x])), "Other")
         per_face[face.id] = letter
 
     letters = set(per_face.values())
-    face_of = m.cell_index(FACE)
-    neighbors = {c.id: set() for c in cells(m, FACE)}
-    for e in cells(m, EDGE):
-        f = e.id
-        a, b = face_of[f], face_of[m.r2[f]]
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    neighbors = _face_adjacency(m)
 
     configuration = None
     if letters == {"A", "E"}:
@@ -1163,12 +1157,10 @@ def symmetric_cornerations_from_coloring(m: FlagMap, j: int):
         if len(colors) != 1:
             raise InternalInvariantError("interior boundary wedges of an odd corner differ in color")
         piles[colors.pop() == 0].append(n)  # node 0 is the color of flag 0
-    out = []
-    for flag_value in (True, False):
-        L = Corneration._of_mask(m, _mask_of(m, piles[flag_value]))
-        _require_cover(L, InternalInvariantError, "color class")
-        out.append(L)
-    return tuple(out)
+    return tuple(
+        _corneration_from(m, piles[side], InternalInvariantError, "color class")
+        for side in (True, False)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1189,9 +1181,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:
             raise CornerationMismatch("target map does not share darts with the corneration")
-        moved = Corneration._of_mask(target, L._mask)
-        _require_cover(moved, InternalInvariantError, "petrie transfer")
-        return moved
+        return _corneration_from(target, L._numbers(), InternalInvariantError, "petrie transfer")
 
     result = target
     if not isinstance(result, OperatorResult):
@@ -1216,14 +1206,11 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
         if len(comps) != 1:
             raise InternalInvariantError("a corner was split across components")
         comp = comps.pop()
-        numbering = _corner_numbering(result.maps[comp])
-        n = _pair_number(result.maps[comp], tuple(d for _, d in images), numbering)
-        if numbering[3][n][1] != 1:  # its span's width
+        n = _pair_number(result.maps[comp], tuple(d for _, d in images))
+        if _corner_numbering(result.maps[comp])[3][n][1] != 1:  # its span's width
             raise InternalInvariantError("hole transfer must produce wedges")
         piles[comp].add(n)
-    out = []
-    for ci, component in enumerate(result.maps):
-        moved = Corneration._of_mask(component, _mask_of(component, piles[ci]))
-        _require_cover(moved, InternalInvariantError, "hole transfer")
-        out.append(moved)
-    return out
+    return [
+        _corneration_from(component, piles[ci], InternalInvariantError, "hole transfer")
+        for ci, component in enumerate(result.maps)
+    ]

@@ -25,14 +25,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import FlagMap, Skeleton, _require_map, validate
-from .cornerations import (
-    Corneration,
-    _corner_numbering,
-    _mask_of,
-    _pair_number,
-    _require_corneration,
-    _require_cover,
-)
+from .cornerations import Corneration, _corneration_from, _pair_number, _require_corneration
 from .errors import CornerationMismatch, InvalidMapError, MapFormatError, UnsupportedExport
 from .splitgraph import SplitGraph
 from .symtype import Diagram
@@ -130,7 +123,7 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
     declared = lines[0].split()[1]
     lines = lines[1:]
     dart_ids = {c.id for c in m.cells("dart")}
-    numbering, numbers = _corner_numbering(m), set()
+    numbers = []
     for line in lines:
         if not line.startswith("corner:"):
             raise MapFormatError(f"unexpected line {line!r}")
@@ -145,11 +138,10 @@ def parse_corneration(text: str, m: FlagMap) -> Corneration:
             if d not in dart_ids:
                 raise CornerationMismatch(f"dart {d} is not a dart of the map")
         try:
-            numbers.add(_pair_number(m, (d1, d2), numbering))
+            numbers.append(_pair_number(m, (d1, d2)))
         except ValueError as exc:
             raise CornerationMismatch(str(exc)) from exc
-    L = Corneration._of_mask(m, _mask_of(m, numbers))
-    _require_cover(L)
+    L = _corneration_from(m, numbers)
     if declared != "mixed":
         try:
             j = int(declared)

@@ -259,11 +259,25 @@ def test_corner_from_darts_raises_library_errors():
     assert issubclass(InvalidCorner, ValueError)
 
 
+def one_loop():
+    """One vertex and one loop on the sphere, built by hand as maps refuse loops."""
+    return FlagMap(4, (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2))
+
+
 def test_the_two_darts_of_a_loop_span_no_corner():
-    # one vertex and one loop on the sphere, built by hand as maps refuse loops
-    m = FlagMap(4, (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2))
     with pytest.raises(InvalidCorner, match="same edge"):
-        corn.corner_from_darts(m, (0, 2))
+        corn.corner_from_darts(one_loop(), (0, 2))
+
+
+def test_a_corneration_file_cannot_name_the_two_darts_of_a_loop():
+    with pytest.raises(CornerationMismatch, match="same edge"):
+        parse_corneration("cornfile 1\nj 1\ncorner: 0 2\n", one_loop())
+
+
+def test_the_two_darts_of_a_loop_are_no_j_corner():
+    m = one_loop()
+    assert uniform_valence(m) == 2
+    assert corn.all_j_corners(m, 1) == []
 
 
 BAD_CORNER_INPUTS = [
@@ -312,32 +326,35 @@ def test_each_corner_is_built_once_per_map():
     assert corn.corner_from_darts(other, (a, b)) is not first
 
 
-def test_the_sweep_builds_no_corner_it_does_not_decode(monkeypatch):
+def built_corners(*maps) -> list:
+    """The corners built so far on these maps: the filled slots of their corner tables."""
+    return [c for m in maps for c in corn._corner_numbering(m)[4] if c is not None]
+
+
+def test_the_sweep_builds_no_corner_it_does_not_decode():
     """A record's corners are built when it is decoded, not by the sweep."""
-    built = []
-    real = corn._build_corner
-    monkeypatch.setattr(corn, "_build_corner", lambda m, *darts: built.append(darts) or real(m, *darts))
     m = build_torus_grid(12, 12)
     records = corn.enumerate_transitive_cornerations(m, 1)
-    assert len(records) > 1 and built == []
+    assert len(records) > 1 and built_corners(m) == []
     L = records[len(records) // 2].corneration
     corners = L.sorted_corners()
-    assert sorted(built) == [c.darts for c in corners] and len(built) == len(L) == 288
-    assert L.sorted_corners() == corners and len(built) == len(L)
+    built = built_corners(m)
+    assert built == corners and len(built) == len(L) == 288
+    assert L.sorted_corners() == corners and len(built_corners(m)) == len(L)
 
 
-def test_no_library_reader_of_a_transitive_corneration_builds_a_corner(monkeypatch):
+def test_no_library_reader_of_a_transitive_corneration_builds_a_corner():
     """Widths, keys, classification, complements, constructions, circuits,
     face patterns, writing and parsing corneration files and the Petrie and
     hole transfers read corner numbers, keys and spans: none of them builds
     a corner."""
-    built = []
-    real = corn._build_corner
-    monkeypatch.setattr(corn, "_build_corner", lambda m, *darts: built.append(darts) or real(m, *darts))
     opp = opposite(build_torus_grid(4, 4))
     read = Counter()
+    maps = []
     for m, j in [(build_torus_grid(12, 12), 1), (opp, 1), (opp, 2), (opp, 3)]:
         q = uniform_valence(m)
+        P, H = petrie(m), hole(m, j)
+        maps += [m, P, *H.maps]
         for r in corn.enumerate_transitive_cornerations(m, j):
             if not r.transitive:
                 continue
@@ -352,10 +369,23 @@ def test_no_library_reader_of_a_transitive_corneration_builds_a_corner(monkeypat
             assert corn.circuits_of(L).circuits
             text = write_corneration(L)
             assert text.count("corner:") == len(L) and parse_corneration(text, m) == L
-            assert corn.transfer(L, petrie(m)).key() == L.key()
-            assert sum(map(len, corn.transfer(L, hole(m, j)))) == len(L)
+            assert corn.transfer(L, P).key() == L.key()
+            assert sum(map(len, corn.transfer(L, H))) == len(L)
             read[m.name, j] += 1
-    assert len(read) == 4 and built == []
+    assert len(read) == 4 and built_corners(*maps) == []
+
+
+def test_no_road_from_dart_pairs_to_a_corneration_builds_a_corner():
+    """The builders, corneration_of, parse_corneration and the hole transfer
+    turn dart pairs into corner numbers without building a corner."""
+    for m, L in [build_torus_grid_corneration(4, 4), build_antiprism_corneration(4)]:
+        assert len(L) == len(cells(m, "dart")) // 2 and built_corners(m) == []
+        fresh = FlagMap(m.n_flags, *m.involutions())  # the same darts, a cold table
+        assert corn.corneration_of(fresh, corn.circuits_of(L)).key() == L.key()
+        assert parse_corneration(write_corneration(L), fresh).key() == L.key()
+        H = hole(m, 1)
+        assert sum(map(len, corn.transfer(L, H))) == len(L)
+        assert built_corners(m, fresh, *H.maps) == []
 
 
 # -- alignment ---------------------------------------------------------------
