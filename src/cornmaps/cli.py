@@ -146,9 +146,7 @@ def _cmd_corn(args) -> int:
         if args.j is None:
             print("error: enumeration needs --j", file=sys.stderr)
             return 2
-        records = corn.enumerate_transitive_cornerations(
-            m, args.j, args.index_bound, args.element_bound
-        )
+        records = corn.enumerate_transitive_cornerations(m, args.j)
         if args.transitive:
             records = [r for r in records if r.transitive]
         if args.symmetric:
@@ -285,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--symmetric", action="store_true")
     p_enum.add_argument("--emit", action="store_true", help="print corneration files")
     p_enum.add_argument("--out-dir", default=None)
-    p_enum.add_argument("--index-bound", type=int, default=4)
-    p_enum.add_argument("--element-bound", type=int, default=20000)
     p_enum.set_defaults(func=_cmd_corn)
     p_classify = corn_sub.add_parser("classify")
     p_classify.add_argument("map")

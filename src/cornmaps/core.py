@@ -526,17 +526,6 @@ def rotation_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
     return table[v][1]
 
 
-def wedges_at_vertex(m: FlagMap, v: int) -> tuple[int, ...]:
-    """Wedges at ``v`` aligned with :func:`rotation_at_vertex`.
-
-    ``wedges[k]`` lies between darts ``k`` and ``k+1`` of the rotation.
-    """
-    table = _rotation_table(m)
-    if not isinstance(v, int) or v not in table:
-        raise UnknownCell(f"no vertex cell with id {v!r}")
-    return table[v][2]
-
-
 def face_boundary_wedges(m: FlagMap, f: int) -> tuple[int, ...]:
     """Wedge ids around the face ``f`` in boundary-walk order."""
     return _face_walk(m, f, WEDGE)

@@ -336,10 +336,13 @@ def _dart_cover(m: FlagMap, keys: Iterable[tuple]) -> CoverReport:
     return CoverReport(True, None, None)
 
 
-def _require_cover(L: "Corneration", error=CornerationMismatch, what="not a corneration"):
-    """Raise ``error`` unless the corners of ``L`` cover every dart of its map
-    exactly once, read off their keys without building a corner."""
-    report = _dart_cover(L.map, L._keys())
+def _require_cover(
+    m: FlagMap, numbers: Iterable[int], error=CornerationMismatch, what="not a corneration"
+):
+    """Raise ``error`` unless the corners with these numbers, a repeated one counted
+    twice, cover every dart of ``m`` exactly once; read off keys, building no corner."""
+    keys = _corner_numbering(m)[2]
+    report = _dart_cover(m, map(keys.__getitem__, numbers))
     if not report.ok:
         raise error(f"{what}: {report.reason} at dart {report.witness}")
 
@@ -492,12 +495,11 @@ class Corneration:
 def _corneration_from(
     m: FlagMap, numbers: Iterable[int], error=CornerationMismatch, what="not a corneration"
 ) -> Corneration:
-    """The :class:`Corneration` of ``m`` with the corners of these numbers, each
-    counted once; ``error`` unless they cover every dart exactly once
-    (:func:`_require_cover`).  It builds no corner."""
-    L = Corneration._of_mask(m, _mask_of(m, set(numbers)))
-    _require_cover(L, error, what)
-    return L
+    """The :class:`Corneration` of ``m`` with the corners of these numbers, checked
+    by :func:`_require_cover`; it builds no corner."""
+    numbers = list(numbers)
+    _require_cover(m, numbers, error, what)
+    return Corneration._of_mask(m, _mask_of(m, numbers))
 
 
 def _require_corneration(L) -> None:
@@ -525,7 +527,7 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     """
     _require_corneration(L)
     m = L.map
-    _require_cover(L)
+    _require_cover(m, L._numbers())
     edge_of = m.cell_index(EDGE)
     darts = [c.id for c in cells(m, DART)]
 
@@ -621,7 +623,7 @@ def j_complement(L: Corneration) -> Corneration:
     m = L.map
     K = Corneration._of_mask(m, _width_masks(m)[j] ^ L._mask)
     if not _dart_cover(m, K._keys()).ok:
-        _require_cover(L)
+        _require_cover(m, L._numbers())
         raise InternalInvariantError("width complement failed to cover darts")
     return K
 
@@ -1080,25 +1082,25 @@ class TransitiveCornerationRecord:
     symmetric: bool
 
 
-def enumerate_transitive_cornerations(
-    m: FlagMap, j: int, index_bound: int = 4, element_bound: int = 20000
-) -> list[TransitiveCornerationRecord]:
-    """Every j-corneration invariant under a small-index subgroup.
+def enumerate_transitive_cornerations(m: FlagMap, j: int) -> list[TransitiveCornerationRecord]:
+    """Every j-corneration invariant under a subgroup of index at most 4.
 
-    Sweeps all subgroups of the symmetry group of index at most
-    ``index_bound``; a transitive corneration is invariant under its own
-    stabilizer, whose index is at most 4, so the sweep finds all of them.
-    Each distinct corneration is returned once with its setwise stabilizer
-    and transitivity flags (transitive on its corners, transitive on all
-    darts).  The valence and width are checked before any search.
+    A corneration has #darts / 2 = #flags / 4 corners, and Aut acts
+    semiregularly on the flags, so a group transitive on its corners has
+    order at least |Aut| / 4.  Every transitive corneration is therefore
+    invariant under a subgroup of index at most 4 (its stabilizer), and
+    sweeping those subgroups finds all of them.  Each distinct corneration
+    is returned once with its setwise stabilizer and transitivity flags
+    (transitive on its corners, transitive on all darts).  The valence and
+    width are checked before any search.
     """
     _require_width(m, j)
     A = automorphism_group(m)
     found: dict = {}
     # the subgroups come by decreasing order, and every H that leaves L
-    # invariant lies in Stab(L), itself of index <= index_bound and listed:
+    # invariant lies in Stab(L), itself of index <= 4 and listed:
     # so the first H to yield L is its stabilizer
-    for H in subgroups_up_to_index(A, index_bound, element_bound):
+    for H in subgroups_up_to_index(A, 4):
         masks, one_row, n_dart_orbits = _invariant_covers(m, H, j)
         for mask in masks:
             if mask not in found:

@@ -109,14 +109,6 @@ class InvalidCircuits(CornMapsError, ValueError):
     """
 
 
-class GroupTooLarge(CornMapsError):
-    """A group exceeds the configured bound for exhaustive search.
-
-    Raise ``element_bound`` to proceed; on the command line that is
-    ``--element-bound`` of ``corn enumerate``.
-    """
-
-
 class GroupNotSubgroup(CornMapsError):
     """Permutations that are not a group of map symmetries, found when
     ``SymGroup(m, perms)`` is built; also an image of flag 0 outside the

@@ -76,7 +76,7 @@ class SplitGraph:
     def _of_pass(cls, L: Corneration, k_darts: list) -> "SplitGraph":
         """The graph of ``L`` and K from one :func:`_pass`, keeping only its position pairs."""
         S = cls.__new__(cls)
-        S.vertices, found, _ = _pass(L, k_darts)
+        S.vertices, found = _pass(L, k_darts)
         S.map, S.base, S._k, S._edges, S._pairs = L.map, L, k_darts, None, list(found)
         return S
 
@@ -144,14 +144,13 @@ def _disconnected(S: SplitGraph, runs: Iterable) -> Iterable:
 
 def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] = None) -> tuple:
     """The split graph of ``L`` and K (sorted dart pairs) as the keys of ``L``'s
-    corners in order (indices are positions), ``{(larger, smaller) position
-    pair: None}`` with old edges first, and the edges of the least-key corner
-    that form no old edge.  Fills ``provenance``, if given, in the same order with
-    ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
+    corners in order (indices are positions) and ``{(larger, smaller) position
+    pair: None}`` with old edges first.  Fills ``provenance``, if given, in the same
+    order with ``{pair: (the pair as first met, [map edges], [K dart pairs])}``."""
     if provenance is None:
-        keys, slot, old, deficit = _one_entry(L.map._cache, L._mask, "old_edges", _old_edges, L)
+        keys, slot, old, _ = _one_entry(L.map._cache, L._mask, "old_edges", _old_edges, L)
     else:
-        keys, slot, old, deficit = _old_edges(L, provenance)
+        keys, slot, old, _ = _old_edges(L, provenance)
     found = dict(old)
     for darts in k_darts:
         s1, s2 = slot[darts[0]], slot[darts[1]]
@@ -161,7 +160,7 @@ def _pass(L: Corneration, k_darts: Iterable[tuple], provenance: Optional[dict] =
         found[pair] = None
         if provenance is not None:
             provenance.setdefault(pair, ((s1, s2), [], []))[2].append(darts)
-    return keys, found, deficit
+    return keys, found
 
 
 def _old_edges(L: Corneration, provenance: Optional[dict] = None) -> tuple:
@@ -249,7 +248,8 @@ def _construct(L: Corneration, kind: str, widths: str) -> SplitGraph:
     j, q = _uniform_width(L)
     if kind not in predicted_valences(q, j):
         raise WidthOutOfRange(widths)
-    return SplitGraph._of_pass(L, _k_darts(L, kind))
+    k_darts = _k_darts(L, kind)
+    return _one_entry(L.map._cache, L._mask, ("graph", kind), SplitGraph._of_pass, L, k_darts)
 
 
 def graph_A(L: Corneration) -> SplitGraph:
@@ -371,11 +371,11 @@ def old_degree_deficit(L: Corneration) -> int:
     An old edge requires the two corners covering a map edge to share
     exactly that edge; when they share both of their edges (a pair of
     parallel edges spanned the same way at both ends) no old edge forms.
-    Counted at the least-key corner (:func:`_pass`); for a transitive
+    Counted at the least-key corner (:func:`_old_edges`); for a transitive
     corneration the count is the same at every corner.
     """
     _require_corneration(L)
-    return _pass(L, ())[2]
+    return _one_entry(L.map._cache, L._mask, "old_edges", _old_edges, L)[3]
 
 
 def predicted_local_connectivity(q: int, j: int) -> dict:
@@ -423,7 +423,7 @@ def cubic_filter(m: FlagMap, L: Corneration) -> CubicReport:
     j, q = _uniform_width(L)
     entries = []
     for kind, predicted in predicted_valences(q, j, old_degree_deficit(L)).items():
-        measured = SplitGraph._of_pass(L, _k_darts(L, kind)).regular_valence()
+        measured = build_construction(L, kind).regular_valence()
         entries.append(CubicEntry(kind, measured, predicted, measured == 3))
     return CubicReport(tuple(entries))
 

@@ -109,8 +109,8 @@ class VerificationReport:
 
 
 class SuiteContext:
-    """Builds and caches the suite maps and the corneration sweep, which runs
-    at the library's default bounds: the claims are stated at index 4."""
+    """Builds and caches the suite maps and the transitive-corneration sweep
+    of each map and width."""
 
     def __init__(self, census_map_path: Optional[str] = None):
         self.census_map_path = census_map_path

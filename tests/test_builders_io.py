@@ -172,6 +172,14 @@ def test_corneration_mismatches(torus44, theta4):
         parse_corneration("\n".join(lines[:-1]), m)
 
 
+def test_a_corneration_file_cannot_name_one_corner_twice():
+    m, L = build_torus_grid_corneration(4, 4)
+    lines = write_corneration(L).splitlines()
+    assert lines[-1].startswith("corner: ")
+    with pytest.raises(CornerationMismatch, match="dart covered 2 times"):
+        parse_corneration("\n".join(lines + lines[-1:]), m)
+
+
 def test_export_dot_skeleton(cube):
     from cornmaps.core import skeleton
 

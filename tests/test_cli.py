@@ -89,6 +89,17 @@ def test_corn_enumerate_deterministic(tmp_path, capsys):
     assert "found 4" in out1
 
 
+def test_corn_enumerate_takes_no_size_bound(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["corn", "enumerate", "--help"])
+    assert excinfo.value.code == 0
+    assert "bound" not in capsys.readouterr().out
+    for option in ("--index-bound", "--element-bound"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corn", "enumerate", "x.map", "--j", "1", option, "4"])
+        assert excinfo.value.code == 2
+
+
 def test_corn_classify_and_symtype_and_split(tmp_path, capsys):
     source = tmp_path / "t.map"
     run(capsys, "build", "torus", "--rows", "4", "--cols", "4", "-o", str(source))

@@ -3,6 +3,7 @@ import pytest
 from cornmaps.core import (
     CELL_KINDS,
     FlagMap,
+    _rotation_table,
     cells,
     euler_and_genus,
     face_bipartition,
@@ -16,7 +17,6 @@ from cornmaps.core import (
     valence,
     validate,
     vertex_bipartition,
-    wedges_at_vertex,
 )
 from cornmaps.errors import (
     CornMapsError,
@@ -216,7 +216,7 @@ def test_rotation_wedges_align(cube):
     dart_of = cube.cell_index("dart")
     for vcell in cells(cube, "vertex"):
         rotation = rotation_at_vertex(cube, vcell.id)
-        wedges = wedges_at_vertex(cube, vcell.id)
+        wedges = _rotation_table(cube)[vcell.id][2]
         q = len(rotation)
         for k in range(q):
             w = wedges[k]
@@ -239,7 +239,6 @@ def test_unknown_cell_ids_raise_unknown_cell(cube):
     for lookup, cid in (
         (valence, bad_vertex),
         (rotation_at_vertex, bad_vertex),
-        (wedges_at_vertex, bad_vertex),
         (face_length, bad_face),
         (face_boundary_wedges, bad_face),
         (face_boundary_edges, bad_face),

@@ -19,6 +19,7 @@ from cornmaps.builders import (
 )
 from cornmaps.core import (
     FlagMap,
+    _rotation_table,
     cells,
     face_boundary_edges,
     face_length,
@@ -27,7 +28,6 @@ from cornmaps.core import (
     rotation_at_vertex,
     uniform_valence,
     valence,
-    wedges_at_vertex,
 )
 from cornmaps.errors import (
     CircuitTooShort,
@@ -104,10 +104,6 @@ def test_bounds_that_are_no_ints_raise_library_errors(torus44):
     for k in ("2", 2.5):
         with pytest.raises(DegenerateParameters):
             subgroups_up_to_index(A, k)
-        with pytest.raises(DegenerateParameters):
-            subgroups_up_to_index(A, 4, element_bound=k)
-        with pytest.raises(DegenerateParameters):
-            corn.enumerate_transitive_cornerations(torus44, 1, element_bound=k)
     with pytest.raises(WidthOutOfRange):
         corn.enumerate_transitive_cornerations(torus44, "1")
     assert [len(subgroups_up_to_index(A, k)) for k in (-1, 0, 1, 2)] == [0, 0, 1, 8]
@@ -181,7 +177,7 @@ def walked_geometry(m, v, a, b):
     """Width, straightness, interior and boundary wedges of the corner on
     darts ``a`` and ``b`` at ``v``, by walking its vertex rotation: each side
     is the run of wedges met going round from one dart to the other."""
-    rotation, wedges = rotation_at_vertex(m, v), wedges_at_vertex(m, v)
+    rotation, wedges = rotation_at_vertex(m, v), _rotation_table(m)[v][2]
     q = len(rotation)
 
     def side(start, stop):
@@ -833,18 +829,25 @@ def test_enumerate_trivial_group_antiprism5_in_key_order():
     assert {L.key() for L in out} == oracle
 
 
-@pytest.mark.parametrize("index_bound", [0, 4])
-def test_transitive_enumeration_checks_the_width_before_any_search(
-    index_bound, asymmetric_map, cube
-):
+def test_the_sweep_has_no_limit_on_the_group_order():
+    """|Aut| of the 51x51 torus is its flag count, 20,808. As on the odd
+    square tori from 3x3 to 9x9, its two transitive 1-cornerations are symmetric."""
+    m = build_torus_grid(51, 51)
+    records = corn.enumerate_transitive_cornerations(m, 1)
+    assert automorphism_group(m).order == m.n_flags == 20808
+    found = [(len(r.corneration), r.transitive, r.symmetric) for r in records]
+    assert found == [(m.n_flags // 4, True, True)] * 2
+
+
+def test_transitive_enumeration_checks_the_width_before_any_search(asymmetric_map, cube):
     m = build_torus_grid(4, 4)  # fresh, so its memo shows whether Aut ran
     for j in ("1", 99, 0, 3):
         with pytest.raises(WidthOutOfRange):
-            corn.enumerate_transitive_cornerations(m, j, index_bound)
+            corn.enumerate_transitive_cornerations(m, j)
     assert ("aut",) not in m._cache
     with pytest.raises(NonUniformValence):
-        corn.enumerate_transitive_cornerations(asymmetric_map, 99, index_bound)
-    assert corn.enumerate_transitive_cornerations(cube, 1, index_bound) == []
+        corn.enumerate_transitive_cornerations(asymmetric_map, 99)
+    assert corn.enumerate_transitive_cornerations(cube, 1) == []
 
 
 def swept(m):

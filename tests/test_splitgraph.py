@@ -778,12 +778,14 @@ def test_errors_still_raise_after_a_cached_success(cache_maps, torus44):
 
 def test_analysis_runs_the_edge_loop_and_the_permutations_once_per_corneration(monkeypatch):
     """The 32 transitive records of opposite(torus 6x6) at j = 1..3 give 104
-    graphs; each record's old edges and corner permutations are found once."""
+    graphs; each record's old edges and corner permutations are found once,
+    and each graph takes one pass, shared by ``cubic_filter`` and its construction."""
     m = opposite(build_torus_grid(6, 6))
     records = [r for j in (1, 2, 3) for r in transitive_records(m, j)]
     calls = {}
     monkeypatch.setattr(sg, "_old_edges", counting(calls, "edges", sg._old_edges))
     monkeypatch.setattr(corn, "_corner_perms", counting(calls, "perms", corn._corner_perms))
+    monkeypatch.setattr(sg, "_pass", counting(calls, "pass", sg._pass))
     graphs = 0
     for r in records:
         L = r.corneration
@@ -793,4 +795,14 @@ def test_analysis_runs_the_edge_loop_and_the_permutations_once_per_corneration(m
             assert sg.verify_vertex_transitive(S, r.aut, sg.new_corners(L, entry.construction))
             graphs += 1
     assert (len(records), graphs) == (32, 104)
-    assert calls == {"edges": 32, "perms": 32}
+    assert calls == {"edges": 32, "perms": 32, "pass": 104}
+
+
+def test_repeated_constructions_on_one_corneration_return_the_same_graph():
+    m = opposite(build_torus_grid(6, 6))
+    L1, L2 = (r.corneration for r in transitive_records(m, 2)[:2])
+    S = sg.graph_Ci(L1)
+    assert sg.graph_Ci(L1) is S is sg.build_construction(L1, "Ci")
+    assert sg.graph_Ci(L2) is not S  # the next corneration replaces the state
+    again = sg.graph_Ci(L1)
+    assert again is not S and again._pairs == S._pairs

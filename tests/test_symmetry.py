@@ -19,11 +19,9 @@ from cornmaps.core import (
     validate,
     valence,
     vertex_bipartition,
-    wedges_at_vertex,
 )
 from cornmaps.errors import (
     GroupNotSubgroup,
-    GroupTooLarge,
     InvalidMapError,
     MalformedFlagSystem,
     UnknownCell,
@@ -192,12 +190,6 @@ def test_subgroups_complete_for_small_group(theta4):
     assert enumerated == by_index
 
 
-def test_group_too_large_guard(torus44):
-    A = automorphism_group(torus44)
-    with pytest.raises(GroupTooLarge):
-        subgroups_up_to_index(A, 2, element_bound=10)
-
-
 def test_local_action_full_stabilizer_is_other(torus44):
     A = automorphism_group(torus44)
     v0 = cells(torus44, "vertex")[0].id
@@ -318,7 +310,6 @@ MAP_TAKERS = {
     "corneration_of": lambda m, L, G: corn.corneration_of(m, corn.circuits_of(L)),
     "all_j_corners": lambda m, L, G: corn.all_j_corners(m, 1),
     "rotation_at_vertex": lambda m, L, G: rotation_at_vertex(m, 0),
-    "wedges_at_vertex": lambda m, L, G: wedges_at_vertex(m, 0),
     "corner_from_darts": lambda m, L, G: corn.corner_from_darts(m, L.key()[0][1]),
 }
 
