@@ -21,24 +21,27 @@ from .errors import (
 
 
 def _from_rotation_system(rotations, twists=None, name=None):
-    """Build a flag system from per-vertex rotations; return (map, index).
+    """Build a flag system from per-vertex rotations; return ``(map, base)``.
 
     ``rotations`` maps a vertex label to the cyclic sequence of edge labels
     around it; ``twists`` maps an edge label to +1 (orientation-consistent
-    gluing) or -1.  The returned index exposes the builder's numbering:
-    ``index["dart"][(v, k)]`` is the dart cell id of the k-th edge end at
-    ``v``, ``index["vertex"][v]`` and ``index["edge"][e]`` the cell ids.
+    gluing) or -1.  ``base[v]`` is the first flag of vertex ``v``, so the
+    k-th edge end at ``v`` is the dart cell with id ``base[v] + 2 * k``.
     """
     if not rotations:
         raise InconsistentRotation("empty rotation system")
-    twists = dict(twists or {})
-
-    occurrences: dict = {}
-    for v, around in rotations.items():
-        if len(around) == 0:
-            raise InconsistentRotation(f"vertex {v!r} has no incident edges")
-        for k, e in enumerate(around):
-            occurrences.setdefault(e, []).append((v, k))
+    try:
+        twists = dict(twists or {})
+        occurrences: dict = {}
+        for v, around in rotations.items():
+            if len(around) == 0:
+                raise InconsistentRotation(f"vertex {v!r} has no incident edges")
+            for k, e in enumerate(around):
+                occurrences.setdefault(e, []).append((v, k))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InconsistentRotation(
+            f"rotations must map vertices to edge label sequences, twists edges to signs: {exc}"
+        ) from None
     for e, occ in occurrences.items():
         if len(occ) != 2:
             raise InconsistentRotation(
@@ -46,9 +49,11 @@ def _from_rotation_system(rotations, twists=None, name=None):
             )
         if occ[0][0] == occ[1][0]:
             raise InconsistentRotation(f"edge {e!r} is a loop at vertex {occ[0][0]!r}")
-    for e in twists:
+    for e, twist in twists.items():
         if e not in occurrences:
             raise InconsistentRotation(f"twist given for unknown edge {e!r}")
+        if twist not in (1, -1):
+            raise InconsistentRotation(f"twist {twist!r} of edge {e!r} is neither +1 nor -1")
 
     base = {}
     n = 0
@@ -85,28 +90,18 @@ def _from_rotation_system(rotations, twists=None, name=None):
         m.require_valid()
     except InvalidMapError as exc:
         raise InconsistentRotation(f"rotation system yields an invalid map: {exc}") from exc
-
-    index = {
-        "flag": {(v, k, s): flag(v, k, s) for v, around in rotations.items()
-                 for k in range(len(around)) for s in (0, 1)},
-        "dart": {(v, k): flag(v, k, 0) for v, around in rotations.items()
-                 for k in range(len(around))},
-        "vertex": {v: base[v] for v in rotations},
-        "edge": {e: min(flag(va, ka, s) for (va, ka) in occ for s in (0, 1))
-                 for e, occ in occurrences.items()},
-    }
-    return m, index
+    return m, base
 
 
 def from_rotation_system(rotations, twists=None, name=None) -> FlagMap:
     """The unique flag system whose vertex rotations match the input.
 
-    See :func:`_from_rotation_system` for the input conventions.  The
+    See :func:`_from_rotation_system` for the input conventions;
+    :class:`InconsistentRotation` for input that follows none.  The
     rotations of the result agree with the input up to the choice of
     starting dart and direction at each vertex.
     """
-    m, _ = _from_rotation_system(rotations, twists, name)
-    return m
+    return _from_rotation_system(rotations, twists, name)[0]
 
 
 def _torus_rotations(rows: int, cols: int) -> dict:
@@ -205,13 +200,12 @@ def build_antiprism_corneration(n: int):
     ``L`` consists of the two wedges of every triangle that touch the edge
     shared with an n-gon; the n-gons contribute no wedges.
     """
-    m, index = _from_rotation_system(_antiprism_rotations(n), name=f"antiprism{n}")
-    dart = index["dart"]
+    m, base = _from_rotation_system(_antiprism_rotations(n), name=f"antiprism{n}")
     pairs = []
     for k in range(n):
         for ring in ("u", "w"):
-            v = (ring, k)
-            pairs += [(dart[(v, 0)], dart[(v, 1)]), (dart[(v, 2)], dart[(v, 3)])]
+            d = base[(ring, k)]  # darts d, d + 2, d + 4 and d + 6 in rotation order
+            pairs += [(d, d + 2), (d + 4, d + 6)]
     numbers = [corn._pair_number(m, darts) for darts in pairs]
     return m, corn._corneration_from(m, numbers, InternalInvariantError, "antiprism band corners")
 
@@ -227,19 +221,16 @@ def build_torus_grid_corneration(rows: int, cols: int):
     rotations = _torus_rotations(rows, cols)
     if rows % 2 != 0:
         raise DegenerateParameters("the alternating corneration needs an even number of rows")
-    m, index = _from_rotation_system(rotations, name=f"torus{rows}x{cols}")
-    dart = index["dart"]
-    # rotation positions at (r, c): 0 = east, 1 = north, 2 = west, 3 = south
+    m, base = _from_rotation_system(rotations, name=f"torus{rows}x{cols}")
+    # at (r, c) the darts east, north, west and south are base[(r, c)] + 0, 2, 4 and 6
     pairs = []
     for r in range(rows):
         for c in range(cols):
             if r % 2 == 0:
-                a = (r, c)
-                b = ((r + 1) % rows, c)
-                pairs += [(dart[(a, 0)], dart[(a, 1)]), (dart[(b, 3)], dart[(b, 0)])]
+                a, b = base[(r, c)], base[((r + 1) % rows, c)]
+                pairs += [(a, a + 2), (b + 6, b)]
             else:
-                a = (r, (c + 1) % cols)
-                b = ((r + 1) % rows, (c + 1) % cols)
-                pairs += [(dart[(a, 1)], dart[(a, 2)]), (dart[(b, 2)], dart[(b, 3)])]
+                a, b = base[(r, (c + 1) % cols)], base[((r + 1) % rows, (c + 1) % cols)]
+                pairs += [(a + 2, a + 4), (b + 4, b + 6)]
     numbers = [corn._pair_number(m, darts) for darts in pairs]
     return m, corn._corneration_from(m, numbers, InternalInvariantError, "grid corners")

@@ -176,7 +176,10 @@ class FlagMap:
 
     def __post_init__(self):
         for attr in ("r0", "r1", "r2"):
-            p = tuple(int(x) for x in getattr(self, attr))
+            try:
+                p = tuple(int(x) for x in getattr(self, attr))
+            except (TypeError, ValueError):
+                raise MalformedFlagSystem(f"{attr} is not a sequence of flag ids") from None
             if len(p) != self.n_flags:
                 raise MalformedFlagSystem(f"{attr} has length {len(p)}, expected {self.n_flags}")
             if any(x < 0 or x >= self.n_flags for x in p):
@@ -257,7 +260,11 @@ def cells(m: FlagMap, kind: str) -> tuple[Cell, ...]:
             Cell(kind, orbit[0], tuple(orbit)) for orbit in orbits(m.n_flags, perms)
         )
 
-    return m._memo(("cells", kind), build)
+    try:
+        return m._memo(("cells", kind), build)
+    except AttributeError:  # no map, as in :func:`_rotation_table`
+        _require_map(m)
+        raise
 
 
 def validate(m: FlagMap) -> ValidationReport:
@@ -387,30 +394,16 @@ def euler_and_genus(m: FlagMap) -> EulerData:
 
     Orientability is bipartiteness of the flag adjacency graph (flags as
     nodes, one link per ``r_i`` pair); the genus is ``(2 - chi) / 2`` for
-    orientable surfaces and the cross-cap count ``2 - chi`` otherwise.
+    orientable surfaces and the cross-cap count ``2 - chi`` otherwise.  On a
+    flag system that is not connected (no map) the verdict covers every
+    component.
     """
     _require_map(m)
 
     def build():
-        chi = (
-            len(cells(m, VERTEX))
-            - len(cells(m, EDGE))
-            + len(cells(m, FACE))
-        )
-        color = [-1] * m.n_flags
-        color[0] = 0
-        queue = deque([0])
-        orientable = True
-        while queue and orientable:
-            x = queue.popleft()
-            for p in m.involutions():
-                y = p[x]
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    orientable = False
-                    break
+        chi = len(cells(m, VERTEX)) - len(cells(m, EDGE)) + len(cells(m, FACE))
+        r0, r1, r2 = m.involutions()
+        orientable = _bipartition({f: (r0[f], r1[f], r2[f]) for f in m.flags()}) is not None
         genus = (2 - chi) // 2 if orientable else 2 - chi
         return EulerData(chi, orientable, genus)
 

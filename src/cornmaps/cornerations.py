@@ -328,7 +328,7 @@ def _dart_cover(m: FlagMap, keys: Iterable[tuple]) -> CoverReport:
             if d not in count:
                 return CoverReport(False, d, "not a dart of the map")
             count[d] += 1
-    for d in sorted(count):
+    for d in count:  # the darts come in ascending id order
         if count[d] == 0:
             return CoverReport(False, d, "uncovered dart")
         if count[d] > 1:
@@ -396,8 +396,10 @@ class Corneration:
     highest bit.  All cornerations of a map have #darts/2 corners, so of
     two of them the larger int has the smaller :meth:`key`.  :attr:`corners`,
     a frozenset of the map's own corners, is decoded (:func:`_decode`) on first read.
-    ``Corneration(m, corners)`` raises :class:`CornerationMismatch` for an
-    item that is not a corner of ``m``.
+    ``Corneration(m, corners)`` is checked once, when built: it raises
+    :class:`CornerationMismatch` for an item that is not a corner of ``m`` and
+    for corners that leave a dart uncovered or cover one twice (a corner
+    listed twice counts once).  Its readers trust it to be a cover.
     """
 
     __slots__ = ("map", "_mask", "_corners", "_by_dart")
@@ -407,12 +409,9 @@ class Corneration:
             numbers = set(_corner_numbers(map, corners))
         except (AttributeError, InvalidCorner, UnknownCell) as exc:
             raise CornerationMismatch(f"not a corner of the map: {exc.args[0]}") from None
+        _require_cover(map, numbers)
         self.map, self._mask = map, _mask_of(map, numbers)
         self._corners = self._by_dart = None
-
-    @classmethod
-    def from_corners(cls, m: FlagMap, corners: Iterable[Corner]) -> "Corneration":
-        return cls(m, corners)
 
     @classmethod
     def _of_mask(cls, m: FlagMap, mask: int) -> "Corneration":
@@ -527,7 +526,6 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     """
     _require_corneration(L)
     m = L.map
-    _require_cover(m, L._numbers())
     edge_of = m.cell_index(EDGE)
     darts = [c.id for c in cells(m, DART)]
 
@@ -605,11 +603,7 @@ def corneration_of(m: FlagMap, decomposition) -> Corneration:
 
 
 def j_complement(L: Corneration) -> Corneration:
-    """All corners of the same width not in ``L``; again a corneration.
-
-    Raises :class:`CornerationMismatch` when ``L`` is not a corneration
-    and its complement covers no dart set exactly.
-    """
+    """All corners of the same width not in ``L``; again a corneration."""
     _require_corneration(L)
     j = L.width
     if j is None:
@@ -623,7 +617,6 @@ def j_complement(L: Corneration) -> Corneration:
     m = L.map
     K = Corneration._of_mask(m, _width_masks(m)[j] ^ L._mask)
     if not _dart_cover(m, K._keys()).ok:
-        _require_cover(m, L._numbers())
         raise InternalInvariantError("width complement failed to cover darts")
     return K
 
@@ -1183,7 +1176,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:
             raise CornerationMismatch("target map does not share darts with the corneration")
-        return _corneration_from(target, L._numbers(), InternalInvariantError, "petrie transfer")
+        return Corneration._of_mask(target, L._mask)
 
     result = target
     if not isinstance(result, OperatorResult):

@@ -63,14 +63,19 @@ class SplitGraph:
     (larger, smaller) positions of each edge's ends in edge order, and its
     new-corner set K as sorted dart pairs.  ``edges``, ``{frozenset of two
     corner keys: EdgeProvenance}``, is packed from a re-run :func:`_pass` on
-    first read; ``SplitGraph(map, base, vertices, edges)`` takes it as given."""
+    first read; ``SplitGraph(map, base, vertices, edges)`` takes it as given, and
+    raises :class:`InvalidSplitGraph` unless each key of ``edges`` joins two ``vertices``."""
 
     __slots__ = ("map", "base", "vertices", "_pairs", "_k", "_edges")
 
     def __init__(self, map: FlagMap, base: Corneration, vertices: tuple, edges: dict):
-        pos = {key: i for i, key in enumerate(vertices)}
+        try:
+            pos = {key: i for i, key in enumerate(vertices)}
+            ends = [(pos[x], pos[y]) for x, y in edges.keys()]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidSplitGraph(f"the edges must map pairs of the vertices: {exc!r}") from None
         self.map, self.base, self.vertices, self._k, self._edges = map, base, vertices, None, edges
-        self._pairs = [(a, b) if a > b else (b, a) for a, b in ((pos[x], pos[y]) for x, y in edges)]
+        self._pairs = [(a, b) if a > b else (b, a) for a, b in ends]
 
     @classmethod
     def _of_pass(cls, L: Corneration, k_darts: list) -> "SplitGraph":
@@ -178,20 +183,18 @@ def _old_edges(L: Corneration, provenance: Optional[dict] = None) -> tuple:
     found: dict = {}
     deficit = 0
     ends = ((c.id, dart_of[c.id], dart_of[m.r0[c.id]]) for c in cells(m, EDGE))
-    try:  # each edge of m with its two darts, listed once per map
-        for e, d1, d2 in m._memo(("edge_darts",), list, ends):
-            s1, s2 = slot[d1], slot[d2]
-            if s1 == s2:
-                raise InternalInvariantError("one corner covered both darts of an edge")
-            if far[d1] == far[d2]:
-                deficit += s1 == 0 or s2 == 0  # position 0: the least-key corner
-                continue
-            pair = (s1, s2) if s1 > s2 else (s2, s1)
-            found[pair] = None
-            if provenance is not None:
-                provenance.setdefault(pair, ((s1, s2), [], []))[1].append(e)
-    except KeyError as missing:
-        raise CornerationMismatch(f"not a corneration: uncovered dart {missing.args[0]}") from None
+    # each edge of m with its two darts, listed once per map
+    for e, d1, d2 in m._memo(("edge_darts",), list, ends):
+        s1, s2 = slot[d1], slot[d2]
+        if s1 == s2:
+            raise InternalInvariantError("one corner covered both darts of an edge")
+        if far[d1] == far[d2]:
+            deficit += s1 == 0 or s2 == 0  # position 0: the least-key corner
+            continue
+        pair = (s1, s2) if s1 > s2 else (s2, s1)
+        found[pair] = None
+        if provenance is not None:
+            provenance.setdefault(pair, ((s1, s2), [], []))[1].append(e)
     return keys, slot, found, deficit
 
 
@@ -199,8 +202,7 @@ def split(L: Corneration, K: Iterable[Corner]) -> SplitGraph:
     """The split graph of ``L`` and a disjoint corner set ``K``, from one
     :func:`_pass`.  Unlike the constructions, looks each K-corner's number up
     (:class:`UnknownCell` or :class:`InvalidCorner` for one of another map or a
-    ``K`` that is no iterable); :class:`CornerationMismatch` if ``L`` leaves a
-    dart uncovered."""
+    ``K`` that is no iterable)."""
     _require_corneration(L)
     keys = _corner_numbering(L.map)[2]
     return SplitGraph._of_pass(L, [keys[n][1] for n in _corner_numbers(L.map, K)])
@@ -315,20 +317,10 @@ class CubicEntry:
     predicted_valence: int
     cubic: bool
 
-    @property
-    def matches(self) -> bool:
-        return self.measured_valence == self.predicted_valence
-
 
 @dataclass(frozen=True)
 class CubicReport:
     entries: tuple[CubicEntry, ...]
-
-    def cubic_constructions(self) -> tuple[str, ...]:
-        return tuple(e.construction for e in self.entries if e.cubic)
-
-    def all_match(self) -> bool:
-        return all(e.matches for e in self.entries)
 
 
 def predicted_valences(q: int, j: int, deficit: int = 0) -> dict:
@@ -343,8 +335,10 @@ def predicted_valences(q: int, j: int, deficit: int = 0) -> dict:
     in the wedges tying the consecutive corner pairs together, which caps
     the all-wedge degree one below the sum of the two counts.
     """
-    if not (isinstance(q, int) and isinstance(j, int)):
-        raise DegenerateParameters(f"the valence and width must be ints, got {q!r}, {j!r}")
+    if not (isinstance(q, int) and isinstance(j, int) and isinstance(deficit, int)):
+        raise DegenerateParameters(
+            f"the valence, width and deficit must be ints, got {q!r}, {j!r}, {deficit!r}"
+        )
     new = {}
     if 2 * j < q:
         new["A"] = 1 if 4 * j == q else 2

@@ -56,7 +56,10 @@ class SymGroup:
 
     def __init__(self, map: FlagMap, elements: Iterable[Perm]):
         _require_map(map)
-        perms = {tuple(p) for p in elements}
+        try:
+            perms = {tuple(p) for p in elements}
+        except TypeError:
+            raise GroupNotSubgroup("the elements must be an iterable of flag sequences") from None
         if not perms:
             raise GroupNotSubgroup("a group needs at least the identity")
         flags = set(map.flags())

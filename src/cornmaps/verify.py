@@ -579,7 +579,7 @@ def _all_cornerations_mixed(m: FlagMap):
     """Every corneration of ``m``: the product of per-vertex exact covers."""
     per_vertex = [_vertex_covers_all_widths(m, vc.id) for vc in cells(m, VERTEX)]
     return [
-        corn.Corneration.from_corners(m, itertools.chain(*combo))
+        corn.Corneration(m, itertools.chain(*combo))
         for combo in itertools.product(*per_vertex)
     ]
 

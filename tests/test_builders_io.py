@@ -21,6 +21,7 @@ from cornmaps.errors import (
     CornerationMismatch,
     CornMapsError,
     DegenerateParameters,
+    GroupNotSubgroup,
     InconsistentRotation,
     InvalidMapError,
     InvalidModulus,
@@ -36,6 +37,7 @@ from cornmaps.fileio import (
     write_map,
 )
 from cornmaps.operators import dual, hole, is_isomorphic, opposite, petrie
+from cornmaps.symmetry import SymGroup
 from cornmaps.symtype import CANONICAL_DIAGRAMS
 
 
@@ -223,13 +225,20 @@ WRONG_ARGUMENT_CALLS = {
     "parse_corneration map": (MalformedFlagSystem, lambda m: parse_corneration("cornfile 1", None)),
     "order_mod": (InvalidModulus, lambda m: order_mod(None, 2)),
     "export_dot": (UnsupportedExport, lambda m: export_dot(None)),
+    "from_rotation_system rotation": (InconsistentRotation, lambda m: from_rotation_system({0: 5})),
+    "from_rotation_system twists": (
+        InconsistentRotation,
+        lambda m: from_rotation_system({0: ["a", "b"], 1: ["a", "b"]}, twists=5),
+    ),
+    "SymGroup": (GroupNotSubgroup, lambda m: SymGroup(m, None)),
 }
 
 
 @pytest.mark.parametrize("name", WRONG_ARGUMENT_CALLS)
 def test_operators_and_files_reject_wrong_arguments(torus44, name):
-    """A non-map, non-text file contents, a non-int residue and an object
-    DOT cannot draw each raise their own CornMapsError."""
+    """A non-map, non-text file contents, a non-int residue, an object DOT
+    cannot draw, a rotation or twist table of the wrong type and group
+    elements that are no iterable each raise their own CornMapsError."""
     error, call = WRONG_ARGUMENT_CALLS[name]
     assert issubclass(error, CornMapsError)
     with pytest.raises(error):

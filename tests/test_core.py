@@ -190,8 +190,9 @@ def test_nonpositive_modulus_raises_invalid_modulus():
         (4, ((1, 0, 3, 2), (1, 0, 3, 4), (2, 3, 0, 1)), "r1 contains"),
         (4, ((1, 0, 3, 2), (1, 0, 3, 2), (2, 3, 0, -1)), "r2 contains"),
         (0, ((), (), ()), "positive number of flags"),
+        (4, (None, None, None), "r0 is not a sequence"),
     ],
-    ids=["length", "too-large", "negative", "no-flags"],
+    ids=["length", "too-large", "negative", "no-flags", "no-sequence"],
 )
 def test_malformed_involutions_raise_malformed_flag_system(n, rs, message):
     with pytest.raises(MalformedFlagSystem) as info:

@@ -465,6 +465,28 @@ def test_is_corneration(torus44):
     assert not empty.ok and empty.reason == "uncovered dart"
 
 
+def test_a_corner_set_that_misses_a_dart_is_refused_when_built(torus44):
+    """Refused before any reader (``circuits_of``, ``j_complement``) sees it."""
+    wedges = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
+    for L in (straight_corneration(torus44), wedges):
+        a, b = L.sorted_corners()[-1].darts
+        with pytest.raises(CornerationMismatch, match=f"uncovered dart at dart ({a}|{b})$"):
+            corn.Corneration(torus44, L.sorted_corners()[:-1])
+    assert issubclass(CornerationMismatch, ValueError)
+
+
+def test_a_corner_set_that_covers_a_dart_twice_is_refused_when_built(torus44):
+    L = straight_corneration(torus44)
+    wedge = corn.all_j_corners(torus44, 1)[0]  # its two darts are L's too
+    with pytest.raises(CornerationMismatch, match="covered 2 times"):
+        corn.Corneration(torus44, [*L.corners, wedge])
+
+
+def test_a_corner_listed_twice_counts_once(torus44):
+    L = straight_corneration(torus44)
+    assert corn.Corneration(torus44, list(L.corners) * 2) == L
+
+
 def test_is_corneration_rejects_corners_of_another_map(torus44):
     foreign = corn.all_j_corners(build_torus_grid(6, 6), 1)
     dart_ids = {c.id for c in cells(torus44, "dart")}
@@ -543,22 +565,7 @@ def test_corneration_of_raises_invalid_circuits(torus44):
     assert issubclass(InvalidCircuits, ValueError)
 
 
-def test_circuits_of_a_partial_cover_raises_corneration_mismatch(torus44):
-    L = straight_corneration(torus44)
-    partial = corn.Corneration.from_corners(torus44, L.sorted_corners()[:-1])
-    with pytest.raises(CornerationMismatch, match="uncovered dart"):
-        corn.circuits_of(partial)
-    assert issubclass(CornerationMismatch, ValueError)
-
-
 # -- complement --------------------------------------------------------------
-
-
-def test_j_complement_rejects_a_corner_set_that_misses_darts(torus44):
-    L = corn.symmetric_cornerations_from_coloring(torus44, 1)[0]
-    short = corn.Corneration.from_corners(torus44, L.sorted_corners()[:-1])
-    with pytest.raises(CornerationMismatch, match="uncovered dart"):
-        corn.j_complement(short)
 
 
 def test_j_complement(opp44):
@@ -878,14 +885,14 @@ def test_construction_paths_agree(build, enumerate_, count):
     for L in found:
         assert L.key() == tuple(sorted(c.key() for c in L.corners))
         for corners in (L.corners, L.sorted_corners()[::-1] * 2):
-            again = corn.Corneration.from_corners(m, corners)
+            again = corn.Corneration(m, corners)
             assert again == L and hash(again) == hash(L)
         assert parse_corneration(write_corneration(L), m) == L
         assert all(c is corn.corner_from_darts(m, c.darts) for c in L.corners)
     assert len(set(found)) == len(found)
 
 
-def test_from_corners_rejects_items_that_are_no_corner_of_the_map(torus44):
+def test_corneration_rejects_items_that_are_no_corner_of_the_map(torus44):
     big, L = build_torus_grid_corneration(6, 6)
     beyond = [c for c in L.corners if max(c.darts) >= torus44.n_flags]
     # darts of torus 4x4, but at two vertices there
@@ -893,11 +900,9 @@ def test_from_corners_rejects_items_that_are_no_corner_of_the_map(torus44):
     own = corn.all_j_corners(torus44, 1)[0]
     moved = dataclasses.replace(own, vertex=own.vertex + 8)
     for bad in (beyond[:1], beyond, [spread], [own, moved], [own, own.darts]):
-        with pytest.raises(CornerationMismatch):
-            corn.Corneration.from_corners(torus44, bad)
-        with pytest.raises(CornerationMismatch):
+        with pytest.raises(CornerationMismatch, match="not a corner of the map"):
             corn.Corneration(torus44, bad)
-    assert corn.Corneration.from_corners(big, beyond).corners == frozenset(beyond)
+    assert corn.Corneration(big, L.corners) == L
 
 
 def test_enumerated_cornerations_are_compact():
@@ -956,36 +961,28 @@ def test_corner_of_dart_rejects_a_dart_no_corner_holds():
         L.corner_of_dart(999)
 
 
-def larger_map_corners(small):
-    """A corneration of torus 6x6 cut to its corners whose darts lie beyond
-    the flags of ``small``."""
-    big, L = build_torus_grid_corneration(6, 6)
-    far = [c for c in L.corners if min(c.darts) >= small.n_flags]
-    assert far
-    return corn.Corneration.from_corners(big, far)
-
-
 def test_corner_orbits_reject_corners_of_a_larger_map(torus44):
-    far = larger_map_corners(torus44)
+    _, L = build_torus_grid_corneration(6, 6)
+    far = [c for c in L.corners if min(c.darts) >= torus44.n_flags]  # darts beyond torus 4x4's
+    assert far
     with pytest.raises(GroupDoesNotPreserveCorneration):
-        corn.corner_orbits(automorphism_group(torus44), far.corners)
+        corn.corner_orbits(automorphism_group(torus44), far)
 
 
 def test_transitivity_rejects_corners_of_a_larger_map(torus44):
-    far = larger_map_corners(torus44)
+    _, L = build_torus_grid_corneration(6, 6)
     with pytest.raises(GroupDoesNotPreserveCorneration):
-        corn.is_transitive_on_corners(automorphism_group(torus44), far)
+        corn.is_transitive_on_corners(automorphism_group(torus44), L)
 
 
 def test_transitivity_rejects_another_map_whose_corners_also_fit(torus44):
-    """A corner of torus 4x5 whose darts also span a corner of torus 4x4 is
-    still another map's corner: no answer is read off the wrong map."""
-    big, L = build_torus_grid_corneration(4, 5)
-    near = [c for c in L.corners if max(c.darts) < torus44.n_flags]
-    one = corn.Corneration.from_corners(big, near[:1])
+    """A corneration of torus 4x5 has corners whose darts also span corners of
+    torus 4x4; they are still another map's: no answer is read off the wrong map."""
+    _, L = build_torus_grid_corneration(4, 5)
+    assert any(max(c.darts) < torus44.n_flags for c in L.corners)
     trivial = automorphism_group(torus44).subgroup_from_images([0])
     with pytest.raises(GroupDoesNotPreserveCorneration, match="different map"):
-        corn.is_transitive_on_corners(trivial, one)
+        corn.is_transitive_on_corners(trivial, L)
 
 
 def test_corner_action_is_built_once_per_group(opp44, monkeypatch):

@@ -38,7 +38,6 @@ from cornmaps.core import (
     uniform_valence,
 )
 from cornmaps.cornerations import (
-    Corneration,
     all_j_corners,
     corner_from_darts,
     corner_orbits,
@@ -770,14 +769,6 @@ def test_stabilizers_of_trivially_invariant_cornerations():
         assert S.images() == oracle_stabilizer(A, L)
         orders.add(S.order)
     assert 1 in orders and len(orders) > 1
-
-
-def test_stabilizer_of_a_partial_corner_set():
-    m = build_antiprism(4)
-    A = automorphism_group(m)
-    L = enumerate_invariant_cornerations(m, A, 1)[0]
-    part = Corneration.from_corners(m, L.sorted_corners()[:3])
-    assert corneration_stabilizer(A, part).images() == oracle_stabilizer(A, part)
 
 
 def pairs_in_number_order(m):

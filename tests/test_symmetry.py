@@ -311,6 +311,7 @@ MAP_TAKERS = {
     "all_j_corners": lambda m, L, G: corn.all_j_corners(m, 1),
     "rotation_at_vertex": lambda m, L, G: rotation_at_vertex(m, 0),
     "corner_from_darts": lambda m, L, G: corn.corner_from_darts(m, L.key()[0][1]),
+    "cells": lambda m, L, G: cells(m, "vertex"),
 }
 
 
