@@ -402,12 +402,28 @@ def euler_and_genus(m: FlagMap) -> EulerData:
 
     def build():
         chi = len(cells(m, VERTEX)) - len(cells(m, EDGE)) + len(cells(m, FACE))
-        r0, r1, r2 = m.involutions()
-        orientable = _bipartition({f: (r0[f], r1[f], r2[f]) for f in m.flags()}) is not None
+        orientable = _flags_bipartite(m)
         genus = (2 - chi) // 2 if orientable else 2 - chi
         return EulerData(chi, orientable, genus)
 
     return m._memo(("euler",), build)
+
+
+def _flags_bipartite(m: FlagMap) -> bool:
+    """Whether every component of the flag graph has a proper 2-coloring."""
+    r0, r1, r2 = m.involutions()
+    color = [-1] * m.n_flags  # by flag: a list, where _bipartition keeps a dict
+    for start in m.flags():
+        if color[start] < 0:
+            color[start], component = 0, [start]
+            for x in component:  # breadth first: the list grows while it is read
+                for y in (r0[x], r1[x], r2[x]):
+                    if color[y] < 0:
+                        color[y] = 1 - color[x]
+                        component.append(y)
+                    elif color[y] == color[x]:
+                        return False
+    return True
 
 
 def _bipartition(adjacency: dict) -> Optional[dict]:
@@ -421,8 +437,6 @@ def _bipartition(adjacency: dict) -> Optional[dict]:
         while queue:
             x = queue.popleft()
             for y in adjacency[x]:
-                if y == x:
-                    return None
                 if y not in color:
                     color[y] = 1 - color[x]
                     queue.append(y)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DART,
@@ -322,7 +322,7 @@ def is_corneration(m: FlagMap, corners: Iterable[Corner]) -> CoverReport:
 
 def _dart_cover(m: FlagMap, keys: Iterable[tuple]) -> CoverReport:
     """:func:`is_corneration` of the corners with these keys."""
-    count = {c.id: 0 for c in cells(m, DART)}
+    count = dict.fromkeys(m._memo(("dart_ids",), lambda: [c.id for c in cells(m, DART)]), 0)
     for _, darts in keys:
         for d in darts:
             if d not in count:
@@ -337,11 +337,14 @@ def _dart_cover(m: FlagMap, keys: Iterable[tuple]) -> CoverReport:
 
 
 def _require_cover(
-    m: FlagMap, numbers: Iterable[int], error=CornerationMismatch, what="not a corneration"
+    m: FlagMap, numbers: Collection[int], error=CornerationMismatch, what="not a corneration"
 ):
     """Raise ``error`` unless the corners with these numbers, a repeated one counted
     twice, cover every dart of ``m`` exactly once; read off keys, building no corner."""
     keys = _corner_numbering(m)[2]
+    darts = [d for n in numbers for d in keys[n][1]]
+    if len(set(darts)) == len(darts) == len(cells(m, DART)):  # all of m's darts, none twice
+        return
     report = _dart_cover(m, map(keys.__getitem__, numbers))
     if not report.ok:
         raise error(f"{what}: {report.reason} at dart {report.witness}")
@@ -395,14 +398,14 @@ class Corneration:
     (:func:`_corner_numbering`), so the first corner in key order holds the
     highest bit.  All cornerations of a map have #darts/2 corners, so of
     two of them the larger int has the smaller :meth:`key`.  :attr:`corners`,
-    a frozenset of the map's own corners, is decoded (:func:`_decode`) on first read.
+    a frozenset of the map's own corners, is decoded when read; the map keeps the last.
     ``Corneration(m, corners)`` is checked once, when built: it raises
     :class:`CornerationMismatch` for an item that is not a corner of ``m`` and
     for corners that leave a dart uncovered or cover one twice (a corner
     listed twice counts once).  Its readers trust it to be a cover.
     """
 
-    __slots__ = ("map", "_mask", "_corners", "_by_dart")
+    __slots__ = ("map", "_mask")  # an enumeration holds tens of thousands
 
     def __init__(self, map: FlagMap, corners: Iterable[Corner]):
         try:
@@ -411,15 +414,6 @@ class Corneration:
             raise CornerationMismatch(f"not a corner of the map: {exc.args[0]}") from None
         _require_cover(map, numbers)
         self.map, self._mask = map, _mask_of(map, numbers)
-        self._corners = self._by_dart = None
-
-    @classmethod
-    def _of_mask(cls, m: FlagMap, mask: int) -> "Corneration":
-        """The corneration of ``m`` whose bits are ``mask``."""
-        L = cls.__new__(cls)
-        L.map, L._mask = m, mask
-        L._corners = L._by_dart = None
-        return L
 
     def __eq__(self, other):
         return isinstance(other, Corneration) and self._mask == other._mask and self.map == other.map
@@ -429,9 +423,11 @@ class Corneration:
 
     @property
     def corners(self) -> frozenset:
-        if self._corners is None:
-            self._corners = frozenset(self.sorted_corners())
-        return self._corners
+        cache = self.map._cache  # not in the split-graph state: K's corners keep L's
+        held, corners = cache.get("corners", (None, None))
+        if held != self._mask:
+            cache["corners"] = (self._mask, corners := frozenset(self.sorted_corners()))
+        return corners
 
     @property
     def width(self) -> Optional[int]:
@@ -460,19 +456,23 @@ class Corneration:
     def key(self) -> tuple:
         return tuple(self._keys())
 
-    def _darts_of(self, d: int) -> tuple[int, int]:
-        """The darts of the corner holding dart ``d``, building no corner;
-        :class:`UnknownCell` if none does."""
-        if self._by_dart is None:
-            self._by_dart = {dart: darts for _, darts in self._keys() for dart in darts}
-        try:
-            return self._by_dart[d]
-        except (KeyError, TypeError):
-            raise UnknownCell(f"no corner of the corneration holds dart {d!r}") from None
+    def _by_dart(self) -> dict[int, tuple[int, int]]:
+        """Each dart's corner as its dart pair, building no corner; kept in the
+        map's one-entry state, so a walk over the darts reads it once."""
+        return _one_entry(
+            self.map._cache,
+            self._mask,
+            "by_dart",
+            lambda: {dart: darts for _, darts in self._keys() for dart in darts},
+        )
 
     def corner_of_dart(self, d: int) -> Corner:
         """The corner holding dart ``d``; :class:`UnknownCell` if none does."""
-        return corner_from_darts(self.map, self._darts_of(d))
+        try:
+            darts = self._by_dart()[d]
+        except (KeyError, TypeError):
+            raise UnknownCell(f"no corner of the corneration holds dart {d!r}") from None
+        return corner_from_darts(self.map, darts)
 
     def in_wedges(self) -> frozenset:
         """Wedge ids of the corners, defined for width-1 cornerations."""
@@ -491,6 +491,16 @@ class Corneration:
         return f"corneration<{len(self)} corners, width {'mixed' if j is None else j}>"
 
 
+def _cornerations(m: FlagMap, masks: Iterable[int]) -> list[Corneration]:
+    """The cornerations of ``m`` with these ints, unchecked, built in one loop."""
+    new, out = Corneration.__new__, []
+    for mask in masks:
+        L = new(Corneration)
+        L.map, L._mask = m, mask
+        out.append(L)
+    return out
+
+
 def _corneration_from(
     m: FlagMap, numbers: Iterable[int], error=CornerationMismatch, what="not a corneration"
 ) -> Corneration:
@@ -498,7 +508,7 @@ def _corneration_from(
     by :func:`_require_cover`; it builds no corner."""
     numbers = list(numbers)
     _require_cover(m, numbers, error, what)
-    return Corneration._of_mask(m, _mask_of(m, numbers))
+    return _cornerations(m, [_mask_of(m, numbers)])[0]
 
 
 def _require_corneration(L) -> None:
@@ -528,9 +538,10 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
     m = L.map
     edge_of = m.cell_index(EDGE)
     darts = [c.id for c in cells(m, DART)]
+    by_dart = L._by_dart()
 
     def step(d: int) -> int:
-        a, b = L._darts_of(d)
+        a, b = by_dart[d]
         return other_dart(m, b if d == a else a)
 
     remaining = set(darts)
@@ -615,7 +626,7 @@ def j_complement(L: Corneration) -> Corneration:
         raise StraightHasNoComplement("straight cornerations have no width complement")
     # every corner of L is a j-corner, so the complement flips L's bits
     m = L.map
-    K = Corneration._of_mask(m, _width_masks(m)[j] ^ L._mask)
+    K = _cornerations(m, [_width_masks(m)[j] ^ L._mask])[0]
     if not _dart_cover(m, K._keys()).ok:
         raise InternalInvariantError("width complement failed to cover darts")
     return K
@@ -648,7 +659,7 @@ def local_corneration(L: Corneration, v: int) -> LocalCorneration:
     rotation = rotation_at_vertex(L.map, v)
     q = len(rotation)
     pos = {d: i for i, d in enumerate(rotation)}
-    darts = {L._darts_of(d) for d in rotation}  # each corner's, twice
+    darts = set(map(L._by_dart().__getitem__, rotation))  # each corner's, twice
     pairs = tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in darts))
     if 2 * j == q:
         return LocalCorneration(v, pairs, OTHER_LOCAL, True)
@@ -802,10 +813,11 @@ def enumerate_invariant_cornerations(
     cornerations are the product of the blocks' covers.  Only then are
     flags looked up, to give each row the :class:`Corneration` bits of its
     corners; the bits of a product are the sum of its blocks', and
-    descending ints are ascending :meth:`Corneration.key`.
+    descending ints are ascending :meth:`Corneration.key`.  Blocks multiply least
+    significant first, so the sort mostly meets the product as one run.
     """
     _require_group(H, m)
-    return [Corneration._of_mask(m, mask) for mask in _invariant_covers(m, H, j)[0]]
+    return _cornerations(m, _invariant_covers(m, H, j)[0])
 
 
 def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, int]:
@@ -841,14 +853,16 @@ def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, 
         if node_of[f] in row_of:
             numbers[row_of[node_of[f]]].append(number)
     row_masks = [_mask_of(m, row) for row in numbers]
-    block_keys = [[sum(map(row_masks.__getitem__, s)) for s in solutions] for solutions in covers]
-    # one addition per partial sum; later blocks vary slowest, so the sort finds long runs
-    masks = [0]
-    for keys in block_keys:
-        masks = [key + s for key in sorted(keys, reverse=True) for s in masks]
-    masks.sort(reverse=True)
+    keys = (sorted((sum(map(row_masks.__getitem__, s)) for s in c), reverse=True) for c in covers)
+    # least significant block first, neighbours paired as in a balanced tree with the
+    # more significant varying slowest: only the last level makes an addition per result
+    level = sorted(keys, key=lambda block: block[0])
+    while len(level) > 1:  # an odd one out, the most significant block, waits a level
+        pairs = zip(level[::2], level[1::2])
+        level[: len(level) & ~1] = [[hi + lo for hi in high for lo in low] for low, high in pairs]
+    level[0].sort(reverse=True)
     one_row = {row_masks[s[0]] for s in covers[0] if len(s) == 1} if len(covers) == 1 else set()
-    return masks, one_row, len(dart_orbits)
+    return level[0], one_row, len(dart_orbits)
 
 
 def _block_covers(row_cols: Sequence[int], n_cols: int) -> list[list[tuple[int, ...]]]:
@@ -1100,11 +1114,8 @@ def enumerate_transitive_cornerations(m: FlagMap, j: int) -> list[TransitiveCorn
                 transitive = mask in one_row
                 found[mask] = (H, transitive, transitive and n_dart_orbits == 1)
     # descending masks are ascending keys, and no duplicate decodes a corner
-    records = []
-    for mask in sorted(found, reverse=True):
-        L = Corneration._of_mask(m, mask)
-        records.append(TransitiveCornerationRecord(L, *found[mask]))
-    return records
+    masks = sorted(found, reverse=True)
+    return [TransitiveCornerationRecord(L, *found[L._mask]) for L in _cornerations(m, masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1187,7 @@ def transfer(L: Corneration, target: Union[FlagMap, OperatorResult]):
     if isinstance(target, FlagMap):
         if target.r1 != m.r1 or target.r2 != m.r2:
             raise CornerationMismatch("target map does not share darts with the corneration")
-        return Corneration._of_mask(target, L._mask)
+        return _cornerations(target, [L._mask])[0]
 
     result = target
     if not isinstance(result, OperatorResult):

@@ -826,6 +826,51 @@ def test_invariant_cornerations_come_in_key_order(build):
     assert calls >= 2
 
 
+def interleaving_blocks(found) -> bool:
+    """Whether two independent blocks of two covers each, read off the
+    enumerated cornerations, hold corners that interleave in key order.
+
+    A corner of such a block lies in the results that take one of its block's
+    two covers, so the corners of one block share a pattern of presence, up to
+    complement."""
+    keys = [set(L.key()) for L in found]
+    blocks = {}
+    for key in set.union(*keys) - set.intersection(*keys):
+        present = tuple(key in k for k in keys)
+        blocks.setdefault(frozenset((present, tuple(not p for p in present))), []).append(key)
+    spans = sorted((min(block), max(block)) for block in blocks.values())
+    return any(low[1] > high[0] for low, high in zip(spans, spans[1:]))
+
+
+def test_invariant_cornerations_come_in_key_order_when_block_bits_interleave():
+    """Under a subgroup a block's rows are corner orbits that spread over
+    many vertices, so the bits of two blocks can interleave, and the order
+    of their product no longer follows from multiplying the least
+    significant block first: the results still come in key order."""
+    m = build_antiprism(6)
+    interleaved = 0
+    for H in subgroups_up_to_index(automorphism_group(m), 4):
+        out = corn.enumerate_invariant_cornerations(m, H, 1)
+        if len(out) > 2 and interleaving_blocks(out):
+            interleaved += 1
+            assert out == sorted(out, key=corn.Corneration.key)
+    assert interleaved
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_antiprism(8), lambda: relabelled(build_torus_grid(4, 4), 5)],
+    ids=["antiprism8", "torus44-relabelled"],
+)
+def test_the_trivial_group_gives_its_product_in_key_order(build):
+    """One block per vertex: 2^16 cornerations, in key order."""
+    m = build()
+    out = corn.enumerate_invariant_cornerations(m, trivial_group(m), 1)
+    masks = [L._mask for L in out]
+    assert len(out) == 2**16 and masks == sorted(set(masks), reverse=True)
+    assert [L.key() for L in out[:: 2**10]] == sorted(L.key() for L in out[:: 2**10])
+
+
 def test_enumerate_trivial_group_antiprism5_in_key_order():
     m = build_antiprism(5)
     out = corn.enumerate_invariant_cornerations(m, trivial_group(m), 1)
@@ -919,6 +964,27 @@ def test_enumerated_cornerations_are_compact():
         tracemalloc.stop()
     assert len(found) == 1024
     assert retained / len(found) < 400
+
+
+def test_a_corneration_is_its_map_and_its_int():
+    """No slot beyond the map and the int: an enumeration holds tens of
+    thousands of cornerations, and each slot costs 8 bytes apiece."""
+    L = build_torus_grid_corneration(4, 4)[1]
+    assert corn.Corneration.__slots__ == ("map", "_mask")
+    assert not hasattr(L, "__dict__")
+
+
+def test_reading_corners_twice_decodes_once(monkeypatch):
+    """The map keeps the corners of the last corneration read."""
+    m, L = build_torus_grid_corneration(4, 4)
+    K = corn.j_complement(L)
+    decodes = []
+    real = corn._decode
+    monkeypatch.setattr(corn, "_decode", lambda *args: decodes.append(1) or real(*args))
+    corners = L.corners
+    assert L.corners is corners and len(decodes) == 1
+    assert K.corners.isdisjoint(corners) and len(decodes) == 2
+    assert L.corners == corners and len(decodes) == 3
 
 
 def test_enumerate_depth_is_not_bounded_by_the_corner_count():

@@ -806,6 +806,20 @@ def test_analysis_runs_the_edge_loop_and_the_permutations_once_per_corneration(m
     assert calls == {"edges": 32, "perms": 32, "pass": 104}
 
 
+def test_reading_other_corners_keeps_the_state_of_a_corneration(monkeypatch):
+    """The corners read last are kept apart from the split-graph state, so
+    reading the complement's corners, as a witness for construction A does,
+    leaves L's old edges in place."""
+    m = opposite(build_torus_grid(6, 6))
+    L, other = (r.corneration for r in transitive_records(m, 2)[:2])
+    calls = {}
+    monkeypatch.setattr(sg, "_old_edges", counting(calls, "edges", sg._old_edges))
+    S = sg.build_construction(L, "Ci")
+    assert corn.j_complement(L).corners and other.corners and L.corners
+    assert sg.build_construction(L, "Ci") is S and sg.build_construction(L, "Cx")
+    assert calls == {"edges": 1}
+
+
 def test_repeated_constructions_on_one_corneration_return_the_same_graph():
     m = opposite(build_torus_grid(6, 6))
     L1, L2 = (r.corneration for r in transitive_records(m, 2)[:2])
