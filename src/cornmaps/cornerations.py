@@ -532,39 +532,36 @@ def circuits_of(L: Corneration) -> CircuitDecomposition:
 
     From a dart, the corner covering it selects the continuing edge; the
     walk continues from that edge's far end.  Every circuit is traced by
-    exactly two opposite dart cycles which are merged by edge set.
+    two opposite dart cycles, and the reverse of a cycle is the other dart
+    of each of its corners.  Each circuit is walked once, from the least
+    dart not yet walked, so it starts at its least dart, and circuits come
+    in ascending order of their first dart.
     """
     _require_corneration(L)
     m = L.map
     edge_of = m.cell_index(EDGE)
-    darts = [c.id for c in cells(m, DART)]
     by_dart = L._by_dart()
 
-    def step(d: int) -> int:
+    def partner(d: int) -> int:
         a, b = by_dart[d]
-        return other_dart(m, b if d == a else a)
+        return b if d == a else a
 
-    remaining = set(darts)
-    by_edges = {}
-    while remaining:
-        start = min(remaining)
+    walked = set()
+    circuits = []
+    for start in sorted(c.id for c in cells(m, DART)):
+        if start in walked:
+            continue
         cycle = [start]
-        d = step(start)
+        d = other_dart(m, partner(start))
         while d != start:
             cycle.append(d)
-            d = step(d)
-        remaining.difference_update(cycle)
+            d = other_dart(m, partner(d))
         edges = frozenset(edge_of[d] for d in cycle)
         if len(edges) != len(cycle):
             raise InternalInvariantError("corner chain revisited an edge")
-        by_edges.setdefault(edges, []).append(tuple(cycle))
-    circuits = []
-    for edges, traversals in sorted(by_edges.items(), key=lambda kv: min(kv[1][0])):
-        best = min(traversals, key=min)
-        k = best.index(min(best))
-        canonical = best[k:] + best[:k]
-        circuits.append(Circuit(darts=canonical, edges=edges))
-    circuits.sort(key=lambda c: c.darts[0])
+        walked.update(cycle)
+        walked.update(map(partner, cycle))
+        circuits.append(Circuit(darts=tuple(cycle), edges=edges))
     return CircuitDecomposition(tuple(circuits))
 
 
@@ -808,13 +805,14 @@ def enumerate_invariant_cornerations(
     H-orbits of darts, both classes of nodes of the quotient of the flags
     by ``H`` (:func:`_orbit_classes`); a row covers each column a constant
     number of times, and a corneration is a row selection covering every
-    column exactly once.  Rows sharing no column chain fall into
-    independent blocks, each solved once by :func:`_block_covers`; the
-    cornerations are the product of the blocks' covers.  Only then are
-    flags looked up, to give each row the :class:`Corneration` bits of its
-    corners; the bits of a product are the sum of its blocks', and
-    descending ints are ascending :meth:`Corneration.key`.  Blocks multiply least
-    significant first, so the sort mostly meets the product as one run.
+    column exactly once.  A corner's two darts lie at one vertex, so each
+    H-orbit of vertices is a block of rows and columns of its own, solved
+    once by :func:`_exact_cover`; the cornerations are the product of the
+    blocks' covers.  Only then are flags looked up, to give each row the
+    :class:`Corneration` bits of its corners; the bits of a product are the
+    sum of its blocks', and descending ints are ascending
+    :meth:`Corneration.key`.  Blocks multiply least significant first, so
+    the sort mostly meets the product as one run.
     """
     _require_group(H, m)
     return _cornerations(m, _invariant_covers(m, H, j)[0])
@@ -826,12 +824,14 @@ def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, 
     q = _require_width(m, j)
     if q % 2 != 0:
         return [], set(), 0
-    dart_orbits, corner_orbits = _orbit_classes(H, j, 2 * j == q)
+    dart_orbits, corner_orbits, vertex_orbits = _orbit_classes(H, j, 2 * j == q)
     col_of = {node: col for col, orbit in enumerate(dart_orbits) for node in orbit}
+    block_of = {node: b for b, orbit in enumerate(vertex_orbits) for node in orbit}
+    columns = [sum({1 << col_of[node] for node in orbit}) for orbit in vertex_orbits]
     # a node has |H| flags, each on one dart of its corner, and a column
     # |H| / 2 darts per node; a straight corner has two flags per dart
     per_node = 1 if 2 * j == q else 2
-    row_orbits, row_cols = [], []
+    row_orbits, blocks = [], [{} for _ in vertex_orbits]  # a block's rows: number -> columns
     for orbit in corner_orbits:
         cover = {}
         for node in orbit:
@@ -840,10 +840,10 @@ def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, 
             continue
         if any(total < len(dart_orbits[col]) for col, total in cover.items()):
             raise InternalInvariantError("orbit coverage is not constant on a dart orbit")
+        blocks[block_of[orbit[0]]][len(row_orbits)] = sum(1 << col for col in cover)
         row_orbits.append(orbit)
-        row_cols.append(sum(1 << col for col in cover))
 
-    covers = _block_covers(row_cols, len(dart_orbits))
+    covers = [_exact_cover(rows, cols) for rows, cols in zip(blocks, columns)]
     if not all(covers):
         return [], set(), len(dart_orbits)
     row_of = {node: ri for ri, orbit in enumerate(row_orbits) for node in orbit}
@@ -865,118 +865,27 @@ def _invariant_covers(m: FlagMap, H: SymGroup, j: int) -> tuple[list[int], set, 
     return level[0], one_row, len(dart_orbits)
 
 
-def _block_covers(row_cols: Sequence[int], n_cols: int) -> list[list[tuple[int, ...]]]:
-    """The exact covers of each independent block of an instance.
-
-    Two columns are in one block when a row links them through a chain of
-    rows; each row lies in the block of its columns.  A cover of the whole
-    instance is one cover per block, so the covers are the product of the
-    returned lists, each a list of row-index tuples.  A column no row
-    covers is a block without a cover, which empties the product.
-    """
-    parent = list(range(n_cols))
-
-    def root(col: int) -> int:
-        while parent[col] != col:
-            parent[col] = parent[parent[col]]
-            col = parent[col]
-        return col
-
-    row_columns = []
-    for cols in row_cols:
-        columns = []
-        while cols:
-            bit = cols & -cols
-            cols ^= bit
-            columns.append(bit.bit_length() - 1)
-        row_columns.append(columns)
-        for col in columns[1:]:
-            parent[root(col)] = root(columns[0])
-    block_of = {}  # root column -> block number
-    position = [0] * n_cols  # column -> its bit in its block
-    sizes = []
-    for col in range(n_cols):
-        b = block_of.setdefault(root(col), len(sizes))
-        if b == len(sizes):
-            sizes.append(0)
-        position[col] = sizes[b]
-        sizes[b] += 1
-    block_rows = [[] for _ in sizes]
-    block_masks = [[] for _ in sizes]
-    for ri, columns in enumerate(row_columns):
-        if columns:  # a row without columns is never selected
-            b = block_of[root(columns[0])]
-            block_rows[b].append(ri)
-            block_masks[b].append(sum(1 << position[col] for col in columns))
-    return [
-        [tuple(map(rows.__getitem__, s)) for s in _exact_cover(masks, size)]
-        for rows, masks, size in zip(block_rows, block_masks, sizes)
-    ]
-
-
-def _exact_cover(row_cols: Sequence[int], n_cols: int) -> list[tuple[int, ...]]:
+def _exact_cover(rows: dict[int, int], columns: int) -> list[tuple[int, ...]]:
     """Every selection of rows covering each column exactly once.
 
-    Algorithm X (Knuth, *Dancing Links*) on bitmasks: a row is the int
-    whose bits are its columns, a column keeps the int whose bits are its
-    rows, and a search node is the mask of covered columns and the mask of
-    rows disjoint from them.  It branches on the uncovered column with the
-    fewest such rows, the lowest column first; a column with a single such
-    row forces that row without branching.  The enumeration runs it once
-    per independent block (:func:`_block_covers`), so ``n_cols`` is the
-    size of one block, not of the whole instance.
+    A row is its number and the int whose bits are its columns, and
+    ``columns`` is the int of the columns to cover.  A plain backtracking
+    search that branches on the lowest open column: the enumeration runs
+    it once per vertex orbit, whose block has at most q rows and q columns.
     """
-    full = (1 << n_cols) - 1
-    rows_of = [0] * n_cols
-    for ri, cols in enumerate(row_cols):
-        for col in range(n_cols):
-            if cols >> col & 1:
-                rows_of[col] |= 1 << ri
-    clashes = []  # the rows sharing a column with each row
-    for cols in row_cols:
-        clash = 0
-        for col in range(n_cols):
-            if cols >> col & 1:
-                clash |= rows_of[col]
-        clashes.append(clash)
     solutions = []
-    partial = []
 
-    def search(covered: int, free_rows: int) -> None:
-        depth = len(partial)
-        while True:
-            open_cols = full ^ covered
-            if not open_cols:
-                solutions.append(tuple(partial))
-                break
-            fewest = len(row_cols) + 1
-            while open_cols:
-                bit = open_cols & -open_cols
-                open_cols ^= bit
-                candidates = rows_of[bit.bit_length() - 1] & free_rows
-                count = candidates.bit_count()
-                if count < fewest:
-                    best, fewest = candidates, count
-                    if count <= 1:
-                        break
-            if fewest != 1:
-                while best:
-                    bit = best & -best
-                    best ^= bit
-                    ri = bit.bit_length() - 1
-                    partial.append(ri)
-                    search(covered | row_cols[ri], free_rows & ~clashes[ri])
-                    partial.pop()
-                break
-            # taking a forced row in this frame keeps the recursion depth at
-            # the number of branch points, not of selected rows
-            ri = best.bit_length() - 1
-            partial.append(ri)
-            covered |= row_cols[ri]
-            free_rows &= ~clashes[ri]
-        del partial[depth:]
+    def search(covered: int, chosen: tuple[int, ...]) -> None:
+        if covered == columns:
+            solutions.append(chosen)
+            return
+        low = columns & ~covered
+        low &= -low
+        for ri, cols in rows.items():
+            if cols & low and not cols & covered:
+                search(covered | cols, chosen + (ri,))
 
-    search(0, (1 << len(row_cols)) - 1)
+    search(0, ())
     return solutions
 
 

@@ -546,16 +546,21 @@ def _voltages(G: SymGroup) -> list[list]:
     return G._cache["voltages"]
 
 
-def _orbit_classes(H: SymGroup, j: int, straight: bool) -> tuple[list, list]:
-    """The H-orbits of darts and of j-corners, as classes of nodes of
-    :func:`_orbit_graph`: under r2, and under r2 (r1 r2)^j, r1 first, which
-    moves a flag to the flag of its corner on the other dart (and under r2
-    for a straight corner)."""
+def _orbit_classes(H: SymGroup, j: int, straight: bool) -> tuple[list, list, list]:
+    """The H-orbits of darts, of j-corners and of vertices, as classes of
+    nodes of :func:`_orbit_graph`: under r2; under r2 (r1 r2)^j, r1 first,
+    which moves a flag to the flag of its corner on the other dart (and
+    under r2 for a straight corner); and under r1 and r2.  Each dart class
+    and each corner class lies inside one vertex class."""
     r0, r1, r2 = _orbit_graph(H)
     turn = range(len(r0))
     for _ in range(j):
         turn = [r2[r1[node]] for node in turn]
-    return orbits(len(r0), [r2]), orbits(len(r0), [[r2[node] for node in turn]] + [r2] * straight)
+    return (
+        orbits(len(r0), [r2]),
+        orbits(len(r0), [[r2[node] for node in turn]] + [r2] * straight),
+        orbits(len(r0), [r1, r2]),
+    )
 
 
 def _node_of_flag(H: SymGroup) -> list[int]:

@@ -146,3 +146,11 @@ def test_verify_suite_report_matches_the_benchmark_summary(capsys):
     code, out, _ = run(capsys, "verify", "suite")
     report = re.sub(r", \d+\.\d+s\)", ")", out)
     assert {"exit_code": code, "report": report} == expected
+
+
+def test_readme_library_quick_start_runs_verbatim(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "a\n" + "32 4\n" * 4

@@ -2,7 +2,7 @@ import dataclasses
 import random
 from collections import Counter
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -527,6 +527,21 @@ def test_circuit_roundtrips(torus44, theta4):
         assert {c.edges for c in dec2.circuits} == {c.edges for c in dec.circuits}
 
 
+def test_circuits_start_at_their_least_dart_in_ascending_order(torus44):
+    """The canonical form: of a circuit's two traversals the one through its
+    least dart, started there, and the circuits by first dart."""
+    Ls = _all_cornerations_mixed(build_theta(6)) + [
+        r.corneration for j in (1, 2) for r in corn.enumerate_transitive_cornerations(torus44, j)
+    ]
+    for L in Ls:
+        circuits = corn.circuits_of(L).circuits
+        for c in circuits:
+            assert c.darts[0] == min(c.darts + tuple(other_dart(L.map, d) for d in c.darts))
+        firsts = [c.darts[0] for c in circuits]
+        assert firsts == sorted(firsts)
+    assert len(Ls) == 15**2 + 9
+
+
 def test_two_circuits_of_parallel_edges(theta4):
     L = straight_corneration(theta4)
     dec = corn.circuits_of(L)
@@ -728,6 +743,19 @@ def test_enumerate_trivial_group_theta4(theta4):
     assert len(out2) == 1
 
 
+def test_trivial_group_on_theta8_matches_the_brute_force_oracle():
+    """At j = 2 each vertex has two cycles of +2 with two covers each, so
+    one vertex orbit holds two independent blocks of columns."""
+    m = build_theta(8)
+    oracle = _all_cornerations_mixed(m)
+    counts = []
+    for j in range(1, 5):
+        out = corn.enumerate_invariant_cornerations(m, trivial_group(m), j)
+        assert [L.key() for L in out] == sorted(L.key() for L in oracle if L.width == j)
+        counts.append(len(out))
+    assert counts == [4, 16, 4, 1]
+
+
 def brute_force_exact_covers(row_cols, n_cols):
     full = (1 << n_cols) - 1
     out = set()
@@ -740,6 +768,13 @@ def brute_force_exact_covers(row_cols, n_cols):
             if union == full and sum(c.bit_count() for c in cols) == n_cols:
                 out.add(picked)
     return out
+
+
+def exact_covers(row_cols, n_cols):
+    """The covers :func:`corn._exact_cover` finds, as sorted row tuples."""
+    found = corn._exact_cover(dict(enumerate(row_cols)), (1 << n_cols) - 1)
+    assert len(found) == len(set(found))
+    return {tuple(sorted(s)) for s in found}
 
 
 def test_exact_cover_matches_brute_force():
@@ -756,25 +791,18 @@ def test_exact_cover_matches_brute_force():
         instances.append((row_cols, n_cols))
     solved = unsolved = 0
     for row_cols, n_cols in instances:
-        found = corn._exact_cover(row_cols, n_cols)
         expected = brute_force_exact_covers(row_cols, n_cols)
-        assert len(found) == len(set(found))
-        assert {tuple(sorted(s)) for s in found} == expected
+        assert exact_covers(row_cols, n_cols) == expected
         solved += bool(expected)
         unsolved += not expected
     assert solved > 20 and unsolved > 20
 
 
-def covers_of_the_blocks(row_cols, n_cols):
-    return {
-        tuple(sorted(ri for s in combo for ri in s))
-        for combo in product(*corn._block_covers(row_cols, n_cols))
-    }
-
-
-def test_block_covers_multiply_to_the_brute_force_covers():
+def test_exact_cover_of_disjoint_blocks_matches_brute_force():
+    """Instances of 2 to 4 blocks on disjoint columns, rows shuffled, as a
+    vertex orbit whose darts fall into several cycles of +j."""
     rng = random.Random(7)
-    glued = 0
+    solved = 0
     for _ in range(200):
         row_cols, n_cols = [], 0
         for _ in range(rng.randint(2, 4)):
@@ -785,19 +813,19 @@ def test_block_covers_multiply_to_the_brute_force_covers():
             n_cols += width
         rng.shuffle(row_cols)
         expected = brute_force_exact_covers(row_cols, n_cols)
-        assert covers_of_the_blocks(row_cols, n_cols) == expected
-        assert {tuple(sorted(s)) for s in corn._exact_cover(row_cols, n_cols)} == expected
-        glued += bool(expected) and len(corn._block_covers(row_cols, n_cols)) > 1
-    assert glued > 20
+        assert exact_covers(row_cols, n_cols) == expected
+        solved += bool(expected)
+    assert solved > 20
 
 
 def test_a_column_no_row_covers_gives_no_cover():
-    # column 2 lies in no row; the other two blocks each have a cover
-    row_cols = [0b0001, 0b1000, 0b0010]
-    blocks = corn._block_covers(row_cols, 4)
-    assert sorted(blocks) == [[], [(0,)], [(1,)], [(2,)]]
-    assert covers_of_the_blocks(row_cols, 4) == set()
-    assert corn._exact_cover(row_cols, 4) == []
+    # column 2 lies in no row; the other three columns each have a row
+    assert exact_covers([0b0001, 0b1000, 0b0010], 4) == set()
+
+
+def test_exact_cover_returns_the_row_numbers_and_covers_only_its_columns():
+    rows = {5: 0b0010, 9: 0b1000, 2: 0b1010, 4: 0b0001}
+    assert sorted(corn._exact_cover(rows, 0b1010)) == [(2,), (5, 9)]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ included.
 """
 
 import functools
-import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -377,10 +376,16 @@ def oracle_invariant_keys(m, H, j):
         if all(total == len(dart_orbits[col]) for col, total in cover.items()):
             rows.append(orbit)
             row_cols.append(sum(1 << col for col in cover))
-    blocks = cornerations._block_covers(row_cols, len(dart_orbits))
+    # every packing of pairwise disjoint rows, row by row; a cover is one
+    # whose columns are all of them
+    packings = [(0, ())]
+    for ri, cols in enumerate(row_cols):
+        packings += [(used | cols, chosen + (ri,)) for used, chosen in packings if not used & cols]
+    full = (1 << len(dart_orbits)) - 1
     return sorted(
-        tuple(sorted(corners[ci].key() for s in choice for ri in s for ci in rows[ri]))
-        for choice in itertools.product(*blocks)
+        tuple(sorted(corners[ci].key() for ri in chosen for ci in rows[ri]))
+        for used, chosen in packings
+        if used == full
     )
 
 
@@ -1102,8 +1107,9 @@ def test_invariant_cornerations_match_the_flag_level_oracle(quotient_maps):
 
 
 def test_quotient_classes_expand_to_the_orbits_on_flags(quotient_maps):
-    """Nodes, r2-classes and corner classes of the quotient, expanded to ids,
-    are the H-orbits of flags, darts and j-corners."""
+    """Nodes, r2-classes, corner classes and r1-r2-classes of the quotient,
+    expanded to ids, are the H-orbits of flags, darts, j-corners and
+    vertices."""
 
     def as_ids(classes, node_of, id_of_flag):
         ids = {}
@@ -1114,6 +1120,7 @@ def test_quotient_classes_expand_to_the_orbits_on_flags(quotient_maps):
     for name, m in quotient_maps.items():
         q = uniform_valence(m)
         dart_of = m.cell_index(DART)
+        vertex_of = m.cell_index(VERTEX)
         for H in quotient_groups(m):
             node_of = symmetry._node_of_flag(H)
             nodes = [[n] for n in set(node_of)]
@@ -1129,7 +1136,10 @@ def test_quotient_classes_expand_to_the_orbits_on_flags(quotient_maps):
                         g = m.r2[m.r1[g]]
                     return corner_from_darts(m, (dart_of[f], dart_of[g])).key()
 
-                darts, corners = symmetry._orbit_classes(H, j, 2 * j == q)
+                darts, corners, vertices = symmetry._orbit_classes(H, j, 2 * j == q)
+                assert as_ids(vertices, node_of, vertex_of.__getitem__) == {
+                    frozenset(o) for o in oracle_orbits_on(H, VERTEX)
+                }, (name, j)
                 assert as_ids(darts, node_of, dart_of.__getitem__) == {
                     frozenset(o) for o in oracle_orbits_on(H, DART)
                 }, (name, j)
