@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     InvalidMapError,
@@ -85,29 +84,72 @@ def order_mod(a: int, n: int) -> int:
     return n // math.gcd(n, a)
 
 
-@dataclass(frozen=True)
-class Cell:
+_set = object.__setattr__  # how a frozen record's ``__init__`` sets its fields
+
+
+class _Record:
+    """A slotted record whose ``__slots__`` are its fields; a leading ``_``
+    marks private state.  It is shown as ``Name(field=value, ...)`` and equals
+    another record of its class with the same :meth:`_key`, the tuple of its fields."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class _Frozen(_Record):
+    """A record whose fields ``__init__`` sets once, with :data:`_set`; it
+    hashes as its :meth:`_key`."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Cell(_Frozen):
     """An incidence cell of a map: an orbit of flags.
 
     The id is the minimum flag of the orbit, which is stable under any
     re-listing of cells and survives serialization.
     """
 
-    kind: str
-    id: int
-    flags: tuple[int, ...]
+    __slots__ = ("kind", "id", "flags")
+
+    def __init__(self, kind: str, id: int, flags: tuple[int, ...]):
+        _set(self, "kind", kind)
+        _set(self, "id", id)
+        _set(self, "flags", flags)
 
     def __len__(self) -> int:
         return len(self.flags)
 
 
-@dataclass(frozen=True, eq=False)
-class Skeleton:
+class Skeleton(_Frozen):
     """Vertex and edge cells of a map with the incidence between them."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    endpoints: dict
+    __slots__ = ("vertices", "edges", "endpoints")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
+
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[int, ...], endpoints: dict):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "endpoints", endpoints)
 
     def is_simple(self) -> bool:
         seen = set()
@@ -119,30 +161,30 @@ class Skeleton:
         return True
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Frozen):
     """A closed walk with pairwise distinct edges, stored as a dart cycle.
 
     ``darts`` lists one traversal direction; consecutive darts share a
     vertex and each edge of the circuit appears under exactly one dart.
     """
 
-    darts: tuple[int, ...]
-    edges: frozenset
+    __slots__ = ("darts", "edges")
+
+    def __init__(self, darts: tuple[int, ...], edges: frozenset):
+        _set(self, "darts", darts)
+        _set(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.darts)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     witness: Optional[int]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -150,15 +192,13 @@ class ValidationReport:
         return tuple(v.code for v in self.violations)
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(NamedTuple):
     chi: int
     orientable: bool
     genus: int
 
 
-@dataclass(frozen=True)
-class FlagMap:
+class FlagMap(_Frozen):
     """A map on a surface given by its flag set and the involutions r0/r1/r2.
 
     Instances are immutable; derived data (cells, rotations, skeleton) is
@@ -167,26 +207,24 @@ class FlagMap:
     whether the axioms of a map hold.
     """
 
-    n_flags: int
-    r0: Perm
-    r1: Perm
-    r2: Perm
-    name: Optional[str] = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("n_flags", "r0", "r1", "r2", "name", "_cache")
 
-    def __post_init__(self):
-        for attr in ("r0", "r1", "r2"):
+    def __init__(self, n_flags: int, r0: Perm, r1: Perm, r2: Perm, name: Optional[str] = None):
+        _set(self, "n_flags", n_flags)
+        for attr, r in (("r0", r0), ("r1", r1), ("r2", r2)):
             try:
-                p = tuple(int(x) for x in getattr(self, attr))
+                p = tuple(int(x) for x in r)
             except (TypeError, ValueError):
                 raise MalformedFlagSystem(f"{attr} is not a sequence of flag ids") from None
-            if len(p) != self.n_flags:
-                raise MalformedFlagSystem(f"{attr} has length {len(p)}, expected {self.n_flags}")
-            if any(x < 0 or x >= self.n_flags for x in p):
+            if len(p) != n_flags:
+                raise MalformedFlagSystem(f"{attr} has length {len(p)}, expected {n_flags}")
+            if any(x < 0 or x >= n_flags for x in p):
                 raise MalformedFlagSystem(f"{attr} contains an out-of-range image")
-            object.__setattr__(self, attr, p)
-        if self.n_flags <= 0:
+            _set(self, attr, p)
+        if n_flags <= 0:
             raise MalformedFlagSystem("a map needs a positive number of flags")
+        _set(self, "name", name)
+        _set(self, "_cache", {})
 
     # -- basic access -----------------------------------------------------
 

@@ -9,8 +9,7 @@ compared by that encoding alone; everything else is derived data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     DART,
@@ -19,6 +18,8 @@ from .core import (
     VERTEX,
     Circuit,
     FlagMap,
+    _Frozen,
+    _set,
     cells,
     face_boundary_wedges,
     orbits,
@@ -67,8 +68,7 @@ STANDARD_EVEN = "StandardEven"
 OTHER_LOCAL = "Other"
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(_Frozen):
     """A j-corner: two darts at one vertex, ``j`` wedges on its short side.
 
     ``interior_wedges`` is empty exactly for straight corners (both sides
@@ -76,12 +76,23 @@ class Corner:
     ``boundary_wedges`` are the up-to-four wedges containing either dart.
     """
 
-    vertex: int
-    darts: tuple[int, int]
-    width: int = field(compare=False)
-    straight: bool = field(compare=False)
-    interior_wedges: frozenset = field(compare=False)
-    boundary_wedges: frozenset = field(compare=False)
+    __slots__ = ("vertex", "darts", "width", "straight", "interior_wedges", "boundary_wedges")
+
+    def __init__(
+        self,
+        vertex: int,
+        darts: tuple[int, int],
+        width: int,
+        straight: bool,
+        interior_wedges: frozenset,
+        boundary_wedges: frozenset,
+    ):
+        _set(self, "vertex", vertex)
+        _set(self, "darts", darts)
+        _set(self, "width", width)
+        _set(self, "straight", straight)
+        _set(self, "interior_wedges", interior_wedges)
+        _set(self, "boundary_wedges", boundary_wedges)
 
     @property
     def interior_boundary_wedges(self) -> frozenset:
@@ -93,6 +104,8 @@ class Corner:
 
     def key(self) -> tuple:
         return (self.vertex, self.darts)
+
+    _key = key  # equality and hash read the key alone
 
     def __str__(self):
         return f"corner(v={self.vertex}, darts={self.darts}, j={self.width})"
@@ -306,8 +319,7 @@ def alignment(m: FlagMap, c1: Corner, c2: Corner) -> str:
     return NOT_ALIGNED
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     ok: bool
     witness: Optional[int]
     reason: Optional[str]
@@ -383,9 +395,12 @@ def _corner_numbers(m: FlagMap, corners: Iterable[Corner]) -> list[int]:
 
 
 def _mask_of(m: FlagMap, numbers: Iterable[int]) -> int:
-    """The :class:`Corneration` int of the corners of ``m`` with these numbers."""
-    top = len(_corner_numbering(m)[2]) - 1
-    return sum(1 << top - n for n in numbers)
+    """The :class:`Corneration` int of the corners of ``m`` with these numbers,
+    read from its binary digits in one pass, as :meth:`Corneration._digits` writes them."""
+    digits = bytearray(b"0" * (len(_corner_numbering(m)[2]) + 1))  # a leading 0: int(b"") fails
+    for n in numbers:
+        digits[n + 1] = 49  # ord("1"), the digit of corner n
+    return int(digits, 2)
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -517,11 +532,13 @@ def _require_corneration(L) -> None:
         raise CornerationMismatch(f"not a corneration: {L!r}")
 
 
-@dataclass(frozen=True)
-class CircuitDecomposition:
+class CircuitDecomposition(_Frozen):
     """A partition of the edge set into circuits."""
 
-    circuits: tuple[Circuit, ...]
+    __slots__ = ("circuits",)
+
+    def __init__(self, circuits: tuple[Circuit, ...]):
+        _set(self, "circuits", circuits)
 
     def __len__(self):
         return len(self.circuits)
@@ -629,8 +646,7 @@ def j_complement(L: Corneration) -> Corneration:
     return K
 
 
-@dataclass(frozen=True)
-class LocalCorneration:
+class LocalCorneration(NamedTuple):
     """The corners of a corneration at one vertex, up to renumbering.
 
     ``pairs`` lists the corner dart positions in the canonical rotation.
@@ -687,8 +703,7 @@ PATTERN_TILES = {
 }
 
 
-@dataclass(frozen=True)
-class FacePatternReport:
+class FacePatternReport(NamedTuple):
     per_face: dict
     configuration: Optional[int]
 
@@ -990,12 +1005,15 @@ def is_transitive_on_corners(G: SymGroup, L: Corneration) -> bool:
     return _base_perms(G, L)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class TransitiveCornerationRecord:
-    corneration: Corneration
-    aut: SymGroup
-    transitive: bool
-    symmetric: bool
+class TransitiveCornerationRecord(_Frozen):
+    __slots__ = ("corneration", "aut", "transitive", "symmetric")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
+
+    def __init__(self, corneration: Corneration, aut: SymGroup, transitive: bool, symmetric: bool):
+        _set(self, "corneration", corneration)
+        _set(self, "aut", aut)
+        _set(self, "transitive", transitive)
+        _set(self, "symmetric", symmetric)
 
 
 def enumerate_transitive_cornerations(m: FlagMap, j: int) -> list[TransitiveCornerationRecord]:

@@ -7,8 +7,7 @@ isomorphic results, and every check in this package is isomorphism-level).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DART,
@@ -28,8 +27,7 @@ from .core import (
 from .errors import DegenerateResult, NonUniformValence, WidthOutOfRange
 
 
-@dataclass(frozen=True)
-class OperatorResult:
+class OperatorResult(NamedTuple):
     """Maps produced by an operator together with the flag correspondence.
 
     ``correspondence[f] = (component, flag)`` locates each original flag in

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import binascii
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import DART, EDGE, FlagMap, cells, uniform_valence
 from .cornerations import (
@@ -46,8 +45,7 @@ OLD = "old"
 NEW = "new"
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeProvenance:
+class EdgeProvenance(NamedTuple):
     """Where a split-graph edge comes from: shared map edges, K-corners."""
 
     old: tuple
@@ -310,16 +308,14 @@ def verify_vertex_transitive(S: SplitGraph, G: SymGroup, K: Iterable[Corner]) ->
     return True
 
 
-@dataclass(frozen=True)
-class CubicEntry:
+class CubicEntry(NamedTuple):
     construction: str
     measured_valence: Optional[int]
     predicted_valence: int
     cubic: bool
 
 
-@dataclass(frozen=True)
-class CubicReport:
+class CubicReport(NamedTuple):
     entries: tuple[CubicEntry, ...]
 
 

@@ -8,9 +8,8 @@ and all group arithmetic here happens on those integer images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     DART,
@@ -615,8 +614,7 @@ QD = "QD"
 OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class LocalAction:
+class LocalAction(NamedTuple):
     """The vertex stabilizer as permutations of the rotation positions."""
 
     vertex: int

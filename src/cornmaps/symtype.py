@@ -9,10 +9,9 @@ box/oval shape of each node.  Diagrams are stored in exactly that form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .core import VERTEX, FlagMap, cells, orbits
+from .core import VERTEX, FlagMap, _Frozen, _set, cells, orbits
 from .cornerations import Corneration, _require_corneration, face_patterns
 from .errors import (
     GroupDoesNotPreserveCorneration,
@@ -29,21 +28,19 @@ BOX = "B"
 OVAL = "O"
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Frozen):
     """A vertex-shaped edge-3-colored pregraph with one dart per color.
 
     ``sigma[c]`` sends each node to the far end of its color-``c`` edge;
     a fixed point is a semiedge.  ``shapes[n]`` is ``"B"`` or ``"O"``.
     """
 
-    shapes: tuple[str, ...]
-    sigma: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    __slots__ = ("shapes", "sigma")
 
-    def __post_init__(self):
+    def __init__(self, shapes: tuple[str, ...], sigma: tuple[tuple[int, ...], ...]):
         try:
-            object.__setattr__(self, "shapes", tuple(self.shapes))
-            object.__setattr__(self, "sigma", tuple(tuple(s) for s in self.sigma))
+            _set(self, "shapes", tuple(shapes))
+            _set(self, "sigma", tuple(tuple(s) for s in sigma))
         except TypeError:
             raise InvalidDiagram("shapes and sigma must be sequences") from None
         n = len(self.shapes)
@@ -165,8 +162,7 @@ def enumerate_valid_diagrams() -> list[Diagram]:
     return out
 
 
-@dataclass(frozen=True)
-class DiagramAttributes:
+class DiagramAttributes(NamedTuple):
     """The classification row of a transitive wedge corneration."""
 
     node_count: int
@@ -290,8 +286,7 @@ def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:
     return Diagram(tuple(BOX if box else OVAL for box in inside.values()), sigma)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     letter: Optional[str]
     attributes: DiagramAttributes
     diagram: Diagram

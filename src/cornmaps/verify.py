@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import cornerations as corn
@@ -32,6 +31,7 @@ from .core import (
     FACE,
     VERTEX,
     FlagMap,
+    _Record,
     cells,
     euler_and_genus,
     face_bipartition,
@@ -70,14 +70,20 @@ FAILED = "failed"
 SKIPPED = "skipped"
 
 
-@dataclass
-class ClaimResult:
-    claim: str
-    instances: int
-    status: str
-    failures: tuple[str, ...]
-    elapsed: float
-    note: str = ""
+class ClaimResult(_Record):
+    __slots__ = ("claim", "instances", "status", "failures", "elapsed", "note")
+
+    def __init__(
+        self,
+        claim: str,
+        instances: int,
+        status: str,
+        failures: tuple[str, ...],
+        elapsed: float,
+        note: str = "",
+    ):
+        self.claim, self.instances, self.status = claim, instances, status
+        self.failures, self.elapsed, self.note = failures, elapsed, note
 
     @property
     def ok(self) -> bool:
@@ -91,9 +97,11 @@ class ClaimResult:
         return msg
 
 
-@dataclass
-class VerificationReport:
-    results: tuple[ClaimResult, ...]
+class VerificationReport(_Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[ClaimResult, ...]):
+        self.results = results
 
     @property
     def ok(self) -> bool:

@@ -88,7 +88,10 @@ def group_elements(G):
     """Every element of the group ``G`` as a flag permutation, sorted: the
     products of its generators, closed breadth-first from the identity,
     one product per new image of flag 0.  Tests use it as an oracle; the
-    library keeps a group as its images of flag 0."""
+    library keeps a group as its images of flag 0.  Kept on the group, as
+    the oracles ask for the same group's elements again and again."""
+    if "test_elements" in G._cache:
+        return G._cache["test_elements"]
     elements = [tuple(G.map.flags())]
     seen = {0}
     for e in elements:
@@ -96,7 +99,8 @@ def group_elements(G):
             if e[g[0]] not in seen:
                 seen.add(e[g[0]])
                 elements.append(tuple(map(e.__getitem__, g)))
-    return tuple(sorted(elements))
+    G._cache["test_elements"] = out = tuple(sorted(elements))
+    return out
 
 
 def relabelled(m, seed):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 import tracemalloc
@@ -971,7 +970,8 @@ def test_corneration_rejects_items_that_are_no_corner_of_the_map(torus44):
     # darts of torus 4x4, but at two vertices there
     (spread,) = [c for c in corn.all_j_corners(opposite(torus44), 2) if c.darts == (0, 40)]
     own = corn.all_j_corners(torus44, 1)[0]
-    moved = dataclasses.replace(own, vertex=own.vertex + 8)
+    moved = corn.Corner(own.vertex + 8, own.darts, own.width, own.straight,
+                        own.interior_wedges, own.boundary_wedges)
     for bad in (beyond[:1], beyond, [spread], [own, moved], [own, own.darts]):
         with pytest.raises(CornerationMismatch, match="not a corner of the map"):
             corn.Corneration(torus44, bad)
@@ -1000,6 +1000,24 @@ def test_a_corneration_is_its_map_and_its_int():
     L = build_torus_grid_corneration(4, 4)[1]
     assert corn.Corneration.__slots__ == ("map", "_mask")
     assert not hasattr(L, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_theta(3), lambda: build_antiprism(5), lambda: build_torus_grid(6, 6)],
+    ids=["theta3", "antiprism5", "torus6x6"],
+)
+def test_mask_of_matches_the_sum_of_shifted_bits(make):
+    """The one-pass mask equals the sum of one shifted bit per corner, and
+    its binary digits mark exactly those numbers, corner 0 highest."""
+    m = make()
+    n = len(corn._corner_numbering(m)[2])
+    rng = random.Random(n)
+    for size in (0, 1, n // 2, n):
+        numbers = rng.sample(range(n), size)
+        mask = corn._mask_of(m, numbers)
+        assert mask == sum(1 << n - 1 - i for i in numbers)
+        assert format(mask, f"0{n}b") == "".join("01"[i in numbers] for i in range(n))
 
 
 def test_reading_corners_twice_decodes_once(monkeypatch):

@@ -15,7 +15,6 @@ included.
 """
 
 import functools
-import random
 import tracemalloc
 from collections import Counter
 
@@ -69,7 +68,7 @@ from cornmaps.symmetry import (
 )
 from cornmaps.symtype import BOX, OVAL, Diagram, classify, symmetry_type_graph
 from cornmaps.verify import SuiteContext, _all_cornerations_mixed, _mixed_cover_spotchecks
-from conftest import group_elements
+from conftest import group_elements, relabelled
 
 
 # -- oracles -----------------------------------------------------------------
@@ -392,23 +391,11 @@ def oracle_invariant_keys(m, H, j):
 # -- maps --------------------------------------------------------------------
 
 
-def relabel(m, seed):
-    new = list(m.flags())
-    random.Random(seed).shuffle(new)
-    images = []
-    for r in m.involutions():
-        image = [0] * m.n_flags
-        for f in m.flags():
-            image[new[f]] = new[r[f]]
-        images.append(image)
-    return FlagMap(m.n_flags, *images, name=f"{m.name}~{seed}")
-
-
 @pytest.fixture(scope="module")
 def maps():
     out = dict(SuiteContext().maps)
     out["torus8x8"] = build_torus_grid(8, 8)
-    out["opp4x4~7"] = relabel(opposite(build_torus_grid(4, 4)), 7)
+    out["opp4x4~7"] = relabelled(opposite(build_torus_grid(4, 4)), 7)
     return out
 
 
@@ -431,7 +418,7 @@ def test_automorphism_group_matches_per_flag_oracle(propagations, asymmetric_map
     maps["antiprism7"] = build_antiprism(7)
     maps["opp6x6"] = opposite(build_torus_grid(6, 6))
     maps["petrie(opp4x4)"] = petrie(opposite(build_torus_grid(4, 4)))
-    maps["opp4x4~7"] = relabel(opposite(build_torus_grid(4, 4)), 7)
+    maps["opp4x4~7"] = relabelled(opposite(build_torus_grid(4, 4)), 7)
     for name, m in maps.items():
         propagations.clear()
         A = automorphism_group(m)
@@ -459,7 +446,7 @@ def sweep_groups():
     8x8 torus and opp(torus 6x6): 434 groups, every sweep stabilizer among
     them."""
     ms = dict(SuiteContext().maps)
-    ms["torus8x8~1"] = relabel(build_torus_grid(8, 8), 1)
+    ms["torus8x8~1"] = relabelled(build_torus_grid(8, 8), 1)
     ms["opp6x6"] = opposite(build_torus_grid(6, 6))
     out = []
     for name, m in ms.items():
@@ -687,7 +674,7 @@ def test_subgroup_search_matches_the_unpaired_scan():
     columns), and on a trivial group, whose one generator is the identity."""
     groups = []
     ms = dict(SuiteContext().maps)
-    ms["torus8x8~1"] = relabel(build_torus_grid(8, 8), 1)
+    ms["torus8x8~1"] = relabelled(build_torus_grid(8, 8), 1)
     for m in ms.values():
         A = automorphism_group(m)
         groups.append(A)
@@ -790,7 +777,7 @@ def pairs_in_number_order(m):
 
 @pytest.mark.parametrize(
     "m",
-    [build_theta(4), build_antiprism(3), relabel(build_antiprism(3), 5)],
+    [build_theta(4), build_antiprism(3), relabelled(build_antiprism(3), 5)],
     ids=["theta4", "antiprism3", "antiprism3~5"],
 )
 def test_stabilizers_of_every_mixed_corneration_match_the_element_filter(m):
@@ -835,7 +822,7 @@ def test_stabilizers_move_corner_numbers_through_one_table_per_generator(monkeyp
 
 @pytest.mark.parametrize(
     "m",
-    [build_theta(4), build_antiprism(3), relabel(build_antiprism(3), 5), build_antiprism(4)],
+    [build_theta(4), build_antiprism(3), relabelled(build_antiprism(3), 5), build_antiprism(4)],
     ids=["theta4", "antiprism3", "antiprism3~5", "antiprism4"],
 )
 def test_invariant_cornerations_match_the_generator_filter(m):
@@ -1072,7 +1059,7 @@ def quotient_maps():
     """Four flag-transitive maps, one of them relabelled, and three antiprisms
     with four Aut-orbits of flags, so a node's orbit part is exercised."""
     t = build_torus_grid(4, 4)
-    ms = {"torus4x4": t, "torus4x4~3": relabel(t, 3), "opp4x4": opposite(t)}
+    ms = {"torus4x4": t, "torus4x4~3": relabelled(t, 3), "opp4x4": opposite(t)}
     ms.update((f"antiprism{n}", build_antiprism(n)) for n in (4, 5, 6))
     return ms
 

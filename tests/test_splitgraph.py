@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -541,7 +540,8 @@ def test_split_rejects_corners_of_another_map(torus44):
         sg.split(L, [spread])
     # a corner of torus 4x4 claimed at another vertex
     outside = corn.j_complement(L).sorted_corners()[0]
-    moved = dataclasses.replace(outside, vertex=outside.vertex + 8)
+    moved = corn.Corner(outside.vertex + 8, outside.darts, outside.width, outside.straight,
+                        outside.interior_wedges, outside.boundary_wedges)
     with pytest.raises(InvalidCorner):
         sg.split(L, [moved])
     assert sg.split(L, [outside]).n_edges >= 1
