@@ -16,6 +16,7 @@ from .core import (
     EDGE,
     FACE,
     VERTEX,
+    WEDGE,
     Circuit,
     FlagMap,
     _Frozen,
@@ -490,10 +491,15 @@ class Corneration:
         return corner_from_darts(self.map, darts)
 
     def in_wedges(self) -> frozenset:
-        """Wedge ids of the corners, defined for width-1 cornerations."""
+        """Wedge ids of the corners, defined for width-1 cornerations: the wedge
+        of the flag starting each span (:func:`_corner_flags`), none for a
+        straight corner, at a vertex of valence 2, where two turns (r1, r2)
+        from that flag close up."""
         if self.width != 1:
             raise NotWedgeCorneration("in-wedges exist only for width-1 cornerations")
-        return frozenset(w for interior, _ in _sides(self.map, self._numbers()) for w in interior)
+        m, starts = self.map, map(_corner_flags(self.map, 1).__getitem__, self._numbers())
+        wedge_of, r1, r2 = m.cell_index(WEDGE), m.r1, m.r2
+        return frozenset(wedge_of[f] for f in starts if r2[r1[r2[r1[f]]]] != f)
 
     def __len__(self):
         return self._mask.bit_count()
@@ -712,13 +718,16 @@ class FacePatternReport(NamedTuple):
         return frozenset(self.per_face.values())
 
 
-def _matches_tile(seq: Sequence[bool], tile: Sequence[bool]) -> bool:
-    t = len(tile)
-    if len(seq) % t != 0:
-        return False
-    return any(
-        all(seq[i] == tile[(i + r) % t] for i in range(len(seq))) for r in range(t)
-    )
+def _face_letter(m: FlagMap, inw: Collection[int], flag: int) -> str:
+    """The first letter whose tile, repeated and rotated, gives the in-wedge
+    pattern round the face of ``flag`` (``inw`` the in-wedges), else "Other"."""
+    seq = [w in inw for w in face_boundary_wedges(m, m.cell_index(FACE)[flag])]
+    for letter, tile in PATTERN_TILES.items():
+        t = len(tile)
+        shifts = (all(x == tile[(i + r) % t] for i, x in enumerate(seq)) for r in range(t))
+        if len(seq) % t == 0 and any(shifts):
+            return letter
+    return "Other"
 
 
 def face_patterns(L: Corneration) -> FacePatternReport:
@@ -734,16 +743,7 @@ def face_patterns(L: Corneration) -> FacePatternReport:
     if L.width != 1:
         raise NotWedgeCorneration("face patterns are defined for width-1 cornerations")
     inw = L.in_wedges()
-    per_face = {}
-    for face in cells(m, FACE):
-        seq = [w in inw for w in face_boundary_wedges(m, face.id)]
-        if all(seq):
-            letter = "A"
-        elif not any(seq):
-            letter = "E"
-        else:
-            letter = next((x for x in "BCD" if _matches_tile(seq, PATTERN_TILES[x])), "Other")
-        per_face[face.id] = letter
+    per_face = {face.id: _face_letter(m, inw, face.id) for face in cells(m, FACE)}
 
     letters = set(per_face.values())
     neighbors = _face_adjacency(m)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Optional
 
-from .core import VERTEX, FlagMap, _Frozen, _set, cells, orbits
-from .cornerations import Corneration, _require_corneration, face_patterns
+from .core import WEDGE, FlagMap, _Frozen, _set, orbits
+from .cornerations import Corneration, _face_letter, _require_corneration
 from .errors import (
     GroupDoesNotPreserveCorneration,
     InternalInvariantError,
@@ -58,19 +58,24 @@ class Diagram(_Frozen):
     def n_nodes(self) -> int:
         return len(self.shapes)
 
+    def _involution(self, color: int) -> tuple[int, ...]:
+        if type(color) is int and 0 <= color <= 2:
+            return self.sigma[color]
+        raise InvalidDiagram(f"edge colors are 0, 1 and 2, not {color!r}")
+
     def semiedges(self, color: int) -> tuple[int, ...]:
-        s = self.sigma[color]
+        s = self._involution(color)
         return tuple(i for i in range(self.n_nodes) if s[i] == i)
 
     def links(self, color: int) -> tuple[tuple[int, int], ...]:
-        s = self.sigma[color]
+        s = self._involution(color)
         return tuple(
             (i, s[i]) for i in range(self.n_nodes) if s[i] > i
         )
 
     def components(self, colors: Iterable[int]) -> int:
         """Number of connected components of the chosen color subdiagram."""
-        return len(orbits(self.n_nodes, [self.sigma[c] for c in colors]))
+        return len(orbits(self.n_nodes, [self._involution(c) for c in colors]))
 
     def is_connected(self) -> bool:
         return self.components((0, 1, 2)) == 1
@@ -84,22 +89,39 @@ def _require_diagram(*diagrams) -> None:
 
 
 def diagram_isomorphic(a: Diagram, b: Diagram) -> Optional[tuple[int, ...]]:
-    """A shape- and color-preserving node bijection, or None."""
+    """The lexicographically first shape- and color-preserving node bijection, or None.
+
+    The image of a node fixes at most one isomorphism of its component, so the
+    lowest unmapped node goes to the lowest free node that works.  That leaves
+    isomorphic rests if the wholes are, so no choice is undone: O(n^2) steps.
+    """
     _require_diagram(a, b)
-    if a.n_nodes != b.n_nodes:
+    n = a.n_nodes
+    if n != b.n_nodes or sorted(a.shapes) != sorted(b.shapes):
         return None
-    if sorted(a.shapes) != sorted(b.shapes):
-        return None
-    for pi in itertools.permutations(range(a.n_nodes)):
-        if any(a.shapes[i] != b.shapes[pi[i]] for i in range(a.n_nodes)):
-            continue
-        if all(
-            pi[a.sigma[c][i]] == b.sigma[c][pi[i]]
-            for c in range(3)
-            for i in range(a.n_nodes)
-        ):
-            return pi
-    return None
+
+    def extend(u: int, t: int) -> Optional[dict[int, int]]:  # u -> t over u's component
+        part, todo = {u: t}, [u]
+        for x in todo:
+            if a.shapes[x] != b.shapes[part[x]]:
+                return None
+            for sa, sb in zip(a.sigma, b.sigma):
+                if sa[x] not in part:
+                    part[sa[x]] = sb[part[x]]
+                    todo.append(sa[x])
+                elif part[sa[x]] != sb[part[x]]:
+                    return None
+        return part if len(set(part.values())) == len(part) else None
+
+    pi: dict[int, int] = {}
+    for u in range(n):
+        if u not in pi:
+            used = set(pi.values())
+            part = next(filter(None, (extend(u, t) for t in range(n) if t not in used)), None)
+            if part is None:
+                return None
+            pi.update(part)
+    return tuple(pi[u] for u in range(n))
 
 
 def satisfies_diagram_constraints(d: Diagram) -> tuple[bool, Optional[str]]:
@@ -266,6 +288,11 @@ def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:
     ``L``.  The group must preserve ``L``, an ``L`` of ``m``, otherwise the
     shape of some orbit is ill-defined.
     """
+    return _quotient(m, G, L)[0]
+
+
+def _quotient(m: FlagMap, G: SymGroup, L: Corneration) -> tuple[Diagram, list[int], frozenset]:
+    """:func:`symmetry_type_graph`, the least flag of each node and the in-wedges of ``L``."""
     _require_corneration(L)
     if L.width != 1:
         raise NotWedgeCorneration("symmetry-type graphs are built over wedge cornerations")
@@ -273,17 +300,18 @@ def symmetry_type_graph(m: FlagMap, G: SymGroup, L: Corneration) -> Diagram:
     if L.map is not m and L.map != m:  # its wedges are another map's
         raise GroupDoesNotPreserveCorneration("the corneration belongs to a different map")
     in_wedges = L.in_wedges()
-    wedge_of = m.cell_index("wedge")
-    inside = {}  # node -> whether its flags sit in wedges of L, by least flag
+    wedge_of = m.cell_index(WEDGE)
+    inside = {}  # node -> (its least flag, whether its flags sit in wedges of L)
     for f, node in enumerate(_node_of_flag(G)):
         box = wedge_of[f] in in_wedges
-        if inside.setdefault(node, box) != box:
+        if inside.setdefault(node, (f, box))[1] != box:
             raise GroupDoesNotPreserveCorneration(
                 f"orbit of flag {f} mixes wedges inside and outside the corneration"
             )
     number = {node: i for i, node in enumerate(inside)}
     sigma = tuple(tuple(number[r[node]] for node in inside) for r in _orbit_graph(G))
-    return Diagram(tuple(BOX if box else OVAL for box in inside.values()), sigma)
+    diagram = Diagram(tuple(BOX if box else OVAL for _, box in inside.values()), sigma)
+    return diagram, [f for f, _ in inside.values()], in_wedges
 
 
 class ClassificationResult(NamedTuple):
@@ -303,18 +331,20 @@ def classify(m: FlagMap, G: SymGroup, L: Corneration) -> ClassificationResult:
     quotient (:func:`symmetry_type_graph`, whose errors come first): a
     corner of ``L`` is its wedge, whose two flags lie in a box b and in
     sigma1(b), so G is transitive on the corners exactly when the boxes are
-    {b, sigma1(b)}, else :class:`NotTransitive`.  The pattern letters come
-    from the faces of ``L`` and the local type from the vertex stabilizer;
-    the full attribute tuple picks a unique row.
+    {b, sigma1(b)}, else :class:`NotTransitive`.  A face orbit, a
+    {0,1}-component of the quotient, has one pattern letter, read off the
+    face of the least flag of a node: G maps boundary walks to boundary
+    walks, maybe reversed, and the tiles are closed under both.  The local
+    type comes from the stabilizer of vertex 0; the full attribute tuple
+    picks a unique row.
     """
-    diagram = symmetry_type_graph(m, G, L)
+    diagram, least, inw = _quotient(m, G, L)
     boxes = [node for node, shape in enumerate(diagram.shapes) if shape == BOX]
     if set(boxes) != {boxes[0], diagram.sigma[1][boxes[0]]}:
         raise NotTransitive("classification needs a group transitive on the corners")
     v, e, f = diagram_orbit_counts(diagram)
-    patterns = face_patterns(L).letters
-    v0 = min(c.id for c in cells(m, VERTEX))
-    local = local_action_group(G, v0).tag
+    patterns = {_face_letter(m, inw, least[p[0]]) for p in orbits(len(least), diagram.sigma[:2])}
+    local = local_action_group(G, 0).tag
     attrs = DiagramAttributes(
         diagram.n_nodes, v, e, f, frozenset(patterns), local
     )

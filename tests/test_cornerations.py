@@ -63,7 +63,7 @@ from cornmaps.symmetry import (
     subgroups_up_to_index,
 )
 from cornmaps.symtype import classify, symmetry_type_graph
-from cornmaps.verify import _all_cornerations_mixed, _vertex_covers_all_widths
+from cornmaps.verify import SuiteContext, _all_cornerations_mixed, _vertex_covers_all_widths
 from conftest import relabelled
 
 
@@ -713,6 +713,27 @@ def test_face_patterns_grid():
     report = corn.face_patterns(L)
     assert report.configuration == 4
     assert report.letters == frozenset({"D"})
+
+
+def in_wedges_from_sides(L):
+    """The interior wedges of the corners, read off their sides: the oracle
+    for :meth:`Corneration.in_wedges`."""
+    return frozenset(w for interior, _ in corn._sides(L.map, L._numbers()) for w in interior)
+
+
+def test_in_wedges_match_the_sides_form():
+    """Every width-1 corneration of the suite sweeps and of the brute-force
+    lists, and of two maps with vertices of valence 2, whose straight
+    1-corners have no interior wedge."""
+    ctx = SuiteContext()
+    cornerations = [r.corneration for (_, j), rs in ctx.sweep_all().items() if j == 1 for r in rs]
+    cornerations += [L for _, Ls in ctx.brute_force.values() for L in Ls if L.width == 1]
+    valences_242 = from_rotation_system({"u": ["a", "b"], "v": ["a", "c", "b", "d"], "w": ["c", "d"]})
+    for m in (build_theta(2), valences_242):
+        cornerations += [L for L in _all_cornerations_mixed(m) if L.width == 1]
+    assert len(cornerations) == 193
+    for L in cornerations:
+        assert L.in_wedges() == in_wedges_from_sides(L), L.map.name
 
 
 def test_face_patterns_rejects_wider(torus44):

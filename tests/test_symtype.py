@@ -1,10 +1,17 @@
+import collections
 import itertools
+import random
 
 import pytest
 
 import cornmaps.cornerations as corn
 import cornmaps.symtype as st
-from cornmaps.builders import build_antiprism_corneration, build_torus_grid_corneration
+from cornmaps.builders import (
+    build_antiprism_corneration,
+    build_torus_grid,
+    build_torus_grid_corneration,
+)
+from cornmaps.core import VERTEX, cells
 from cornmaps.errors import (
     CornMapsError,
     GroupDoesNotPreserveCorneration,
@@ -13,7 +20,15 @@ from cornmaps.errors import (
     NotTransitive,
     NotWedgeCorneration,
 )
-from cornmaps.symmetry import SymGroup, automorphism_group, orbits_on
+from cornmaps.operators import opposite, petrie
+from cornmaps.symmetry import (
+    SymGroup,
+    automorphism_group,
+    local_action_group,
+    orbits_on,
+    subgroups_up_to_index,
+)
+from cornmaps.verify import SuiteContext
 
 
 def green_setup(opp44):
@@ -50,6 +65,24 @@ def test_malformed_diagram_raises_invalid_diagram(shapes, sigma, message):
     assert isinstance(info.value, CornMapsError)
     assert isinstance(info.value, ValueError)
     assert message in str(info.value)
+
+
+BAD_COLOR_CALLS = {
+    "semiedges 3": lambda d: d.semiedges(3),
+    "semiedges -1": lambda d: d.semiedges(-1),  # indexing alone reads color 2
+    "semiedges True": lambda d: d.semiedges(True),
+    "links None": lambda d: d.links(None),
+    "links str": lambda d: d.links("0"),
+    "components 3": lambda d: d.components((0, 3)),
+    "components float": lambda d: d.components((1.0,)),
+    "components str": lambda d: d.components("01"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_COLOR_CALLS)
+def test_a_color_outside_0_1_2_raises_invalid_diagram(name):
+    with pytest.raises(InvalidDiagram, match="edge colors are 0, 1 and 2"):
+        BAD_COLOR_CALLS[name](st.CANONICAL_DIAGRAMS["a"])
 
 
 def test_diagram_arguments_must_be_diagrams():
@@ -166,6 +199,109 @@ def test_diagram_claim_enumerates_once(monkeypatch):
     assert (instances, failures, len(calls)) == (92, [], 1)
 
 
+def isomorphic_by_permutations(a, b):
+    """The first node permutation, in lexicographic order, that keeps shapes
+    and colors, or None: the oracle for :func:`~cornmaps.symtype.diagram_isomorphic`."""
+    if a.n_nodes != b.n_nodes:
+        return None
+    for pi in itertools.permutations(range(a.n_nodes)):
+        if any(a.shapes[i] != b.shapes[pi[i]] for i in range(a.n_nodes)):
+            continue
+        if all(pi[a.sigma[c][i]] == b.sigma[c][pi[i]] for c in range(3) for i in range(a.n_nodes)):
+            return pi
+    return None
+
+
+def random_diagram(rng, n, shapes="BO"):
+    def involution():
+        nodes = rng.sample(range(n), n)
+        s = list(range(n))
+        for i in range(rng.randint(0, n // 2)):
+            x, y = nodes[2 * i], nodes[2 * i + 1]
+            s[x], s[y] = y, x
+        return s
+
+    return st.Diagram(tuple(rng.choice(shapes) for _ in range(n)), [involution() for _ in "012"])
+
+
+def relabelled_diagram(d, perm):
+    """``d`` with node ``i`` renamed ``perm[i]``."""
+    shapes = [None] * d.n_nodes
+    sigma = [[None] * d.n_nodes for _ in d.sigma]
+    for i in range(d.n_nodes):
+        shapes[perm[i]] = d.shapes[i]
+        for c, s in enumerate(d.sigma):
+            sigma[c][perm[i]] = perm[s[i]]
+    return st.Diagram(shapes, sigma)
+
+
+def disjoint_union(*diagrams):
+    shapes, sigma, offset = [], [[], [], []], 0
+    for d in diagrams:
+        shapes += d.shapes
+        for c, s in enumerate(d.sigma):
+            sigma[c] += [offset + x for x in s]
+        offset += d.n_nodes
+    return st.Diagram(shapes, sigma)
+
+
+def is_isomorphism(pi, a, b):
+    n = a.n_nodes
+    return sorted(pi) == list(range(n)) and all(
+        a.shapes[i] == b.shapes[pi[i]] and all(pi[s[i]] == t[pi[i]] for s, t in zip(a.sigma, b.sigma))
+        for i in range(n)
+    )
+
+
+def test_diagram_isomorphic_matches_the_permutation_search():
+    """The same bijection, the lexicographically first, or None alike: on the
+    catalog, on random diagrams of at most 6 nodes, and on relabellings of
+    them, isomorphic by construction."""
+    rng = random.Random(32)
+    pairs = [(a, b) for a in st.CANONICAL_DIAGRAMS.values() for b in st.CANONICAL_DIAGRAMS.values()]
+    pairs += [(a, b) for a in st.enumerate_valid_diagrams() for b in st.CANONICAL_DIAGRAMS.values()]
+    for _ in range(4000):
+        n = rng.randint(1, 6)
+        a = random_diagram(rng, n, rng.choice(["B", "BO"]))
+        b = relabelled_diagram(a, rng.sample(range(n), n)) if rng.random() < 0.5 else None
+        pairs.append((a, b or random_diagram(rng, n, "".join(sorted(set(a.shapes))))))
+    found = 0
+    for a, b in pairs:
+        pi = st.diagram_isomorphic(a, b)
+        assert pi == isomorphic_by_permutations(a, b)
+        found += pi is not None
+    assert 2000 < found < len(pairs) - 1000  # both answers, often
+
+
+def test_diagram_isomorphic_is_polynomial():
+    """Pairs the permutation search could not finish: non-isomorphic 10-node
+    diagrams with equal shapes (3.6 million permutations), a connected
+    200-node diagram against a relabelling and a near miss, and 31 components
+    of which all but one pair up."""
+    ring = [(i + 1) % 10 if i % 2 else (i - 1) % 10 for i in range(10)]
+    a = st.Diagram("B" * 10, ((1, 0, 3, 2, 5, 4, 7, 6, 9, 8), ring, tuple(range(10))))
+    b = st.Diagram("B" * 10, ((1, 0, 3, 2, 5, 4, 7, 6, 9, 8), (3, 2, 1, 0, 9, 6, 5, 8, 7, 4),
+                              tuple(range(10))))
+    assert a.components((0, 1)) == 1 and b.components((0, 1)) == 2
+    assert st.diagram_isomorphic(a, b) is None
+    rng = random.Random(200)
+    big = random_diagram(rng, 200)
+    while not big.is_connected():
+        big = random_diagram(rng, 200)
+    perm = rng.sample(range(200), 200)
+    other = relabelled_diagram(big, perm)
+    assert is_isomorphism(st.diagram_isomorphic(big, other), big, other)
+    s2 = list(other.sigma[2])
+    x, y = next((x, y) for x, y in enumerate(s2) if x < y)
+    s2[x], s2[y] = x, y  # one color-2 link cut into two semiedges
+    assert st.diagram_isomorphic(big, st.Diagram(other.shapes, (*other.sigma[:2], s2))) is None
+    ab = [st.CANONICAL_DIAGRAMS[k] for k in "bc"]  # equal shapes, not isomorphic
+    many = [st.CANONICAL_DIAGRAMS["g"]] * 30
+    assert st.diagram_isomorphic(disjoint_union(*many, ab[0]), disjoint_union(ab[1], *many)) is None
+    pi = st.diagram_isomorphic(disjoint_union(*many, ab[0]), disjoint_union(ab[0], *many))
+    assert pi[:4] == (4, 5, 6, 7) and pi[-4:] == (0, 1, 2, 3)
+
+
 def test_diagram_isomorphism_basics():
     a = st.CANONICAL_DIAGRAMS["a"]
     f = st.CANONICAL_DIAGRAMS["f"]
@@ -249,3 +385,75 @@ def test_orbit_counts_match_direct_orbits(opp44):
     assert e == len(orbits_on(G, "edge"))
     assert f == len(orbits_on(G, "face"))
     assert d.n_nodes == len(orbits_on(G, "flags"))
+
+
+def classify_by_all_faces(m, G, L):
+    """The classification with its pattern letters taken from every face of
+    ``L`` (:func:`~cornmaps.cornerations.face_patterns`) and its local type at
+    the least vertex id: the oracle for the per-face-orbit letters."""
+    diagram = st.symmetry_type_graph(m, G, L)
+    boxes = [node for node, shape in enumerate(diagram.shapes) if shape == st.BOX]
+    if set(boxes) != {boxes[0], diagram.sigma[1][boxes[0]]}:
+        raise NotTransitive("classification needs a group transitive on the corners")
+    v0 = min(c.id for c in cells(m, VERTEX))
+    attrs = st.DiagramAttributes(
+        diagram.n_nodes,
+        *st.diagram_orbit_counts(diagram),
+        corn.face_patterns(L).letters,
+        local_action_group(G, v0).tag,
+    )
+    letter = next((k for k, row in st.ROW_ATTRIBUTES.items() if row == attrs), None)
+    return st.ClassificationResult(letter, attrs, diagram)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except CornMapsError as exc:
+        return type(exc), str(exc)
+
+
+def wedge_sweep_cases():
+    """Each width-1 sweep record of the suite maps, of petrie(opp(torus 4x4))
+    and of torus 8x8, under the symmetry group of its map, its stabilizer
+    and each subgroup of that of index at most 4."""
+    maps = dict(SuiteContext().maps)
+    maps["petrie-opp4x4"] = petrie(opposite(build_torus_grid(4, 4)))
+    maps["torus8x8"] = build_torus_grid(8, 8)
+    for m in maps.values():
+        for r in corn.enumerate_transitive_cornerations(m, 1):
+            for H in [automorphism_group(m), *subgroups_up_to_index(r.aut, 4)]:
+                yield m, H, r.corneration
+
+
+def test_classify_matches_the_all_faces_oracle():
+    """Equal results, and equal errors; every row and each error that a
+    subgroup of a map's own group can meet turn up."""
+    seen = collections.Counter()
+    for m, H, L in wedge_sweep_cases():
+        got = outcome(st.classify, m, H, L)
+        assert got == outcome(classify_by_all_faces, m, H, L), (m.name, H.order)
+        seen[got[0] if isinstance(got[0], type) else got.letter] += 1
+    assert set(seen) == {*st.ROW_ATTRIBUTES, NotTransitive, GroupDoesNotPreserveCorneration}
+    assert sum(seen.values()) == 2378
+
+
+def two_letter_cases(opp44):
+    """Configuration 1 (row a, letters A and E) and configuration 3 (row k,
+    letters C and E): two face orbits, each with its own letter."""
+    L, _, G = green_setup(opp44)
+    m4, L4 = build_antiprism_corneration(4)
+    G4 = corn.corneration_stabilizer(automorphism_group(m4), L4)
+    return [(opp44, G, L, 1, "a"), (m4, G4, L4, 3, "k")]
+
+
+def test_classify_reads_a_letter_off_each_face_orbit(opp44):
+    for m, G, L, configuration, row in two_letter_cases(opp44):
+        report = corn.face_patterns(L)
+        assert report.configuration == configuration
+        per_orbit = [{report.per_face[f] for f in orbit} for orbit in orbits_on(G, "faces")]
+        assert len(per_orbit) == 2 and all(len(letters) == 1 for letters in per_orbit)
+        assert per_orbit[0] != per_orbit[1]
+        res = st.classify(m, G, L)
+        assert res.letter == row
+        assert res.attributes.patterns == report.letters == per_orbit[0] | per_orbit[1]
